@@ -35,6 +35,8 @@ from .errors import (
     ReduciblePolynomial,
     SolvabilityViolated,
     UnsupportedM,
+    UsageError,
+    ZeroBraidingEntry,
 )
 from .fields import (
     ExtensionField,
@@ -97,80 +99,3 @@ from .rootvec import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALPHA1",
-    "ALPHA2",
-    "BraidingParams",
-    "DegreeCeilingExceeded",
-    "DivisionByZero",
-    "ExtensionField",
-    "Field",
-    "FieldElement",
-    "FieldMismatch",
-    "GradedElement",
-    "HypothesisViolated",
-    "InternalInexactDivision",
-    "JClassification",
-    "JEntry",
-    "KernelReport",
-    "MalformedSpec",
-    "NicholsError",
-    "NonHomogeneous",
-    "NonPrimeCharacteristic",
-    "NotInJ2",
-    "NotLyndon",
-    "OutOfRange",
-    "PrimeField",
-    "RationalField",
-    "ReduciblePolynomial",
-    "SolvabilityViolated",
-    "UhatBasisVector",
-    "UnsupportedM",
-    "ad_p_closed_form",
-    "ad_pow_coords",
-    "ad_x1",
-    "ad_x1_pow",
-    "b_k",
-    "beta_coeff",
-    "braiding_c",
-    "chi",
-    "compute_J",
-    "d1_on_um",
-    "d2_on_um",
-    "first_equation",
-    "in_kernel",
-    "in_kernel_by_derivations",
-    "is_lyndon",
-    "j_condition",
-    "ker_cap_Um",
-    "l_n",
-    "lambda_coeff",
-    "m_prime",
-    "multidegree",
-    "multiplicity",
-    "naive_symmetrizer",
-    "nichols_dim",
-    "non_root_table_check",
-    "p_k",
-    "parse_field_spec",
-    "q2_eval",
-    "q2_poly",
-    "q_binom",
-    "q_fact",
-    "q_int",
-    "qfact_b",
-    "root_vector_criterion",
-    "s_kt",
-    "shirshov_superletter",
-    "skew_derive",
-    "solvability_scalar",
-    "solve_d1",
-    "symmetrizer",
-    "u_hat_k",
-    "u_k",
-    "uhat_coords",
-    "uhat_pair_words",
-    "verify_main",
-    "words_of_multidegree",
-]

@@ -16,7 +16,7 @@ import shlex
 import sys
 from multiprocessing import get_context
 
-from .errors import HypothesisViolated, NicholsError
+from .errors import HypothesisViolated, NicholsError, UsageError
 from .fields import Field, parse_field_spec
 from .jset import compute_J, m_prime, multiplicity, non_root_table_check
 from .oracle import (
@@ -34,6 +34,14 @@ SCHEMA_VERSION = "v1"
 
 def _schema(command: str) -> str:
     return f"{SCHEMA_PREFIX}/{command}/{SCHEMA_VERSION}"
+
+
+def _nonneg_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,16 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_jset = sub.add_parser("jset", help="classify J ∩ [0, max]")
     add_common(p_jset)
-    p_jset.add_argument("--max", "--max-m", type=int, required=True, dest="max")
+    p_jset.add_argument("--max", "--max-m", type=_nonneg_int, required=True, dest="max")
 
     p_mult = sub.add_parser("multiplicity", help="multiplicity table up to max")
     add_common(p_mult)
-    p_mult.add_argument("--max", "--max-m", type=int, required=True, dest="max")
+    p_mult.add_argument("--max", "--max-m", type=_nonneg_int, required=True, dest="max")
 
     p_verify = sub.add_parser("verify", help="kernel-basis verification per m")
     add_common(p_verify)
-    p_verify.add_argument("--m", type=int, help="verify a single m")
-    p_verify.add_argument("--max", "--max-m", type=int, dest="max")
+    p_verify.add_argument("--m", type=_nonneg_int, help="verify a single m")
+    p_verify.add_argument("--max", "--max-m", type=_nonneg_int, dest="max")
 
     p_dim = sub.add_parser("dim", help="Nichols-algebra dimension in one degree")
     add_common(p_dim)
@@ -82,11 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table1", help="evaluate the non-root table")
     add_common(p_table)
-    p_table.add_argument("--m", type=int, help="single row (default: all)")
+    p_table.add_argument("--m", type=_nonneg_int, help="single row (default: all)")
 
     p_scan = sub.add_parser("scan", help="sweep all (q,r,s) unit triples")
     add_common(p_scan, with_params=False)
-    p_scan.add_argument("--max", "--max-m", type=int, required=True, dest="max")
+    p_scan.add_argument("--max", "--max-m", type=_nonneg_int, required=True, dest="max")
     p_scan.add_argument(
         "--check", choices=("main", "oracles", "table1"), default="main"
     )
@@ -98,19 +106,14 @@ def _params_from_args(field: Field, args) -> BraidingParams:
     shorthand = [args.q, args.r, args.s]
     explicit = [args.q11, args.q12, args.q21, args.q22]
     if any(v is not None for v in shorthand) and any(v is not None for v in explicit):
-        raise SystemExit(_usage_error("--q/--r/--s and --q11.. are mutually exclusive"))
+        raise UsageError("--q/--r/--s and --q11.. are mutually exclusive")
     if all(v is not None for v in shorthand):
         q, r, s = (field.parse(v) for v in shorthand)
         return BraidingParams.from_qrs(q, r, s)
     if all(v is not None for v in explicit):
         q11, q12, q21, q22 = (field.parse(v) for v in explicit)
         return BraidingParams(q11, q12, q21, q22)
-    raise SystemExit(_usage_error("provide --q --r --s or all of --q11..--q22"))
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+    raise UsageError("provide --q --r --s or all of --q11..--q22")
 
 
 def _params_json(field: Field, params: BraidingParams) -> dict:
@@ -181,7 +184,7 @@ def _cmd_verify(args) -> int:
     field = parse_field_spec(args.field)
     params = _params_from_args(field, args)
     if args.m is None and args.max is None:
-        return _usage_error("verify needs --m or --max")
+        raise UsageError("verify needs --m or --max")
     levels = [args.m] if args.m is not None else list(range(args.max + 1))
     reports = []
     lines = []
@@ -215,7 +218,7 @@ def _cmd_dim(args) -> int:
     try:
         a, b = (int(part) for part in args.deg.split(","))
     except ValueError:
-        return _usage_error("--deg expects two integers: a,b")
+        raise UsageError("--deg expects two integers: a,b") from None
     value = nichols_dim((a, b), params)
     data = {
         "schema": _schema("dim"),
@@ -310,7 +313,7 @@ def _scan_point(task: tuple) -> dict:
 def _cmd_scan(args) -> int:
     field = parse_field_spec(args.field)
     if field.order is None:
-        return _usage_error("scan requires a finite field")
+        raise UsageError("scan requires a finite field")
     units = [str(u) for u in field.units()]
     tasks = [
         (args.field, q, r, s, args.max, args.check)
@@ -364,34 +367,61 @@ _DISPATCH = {
 }
 
 
+def _attach_dash_values(argv: list) -> list:
+    """Rewrite ``--opt -3/5`` as ``--opt=-3/5``.
+
+    argparse reads a token that begins with "-" as an option unless it looks
+    like a negative number, so values such as -3/5, -t or -1,2 would be
+    refused.  Every long option of this CLI except --help takes a value, and
+    its only short option is -h, so such a token can only be a value.
+    """
+    out: list = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (
+            prev.startswith("--")
+            and "=" not in prev
+            and not "--help".startswith(prev)
+            and token.startswith("-")
+            and not token.startswith("--")
+            and token != "-h"
+        ):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _run_config(path: str) -> int:
+    status = 0
+    try:
+        with open(path) as handle:
+            for line in handle:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                status = max(status, run_command(shlex.split(line)))
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
+    return status
+
+
 def run_command(argv: list) -> int:
-    parser = build_parser()
-    # --config replaces the subcommand with runs read from a file
-    if argv and argv[0] == "--config":
-        if len(argv) < 2:
-            return _usage_error("--config needs a path")
-        status = 0
+    try:
+        # --config replaces the subcommand with runs read from a file
+        if argv and argv[0] == "--config":
+            if len(argv) < 2:
+                raise UsageError("--config needs a path")
+            return _run_config(argv[1])
+        parser = build_parser()
         try:
-            with open(argv[1]) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    status = max(status, run_command(shlex.split(line)))
-        except OSError as exc:
-            return _usage_error(str(exc))
-        return status
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
+            args = parser.parse_args(_attach_dash_values(argv))
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 2
         return _DISPATCH[args.command](args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     except NicholsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

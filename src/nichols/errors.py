@@ -57,5 +57,13 @@ class UnsupportedM(NicholsError, ValueError):
     """The non-root table covers only m in {1, 2, 3, 4, 6}."""
 
 
+class ZeroBraidingEntry(NicholsError, ValueError):
+    """A braiding matrix entry is zero."""
+
+
+class UsageError(NicholsError):
+    """Command-line arguments the CLI cannot act on (exit status 2)."""
+
+
 class DegreeCeilingExceeded(NicholsError, ValueError):
     """Total degree exceeds the word-basis ceiling for oracle computations."""

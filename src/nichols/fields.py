@@ -220,14 +220,6 @@ class Field:
             if x:
                 yield x
 
-    def random_element(self, rng) -> FieldElement:
-        if self.order is not None:
-            pool = list(self._iter_payloads())
-            return FieldElement(self, pool[rng.randrange(len(pool))])
-        num = rng.randint(-9, 9)
-        den = rng.randint(1, 9)
-        return FieldElement(self, Fraction(num, den))
-
     def random_nonzero(self, rng) -> FieldElement:
         while True:
             x = self.random_element(rng)
@@ -319,6 +311,9 @@ class PrimeField(Field):
 
     def _iter_payloads(self):
         return iter(range(self.p))
+
+    def random_element(self, rng):
+        return FieldElement(self, rng.randrange(self.p))
 
 
 # -- polynomial helpers over a base field, on coefficient tuples of payloads --

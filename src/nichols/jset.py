@@ -90,15 +90,10 @@ def _condition2_witnesses(j: int, admitted: list, params: BraidingParams) -> lis
     return out
 
 
-def compute_J(m_max: int, params: BraidingParams, p: int | None = None) -> JClassification:
+def compute_J(m_max: int, params: BraidingParams) -> JClassification:
     """Classify J ∩ [0, m_max] with witnesses and cross-check anomalies."""
     field = params.field
-    if p is None:
-        p = field.characteristic
-    elif p != field.characteristic:
-        raise ValueError(
-            f"explicit characteristic {p} contradicts the field ({field.characteristic})"
-        )
+    p = field.characteristic
     one = field.one
     q, r = params.q, params.r
 

@@ -9,10 +9,6 @@ from __future__ import annotations
 from .fields import Field, FieldElement
 
 
-def zeros(field: Field, rows: int, cols: int) -> list:
-    return [[field.zero for _ in range(cols)] for _ in range(rows)]
-
-
 def mat_vec(field: Field, matrix: list, vec: list) -> list:
     out = []
     for row in matrix:

@@ -310,7 +310,7 @@ def verify_main(m: int, params: BraidingParams) -> KernelReport:
             vec = ad_p_closed_form(power, entry.j, params).scale(params.q12**power)
         else:
             power = m - entry.j
-            base = l_n(entry.j, params, entry.witness, check_kernel=False)
+            base = l_n(entry.j, params, entry.witness)
             label = f"L({entry.j})" if power == 0 else f"adL({power},{entry.j})"
             vec = ad_pow_coords(power, base, params)
         candidates.append((label, in_kernel(vec.to_words(), params)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import FieldMismatch, InternalInexactDivision
+from .errors import FieldMismatch, InternalInexactDivision, ZeroBraidingEntry
 from .fields import Field, FieldElement
 
 
@@ -37,7 +37,7 @@ class BraidingParams:
                 raise FieldMismatch("braiding entries from different fields")
         for entry in (self.q11, self.q12, self.q21, self.q22):
             if not entry:
-                raise ValueError("braiding entries must be nonzero")
+                raise ZeroBraidingEntry("braiding entries must be nonzero")
 
     @classmethod
     def from_qrs(

@@ -188,3 +188,73 @@ def test_config_file(tmp_path, capsys):
 def test_config_missing_file(capsys):
     rc = run_command(["--config", "/nonexistent/path.cfg"])
     assert rc == 2
+
+
+def test_zero_braiding_entry_is_usage_error(capsys):
+    rc = run_command(
+        ["jset", "--field", "Fp:5", "--q", "0", "--r", "3", "--s", "-1", "--max", "2"]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == "error: braiding entries must be nonzero\n"
+
+
+@pytest.mark.parametrize(
+    "field,q,r",
+    [("Q", "2", "-3/5"), ("ext:Fp:3:1,0,1", "-t", "t")],
+    ids=["rational", "extension"],
+)
+def test_values_starting_with_dash(capsys, field, q, r):
+    outputs = []
+    for params in (
+        ["--q", q, "--r", r, "--s", "-1"],
+        [f"--q={q}", f"--r={r}", "--s=-1"],
+    ):
+        rc = run_command(["verify", "--field", field, *params, "--m", "2"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1] != ""
+
+
+def test_negative_deg_reaches_the_library(capsys):
+    rc = run_command(
+        ["dim", "--field", "Q", "--q", "2", "--r", "3", "--s", "5", "--deg", "-1,2"]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == "error: multidegree components must be nonnegative\n"
+
+
+QRS = ["--q", "2", "--r", "3", "--s", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "--field", "Q", *QRS, "--m", "-1"], "--m"),
+        (["verify", "--field", "Q", *QRS, "--max", "-1"], "--max"),
+        (["jset", "--field", "Q", *QRS, "--max", "-1"], "--max"),
+        (["multiplicity", "--field", "Q", *QRS, "--max", "-2"], "--max"),
+        (["table1", "--field", "Q", *QRS, "--m", "-1"], "--m"),
+        (["scan", "--field", "Fp:3", "--max", "-1"], "--max"),
+    ],
+    ids=["verify-m", "verify-max", "jset", "multiplicity", "table1", "scan"],
+)
+def test_negative_levels_rejected(capsys, argv, flag):
+    rc = run_command(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"argument {flag}" in captured.err
+    assert "non-negative integer" in captured.err
+
+
+@pytest.mark.parametrize("check", ["main", "oracles", "table1"])
+def test_scan_jobs_determinism(capsys, check):
+    argv = ["scan", "--field", "Fp:3", "--max", "4", "--check", check, "--format", "json"]
+    rc1 = run_command(argv + ["--jobs", "1"])
+    serial = capsys.readouterr().out
+    rc2 = run_command(argv + ["--jobs", "2"])
+    pooled = capsys.readouterr().out
+    assert rc1 == rc2 == 0
+    assert serial == pooled
+    assert json.loads(serial)["checks"] > 0

@@ -63,13 +63,6 @@ def test_zero_in_j_iff_s_is_minus_one(QQ, make_params):
     assert compute_J(0, make_params(QQ, 2, 3, 1)).j_set() == []
 
 
-def test_characteristic_mismatch_rejected(char3_params):
-    with pytest.raises(ValueError):
-        compute_J(4, char3_params, p=5)
-    # matching explicit characteristic is fine
-    compute_J(4, char3_params, p=3)
-
-
 def test_m_prime_cases(QQ, make_params):
     # odd m: (m+1)/2 regardless of the sign condition
     p = make_params(QQ, 2, 3, 5)

@@ -4,7 +4,10 @@ import pytest
 
 from nichols.braided import GradedElement, ad_x1_pow, shirshov_superletter, skew_derive
 from nichols.errors import HypothesisViolated, NotInJ2, OutOfRange, SolvabilityViolated
-from nichols.qcalc import first_equation, qfact_b
+from nichols.fields import parse_field_spec
+from nichols.linalg import solve
+from nichols.oracle import in_kernel
+from nichols.qcalc import BraidingParams, first_equation, qfact_b
 from nichols.rootvec import (
     UhatBasisVector,
     ad_p_closed_form,
@@ -154,8 +157,14 @@ def test_uhat_coords_round_trip(generic_q_params, rng):
         v = UhatBasisVector.from_coords(
             p, tuple(field.random_element(rng) for _ in range(m + 1))
         )
-        back = uhat_coords(v.to_words(), m, p)
+        x = v.to_words()
+        back = uhat_coords(x, m, p)
         assert back.coords == v.coords
+        # independent route: a dense solve against the expanded basis
+        words = sorted({w for i in range(m + 1) for w in uhat_pair_words(i, m, p).terms})
+        matrix = [[uhat_pair_words(i, m, p).coeff(w) for i in range(m + 1)] for w in words]
+        dense = solve(field, matrix, [x.coeff(w) for w in words])
+        assert tuple(dense) == back.coords
 
 
 def test_uhat_coords_rejects_outsiders(generic_q_params):
@@ -188,11 +197,38 @@ def test_closed_form_random_fields(F5, F7, make_params, rng):
                 assert lhs == rhs
 
 
-def test_ad_pow_coords_matches_words(generic_q_params):
-    p = generic_q_params
-    v = p_k(1, p)
-    lifted = ad_pow_coords(2, v, p)
-    assert lifted.to_words() == ad_x1_pow(2, v.to_words(), p)
+# explicit braiding matrices (q11, q12, q21, q22) with q21 != 1; the
+# hypothesis (n)_q^! b_n != 0 holds for every n <= 5 at each of them
+AD_POW_POINTS = {
+    "Q": ("Q", ("2", "3", "5", "7")),
+    "F7": ("Fp:7", ("3", "2", "5", "6")),
+    "F9": ("ext:Fp:3:1,0,1", ("t+1", "2", "t", "2*t+1")),
+}
+
+
+@pytest.mark.parametrize("t", range(4))
+@pytest.mark.parametrize("point", sorted(AD_POW_POINTS))
+def test_ad_pow_coords_matches_words(point, t, rng):
+    # the coordinate recurrence against word-level brackets
+    spec, entries = AD_POW_POINTS[point]
+    field = parse_field_spec(spec)
+    p = BraidingParams(*(field.parse(e) for e in entries))
+    assert p.q21 != field.one
+    for m in range(3):
+        assert qfact_b(m + t, p)
+        for _ in range(3):
+            v = UhatBasisVector.from_coords(
+                p, tuple(field.random_element(rng) for _ in range(m + 1))
+            )
+            lifted = ad_pow_coords(t, v, p)
+            assert lifted.m == m + t
+            assert lifted.to_words() == ad_x1_pow(t, v.to_words(), p)
+
+
+def test_ad_pow_coords_requires_target_level(char3_params):
+    # (3)_q^! = 0 at q = 1 in characteristic 3: level 2 exists, level 3 does not
+    with pytest.raises(HypothesisViolated):
+        ad_pow_coords(1, p_k(2, char3_params), char3_params)
 
 
 def test_l3_in_char3_example(f9_params):
@@ -202,11 +238,12 @@ def test_l3_in_char3_example(f9_params):
     v = l_n(3, f9_params, 0)
     assert v.coords == (field.zero, field.from_int(2), field.one, field.zero)
     assert not d2_on_um(v)
+    assert in_kernel(v.to_words(), f9_params)
 
 
 def test_l_n_rejects_non_j2(generic_q_params):
     with pytest.raises(NotInJ2):
-        l_n(2, generic_q_params, 0, check_kernel=False)
+        l_n(2, generic_q_params, 0)
 
 
 def test_l_n_defining_equation(f9_params):
