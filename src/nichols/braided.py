@@ -189,24 +189,26 @@ def skew_derive(i: int, x: GradedElement, params: BraidingParams) -> GradedEleme
     """d_i, extended from d_i(x_j) = delta_ij by the twisted Leibniz rule.
 
     On a word it removes one occurrence of the letter i at a time, weighted
-    by chi(deg of the prefix, alpha_i).
+    by chi(deg of the prefix, alpha_i): the product of q_{letter, i} over
+    the letters of the prefix, built up on payloads as the prefix grows.
     """
     field = x.field
-    alpha = ALPHA1 if i == 1 else ALPHA2
+    if params.field != field:
+        raise FieldMismatch("element and braiding over different fields")
+    add, mul, is_zero = field._add, field._mul, field._is_zero
+    q_to_i = {letter: getattr(params, f"q{letter}{i}").value for letter in (1, 2)}
     out: dict = {}
     for w, c in x.terms.items():
-        prefix_deg = [0, 0]
+        factor = c.value
         for t, letter in enumerate(w):
             if letter == i:
-                factor = chi(tuple(prefix_deg), alpha, params)
                 reduced = w[:t] + w[t + 1 :]
-                new = out.get(reduced, field.zero) + c * factor
-                if new:
-                    out[reduced] = new
-                else:
-                    out.pop(reduced, None)
-            prefix_deg[letter - 1] += 1
-    return GradedElement(field, out)
+                prev = out.get(reduced)
+                out[reduced] = factor if prev is None else add(prev, factor)
+            factor = mul(factor, q_to_i[letter])
+    return GradedElement(
+        field, {w: FieldElement(field, v) for w, v in out.items() if not is_zero(v)}
+    )
 
 
 def ad_x1(y: GradedElement, params: BraidingParams) -> GradedElement:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 from multiprocessing import get_context
@@ -259,8 +260,7 @@ def _cmd_table1(args) -> int:
 
 def _scan_point(task: tuple) -> dict:
     """Sweep worker: run one (q, r, s) triple; returns a summary row."""
-    field_spec, q_lit, r_lit, s_lit, max_m, check = task
-    field = parse_field_spec(field_spec)
+    field, q_lit, r_lit, s_lit, max_m, check = task
     params = BraidingParams.from_qrs(
         field.parse(q_lit), field.parse(r_lit), field.parse(s_lit)
     )
@@ -311,12 +311,15 @@ def _scan_point(task: tuple) -> dict:
 
 
 def _cmd_scan(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise UsageError(f"--jobs must be between 1 and {cpus} (the CPU count)")
     field = parse_field_spec(args.field)
     if field.order is None:
         raise UsageError("scan requires a finite field")
     units = [str(u) for u in field.units()]
     tasks = [
-        (args.field, q, r, s, args.max, args.check)
+        (field, q, r, s, args.max, args.check)
         for q in units
         for r in units
         for s in units

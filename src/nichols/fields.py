@@ -1,9 +1,13 @@
 """Exact field arithmetic over Q, F_p, and simple extensions K[t]/(f).
 
-A :class:`Field` knows how to add, multiply and invert opaque payloads
-(``Fraction`` for Q, canonical residues for F_p, coefficient tuples for
-extensions); :class:`FieldElement` wraps a payload together with its field
-and exposes the usual operators.  Field specs follow the grammar
+A :class:`Field` knows how to add, multiply and invert payloads:
+``Fraction`` for Q, residues in [0, p) for F_p, and length-d tuples of base
+payloads for extensions.  Hot loops (symmetrizer, elimination, skew
+derivations) call the payload primitives ``_add``/``_neg``/``_mul``/
+``_inv``/``_is_zero`` directly; :class:`FieldElement` wraps a payload with
+its field at the API boundary.  An extension multiplies by convolving
+coefficients, folding t^d..t^(2d-2) back through reduction rows computed
+once, and normalising each coefficient once.  Field specs follow the grammar
 
     Q | Fp:<prime> | ext:Fp:<prime>:<c0,...,cd> | ext:Q:<c0,...,cd>
 
@@ -524,6 +528,13 @@ class ExtensionField(Field):
         self.base = base
         self.modulus = mod
         self.degree = deg
+        self._p = getattr(base, "p", None)
+        self._zero = base._from_int(0)
+        # reduction rows: t^d, ..., t^(2d-2) mod f
+        one = base._from_int(1)
+        self._rows = tuple(
+            self._reduce((self._zero,) * k + (one,)) for k in range(deg, 2 * deg - 1)
+        )
         self.characteristic = base.characteristic
         self.order = None if base.order is None else base.order**deg
         base_tag = "Q" if isinstance(base, RationalField) else f"Fp:{base.p}"
@@ -538,14 +549,31 @@ class ExtensionField(Field):
         _, rem = _poly_divmod(self.base, _poly_trim(self.base, cs), self.modulus)
         return self._pad(rem)
 
+    def _canon(self, cs):
+        """Canonical payload from raw base sums: % p over F_p, as is over Q."""
+        p = self._p
+        return tuple(cs) if p is None else tuple([c % p for c in cs])
+
     def _add(self, a, b):
-        return tuple(self.base._add(x, y) for x, y in zip(a, b))
+        return self._canon([x + y for x, y in zip(a, b)])
 
     def _neg(self, a):
-        return tuple(self.base._neg(x) for x in a)
+        return self._canon([-x for x in a])
 
     def _mul(self, a, b):
-        return self._reduce(_poly_mul(self.base, a, b))
+        """Convolve, then fold t^d.. back through the reduction rows."""
+        d = self.degree
+        conv = [self._zero] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    conv[j] += x * y
+        out = conv[:d]
+        for c, row in zip(conv[d:], self._rows):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return self._canon(out)
 
     def _inv(self, a):
         g, u = _poly_ext_gcd(self.base, _poly_trim(self.base, a), self.modulus)
@@ -558,7 +586,7 @@ class ExtensionField(Field):
         return self._pad((self.base._from_int(n),))
 
     def _is_zero(self, a):
-        return all(self.base._is_zero(c) for c in a)
+        return not any(a)
 
     def _render(self, a):
         parts = []

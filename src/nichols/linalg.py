@@ -1,7 +1,9 @@
 """Exact dense linear algebra over a Field: row reduction, rank, nullspace,
-and linear solving.  Matrices are lists of row lists of FieldElement; all
-arithmetic is field-exact, with pivots chosen as the first nonzero entry in
-each column (deterministic bases).
+and linear solving.  The API takes and returns matrices as lists of row
+lists of FieldElement; elimination itself runs on raw payload rows through
+the field's ``_add``/``_mul``/``_inv`` (see :func:`reduce_rows`), with
+pivots chosen as the first nonzero entry in each column (deterministic
+bases).
 """
 
 from __future__ import annotations
@@ -19,34 +21,42 @@ def mat_vec(field: Field, matrix: list, vec: list) -> list:
     return out
 
 
+def reduce_rows(field: Field, rows: list) -> list:
+    """Bring payload rows to reduced row echelon form in place; returns the
+    pivot columns."""
+    add, neg, mul, is_zero = field._add, field._neg, field._mul, field._is_zero
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots: list = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot_row = next(
+            (i for i in range(rank, nrows) if not is_zero(rows[i][col])), None
+        )
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        # entries left of col are zero in the pivot row, so row ops start at col
+        inv = field._inv(rows[rank][col])
+        pivot = [mul(a, inv) for a in rows[rank][col:]]
+        rows[rank] = rows[rank][:col] + pivot
+        for i, row in enumerate(rows):
+            if i != rank and not is_zero(row[col]):
+                factor = neg(row[col])
+                tail = [add(a, mul(factor, b)) for a, b in zip(row[col:], pivot)]
+                rows[i] = row[:col] + tail
+        pivots.append(col)
+    return pivots
+
+
 def rref(field: Field, matrix: list) -> tuple:
     """Reduced row echelon form; returns (rows, pivot_columns).
 
     The input is not modified.
     """
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [a * inv for a in rows[rank]]
-        for i in range(nrows):
-            if i != rank and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows, pivots
+    rows = [[x.value for x in r] for r in matrix]
+    pivots = reduce_rows(field, rows)
+    return [[FieldElement(field, v) for v in r] for r in rows], pivots
 
 
 def rank(field: Field, matrix: list) -> int:

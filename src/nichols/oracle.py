@@ -5,7 +5,9 @@ theorem.
 
 The symmetrizer S_n is built by the factorization
 S_n = (S_{n-1} ⊗ id)(id + c_{n-1} + c_{n-1}c_{n-2} + ... + c_{n-1}...c_1),
-restricted to one multidegree component; a naive sum over all permutation
+restricted to one multidegree component, on field payloads: a
+:class:`SymmetrizerMatrix` holds payload columns, and its ``matrix`` is a
+FieldElement view built on access.  A naive sum over all permutation
 operators T_sigma serves as an independent oracle for it.  An element is
 zero in the Nichols algebra iff its symmetrizer image vanishes, and the
 derivation recursion (zero iff d_1 and d_2 both map to zero) provides the
@@ -15,18 +17,19 @@ second, logically independent membership test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .braided import GradedElement, multidegree as word_multidegree, skew_derive
+from .braided import GradedElement, skew_derive
 from .errors import (
     DegreeCeilingExceeded,
+    FieldMismatch,
     HypothesisViolated,
     NonHomogeneous,
     OutOfRange,
 )
-from .fields import FieldElement
+from .fields import Field, FieldElement
 from .jset import compute_J
-from .linalg import nullspace, rank as matrix_rank
+from .linalg import nullspace, rank as matrix_rank, reduce_rows
 from .qcalc import BraidingParams, qfact_b
 from .rootvec import (
     UhatBasisVector,
@@ -92,24 +95,37 @@ def braiding_c(i: int, x: GradedElement, params: BraidingParams) -> GradedElemen
 
 @dataclass(frozen=True)
 class SymmetrizerMatrix:
+    field: Field
     multidegree: tuple
     basis: tuple  # words in lexicographic order
-    matrix: tuple  # rows; matrix[i][j] = coefficient of basis[i] in S(basis[j])
+    columns: tuple  # payloads; columns[j][i] = coefficient of basis[i] in S(basis[j])
+
+    @cached_property
+    def index(self) -> dict:
+        return {w: i for i, w in enumerate(self.basis)}
+
+    @property
+    def matrix(self) -> tuple:
+        """FieldElement rows: matrix[i][j] = coefficient of basis[i] in S(basis[j])."""
+        f = self.field
+        return tuple(
+            tuple(FieldElement(f, col[i]) for col in self.columns)
+            for i in range(len(self.basis))
+        )
 
     def apply(self, x: GradedElement) -> GradedElement:
-        field = x.field
-        index = {w: i for i, w in enumerate(self.basis)}
-        vec = [field.zero] * len(self.basis)
+        """S(x) as the sum of c_w * column_w over the terms of x."""
+        field = self.field
+        if x.field != field:
+            raise FieldMismatch("element and symmetrizer over different fields")
+        add, mul, is_zero = field._add, field._mul, field._is_zero
+        acc = [field._from_int(0)] * len(self.basis)
         for w, c in x.terms.items():
-            vec[index[w]] = c
-        out: dict = {}
-        for i, row in enumerate(self.matrix):
-            acc = field.zero
-            for a, v in zip(row, vec):
-                acc = acc + a * v
-            if acc:
-                out[self.basis[i]] = acc
-        return GradedElement(field, out)
+            col = self.columns[self.index[w]]
+            acc = [add(a, mul(c.value, e)) for a, e in zip(acc, col)]
+        return GradedElement(field, {
+            w: FieldElement(field, v) for w, v in zip(self.basis, acc) if not is_zero(v)
+        })
 
 
 @lru_cache(maxsize=512)
@@ -117,48 +133,41 @@ def symmetrizer(md: tuple, params: BraidingParams) -> SymmetrizerMatrix:
     """The quantum symmetrizer restricted to one multidegree component."""
     a, b = md
     field = params.field
-    basis = words_of_multidegree(a, b)
+    basis = tuple(words_of_multidegree(a, b))
     n = a + b
+    one, zero = field._from_int(1), field._from_int(0)
     if n <= 1:
-        rows = tuple((field.one,) for _ in basis)
-        return SymmetrizerMatrix(md, tuple(basis), rows)
+        return SymmetrizerMatrix(field, md, basis, tuple((one,) for _ in basis))
 
     index = {w: i for i, w in enumerate(basis)}
-    sub_cache: dict = {}
-
-    def sub_column(prefix: tuple) -> list:
-        key = word_multidegree(prefix)
-        if key not in sub_cache:
-            sub_cache[key] = symmetrizer(key, params)
-        sub = sub_cache[key]
-        j = sub.basis.index(prefix)
-        return [(sub.basis[i], sub.matrix[i][j]) for i in range(len(sub.basis))]
+    add, mul = field._add, field._mul
+    q = {(i, j): getattr(params, f"q{i}{j}").value for i in (1, 2) for j in (1, 2)}
+    # S_{n-1} ⊗ id on words ending in `last`: the sub-symmetrizer's columns,
+    # and the rows of this basis that its basis words land on
+    lifts = {}
+    for last, sub_md in ((1, (a - 1, b)), (2, (a, b - 1))):
+        if min(sub_md) >= 0:
+            sub = symmetrizer(sub_md, params)
+            rows = [index[u + (last,)] for u in sub.basis]
+            lifts[last] = (sub.columns, sub.index, rows)
 
     columns = []
     for w in basis:
-        # (id + sum_t c_{n-1}...c_t) w: each chain produces a single term
-        terms = [(w, field.one)]
-        for t in range(1, n):
-            v, scalar = w, field.one
-            for i in range(t, n):
-                v, s = _c_word(i, v, params)
-                scalar = scalar * s
-            terms.append((v, scalar))
-        # then S_{n-1} ⊗ id
-        col = [field.zero] * len(basis)
+        # (id + sum_t c_{n-1}...c_t) w: the chain moves letter w[t-1] to the
+        # end past w[t:], scaled by q_{w[t-1], x} for each letter x it passes
+        terms = [(w, one)]
+        p1 = p2 = one  # prod of q_{1,x} and of q_{2,x} over the x in w[t:]
+        for t in range(n - 1, 0, -1):
+            p1, p2 = mul(p1, q[1, w[t]]), mul(p2, q[2, w[t]])
+            letter = w[t - 1]
+            terms.append((w[: t - 1] + w[t:] + (letter,), p1 if letter == 1 else p2))
+        col = [zero] * len(basis)
         for v, scalar in terms:
-            if not scalar:
-                continue
-            prefix, last = v[:-1], v[-1:]
-            for u, entry in sub_column(prefix):
-                if entry:
-                    col[index[u + last]] = col[index[u + last]] + scalar * entry
-        columns.append(col)
-
-    rows = tuple(
-        tuple(columns[j][i] for j in range(len(basis))) for i in range(len(basis))
-    )
-    return SymmetrizerMatrix(md, tuple(basis), rows)
+            sub_columns, sub_index, rows = lifts[v[-1]]
+            for i, e in zip(rows, sub_columns[sub_index[v[:-1]]]):
+                col[i] = add(col[i], mul(scalar, e))
+        columns.append(tuple(col))
+    return SymmetrizerMatrix(field, md, basis, tuple(columns))
 
 
 def naive_symmetrizer(md: tuple, params: BraidingParams) -> SymmetrizerMatrix:
@@ -200,19 +209,23 @@ def naive_symmetrizer(md: tuple, params: BraidingParams) -> SymmetrizerMatrix:
                     new_frontier.append(tau)
         frontier = new_frontier
 
-    size = len(basis)
-    rows = [[field.zero] * size for _ in range(size)]
+    columns = {w: {u: field.zero for u in basis} for w in basis}
     for op in ops.values():
         for w, (u, s) in op.items():
-            j, i = index[w], index[u]
-            rows[i][j] = rows[i][j] + s
-    return SymmetrizerMatrix(md, tuple(basis), tuple(tuple(r) for r in rows))
+            columns[w][u] = columns[w][u] + s
+    return SymmetrizerMatrix(
+        field,
+        md,
+        tuple(basis),
+        tuple(tuple(e.value for e in col.values()) for col in columns.values()),
+    )
 
 
 def nichols_dim(md: tuple, params: BraidingParams) -> int:
     """dim of the Nichols algebra in one multidegree: rank of the symmetrizer."""
+    # rank(S) = rank(S^T), so the payload columns serve as rows
     sym = symmetrizer(tuple(md), params)
-    return matrix_rank(params.field, [list(r) for r in sym.matrix])
+    return len(reduce_rows(params.field, [list(c) for c in sym.columns]))
 
 
 def in_kernel(x: GradedElement, params: BraidingParams) -> bool:
@@ -258,12 +271,11 @@ def ker_cap_Um(m: int, params: BraidingParams) -> tuple:
         raise HypothesisViolated(f"({m})_q^! b_{m} = 0; the u_hat basis is undefined")
     field = params.field
     sym = symmetrizer((m, 2), params)
-    index = {w: i for i, w in enumerate(sym.basis)}
     composite = [[field.zero] * (m + 1) for _ in sym.basis]
     for i in range(m + 1):
         image = sym.apply(uhat_pair_words(i, m, params))
         for w, c in image.terms.items():
-            composite[index[w]][i] = c
+            composite[sym.index[w]][i] = c
     kernel = nullspace(field, composite, ncols=m + 1)
     basis = [UhatBasisVector(params, m, tuple(v)) for v in kernel]
     return len(basis), basis

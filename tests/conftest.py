@@ -33,7 +33,7 @@ def F7():
 
 @pytest.fixture(scope="session")
 def F9():
-    # F_3[t] / (t^2 + 1); t is a primitive 8th root of unity
+    # F_3[t] / (t^2 + 1); t^2 = -1, so t has order 4 and 1 + t generates the 8 units
     return parse_field_spec("ext:Fp:3:1,0,1")
 
 

@@ -249,7 +249,9 @@ def test_negative_levels_rejected(capsys, argv, flag):
 
 
 @pytest.mark.parametrize("check", ["main", "oracles", "table1"])
-def test_scan_jobs_determinism(capsys, check):
+def test_scan_jobs_determinism(capsys, monkeypatch, check):
+    # --jobs is capped at the CPU count; let a one-CPU host run two workers too
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     argv = ["scan", "--field", "Fp:3", "--max", "4", "--check", check, "--format", "json"]
     rc1 = run_command(argv + ["--jobs", "1"])
     serial = capsys.readouterr().out
@@ -258,3 +260,15 @@ def test_scan_jobs_determinism(capsys, check):
     assert rc1 == rc2 == 0
     assert serial == pooled
     assert json.loads(serial)["checks"] > 0
+
+
+@pytest.mark.parametrize("jobs", ["-3", "0", "3"])
+def test_scan_jobs_out_of_range_rejected(capsys, monkeypatch, jobs):
+    # the refusal comes before any pool exists: a pool here fails the test
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "get_context", lambda method: pytest.fail("pool started"))
+    rc = run_command(["scan", "--field", "Fp:3", "--max", "1", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--jobs must be between 1 and 2" in captured.err

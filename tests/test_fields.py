@@ -3,6 +3,7 @@
 import fractions
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nichols.errors import (
     DivisionByZero,
@@ -11,7 +12,7 @@ from nichols.errors import (
     NonPrimeCharacteristic,
     ReduciblePolynomial,
 )
-from nichols.fields import parse_field_spec
+from nichols.fields import _poly_add, _poly_mul, parse_field_spec
 
 
 def test_rational_literals(QQ):
@@ -138,3 +139,39 @@ def test_characteristic_law(QQ, F5, F9):
     for _ in range(101):
         acc = acc + QQ.one
         assert acc  # never wraps to zero
+
+
+# every quadratic F_9 modulus, F_25, F_16 and a quartic over Q
+KERNEL_SPECS = [
+    "ext:Fp:3:1,0,1",
+    "ext:Fp:3:2,1,1",
+    "ext:Fp:3:2,2,1",
+    "ext:Fp:5:2,0,1",
+    "ext:Fp:2:1,1,0,0,1",
+    "ext:Q:-2,0,0,0,1",
+]
+
+
+def _payloads(field):
+    if field.base.order is None:
+        coeff = st.builds(
+            fractions.Fraction, st.integers(-9, 9), st.integers(1, 9)
+        )
+    else:
+        coeff = st.integers(0, field.base.p - 1)
+    return st.tuples(*[coeff] * field.degree)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_extension_kernel_matches_polynomial_route(spec, data):
+    field = parse_field_spec(spec)
+    base = field.base
+    a = data.draw(_payloads(field))
+    b = data.draw(_payloads(field))
+    assert field._mul(a, b) == field._reduce(_poly_mul(base, a, b))
+    assert field._add(a, b) == field._pad(_poly_add(base, a, b))
+    assert field._add(a, field._neg(a)) == field._from_int(0)
+    if not field._is_zero(a):
+        assert field._mul(a, field._inv(a)) == field._from_int(1)

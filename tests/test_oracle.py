@@ -3,7 +3,14 @@
 import pytest
 
 from nichols.braided import GradedElement
-from nichols.errors import DegreeCeilingExceeded, NonHomogeneous, OutOfRange
+from nichols.errors import (
+    DegreeCeilingExceeded,
+    FieldMismatch,
+    NonHomogeneous,
+    OutOfRange,
+)
+from nichols.fields import parse_field_spec
+from nichols.linalg import mat_vec
 from nichols.oracle import (
     braiding_c,
     in_kernel,
@@ -79,10 +86,31 @@ def test_symmetrizer_apply(generic_q_params):
     assert out == expected
 
 
+@pytest.fixture
+def extension_points(make_params):
+    f25 = parse_field_spec("ext:Fp:5:2,0,1")
+    f16 = parse_field_spec("ext:Fp:2:1,1,0,0,1")
+    return [make_params(f25, "t", "1+t", "2"), make_params(f16, "t", "t^2+1", "t^3")]
+
+
 @pytest.mark.parametrize("md", [(2, 0), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
-def test_recursive_matches_naive(md, generic_q_params, f9_params):
-    for p in (generic_q_params, f9_params):
+def test_recursive_matches_naive(md, generic_q_params, f9_params, extension_points):
+    for p in (generic_q_params, f9_params, *extension_points):
         assert symmetrizer(md, p).matrix == naive_symmetrizer(md, p).matrix
+
+
+@pytest.mark.parametrize("md", [(3, 2), (2, 2), (1, 0)])
+def test_apply_matches_dense_matvec(md, generic_q_params, f9_params, extension_points, rng):
+    for p in (generic_q_params, f9_params, *extension_points):
+        field = p.field
+        sym = symmetrizer(md, p)
+        for _ in range(4):
+            # about half the terms of x are zero, so apply sees nnz(x) < N
+            vec = [field.random_element(rng) if rng.random() < 0.5 else field.zero
+                   for _ in sym.basis]
+            x = GradedElement(field, dict(zip(sym.basis, vec)))
+            expected = mat_vec(field, sym.matrix, vec)
+            assert [sym.apply(x).coeff(w) for w in sym.basis] == expected
 
 
 def test_nichols_dim_generic(generic_q_params):
@@ -105,6 +133,14 @@ def test_in_kernel_requires_homogeneous(generic_q_params):
     with pytest.raises(NonHomogeneous):
         in_kernel(x, generic_q_params)
     assert in_kernel(GradedElement.zero(field), generic_q_params)
+
+
+def test_membership_rejects_mismatched_fields(generic_q_params, F5):
+    x = GradedElement.from_word(F5, (1, 2))
+    with pytest.raises(FieldMismatch):
+        in_kernel(x, generic_q_params)
+    with pytest.raises(FieldMismatch):
+        in_kernel_by_derivations(x, generic_q_params)
 
 
 def test_in_kernel_x2_squared(QQ, make_params):

@@ -291,11 +291,7 @@ def test_solvability_tracks_q2(F5, F7, F9):
 
     solvable_hits = 0
     for field in (F5, F7, F9):
-        if hasattr(field, "gen"):
-            # over F_9 the generator t is a primitive 8th root of unity
-            units = [field.gen() ** i for i in range(8)]
-        else:
-            units = [field.from_int(a) for a in range(1, field.characteristic)]
+        units = list(field.units())  # all 8 units of F_9, not only the powers of t
         for q in units:
             for r in units:
                 for s in units:
