@@ -2,7 +2,9 @@
 skew derivations, the adjoint action of x1, and Lyndon/super-letter machinery.
 
 Words are tuples over {1, 2}; a :class:`GradedElement` is a finite map from
-words to nonzero field coefficients.  All operations return new values.
+words to nonzero payloads of its field; FieldElements appear only at its API
+(the constructor, ``from_word`` and ``scale`` take them, ``coeff`` returns
+one).  All operations return new values.
 """
 
 from __future__ import annotations
@@ -41,15 +43,23 @@ def chi(alpha: tuple, beta: tuple, params: BraidingParams) -> FieldElement:
 
 
 class GradedElement:
-    """A Z^2-graded element of the free algebra on x1, x2."""
+    """A Z^2-graded element of the free algebra on x1, x2 (payload terms)."""
 
     __slots__ = ("field", "terms")
 
     def __init__(self, field: Field, terms: dict | None = None) -> None:
         self.field = field
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
+        self.terms = {w: field.payload(c) for w, c in (terms or {}).items() if c}
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def from_payloads(cls, field: Field, terms: dict) -> "GradedElement":
+        """An element from a word -> payload map; zero payloads are dropped."""
+        x = object.__new__(cls)
+        x.field = field
+        x.terms = {w: v for w, v in terms.items() if not field._is_zero(v)}
+        return x
 
     @classmethod
     def zero(cls, field: Field) -> "GradedElement":
@@ -86,15 +96,13 @@ class GradedElement:
             raise NonHomogeneous(f"element has {len(degrees)} distinct multidegrees")
         return next(iter(degrees))
 
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items())
-
     def key(self) -> tuple:
         """A hashable canonical form (for memo tables)."""
-        return tuple(self.sorted_terms())
+        return tuple(sorted(self.terms.items()))
 
     def coeff(self, word: Iterable) -> FieldElement:
-        return self.terms.get(tuple(word), self.field.zero)
+        field = self.field
+        return FieldElement(field, self.terms.get(tuple(word), field._from_int(0)))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -104,41 +112,36 @@ class GradedElement:
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
         self._check(other)
+        add = self.field._add
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            new = terms.get(w, self.field.zero) + c
-            if new:
-                terms[w] = new
-            else:
-                terms.pop(w, None)
-        return GradedElement(self.field, terms)
+            terms[w] = add(terms[w], c) if w in terms else c
+        return GradedElement.from_payloads(self.field, terms)
 
     def __neg__(self) -> "GradedElement":
-        return GradedElement(self.field, {w: -c for w, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
         return self + (-other)
 
     def scale(self, scalar) -> "GradedElement":
-        if isinstance(scalar, int):
-            scalar = self.field.from_int(scalar)
-        if not scalar:
-            return GradedElement.zero(self.field)
-        return GradedElement(self.field, {w: scalar * c for w, c in self.terms.items()})
+        field = self.field
+        s = field.payload(field.from_int(scalar) if isinstance(scalar, int) else scalar)
+        mul = field._mul
+        return GradedElement.from_payloads(
+            field, {w: mul(s, c) for w, c in self.terms.items()}
+        )
 
     def __mul__(self, other):
         if isinstance(other, GradedElement):
             self._check(other)
+            add, mul = self.field._add, self.field._mul
             out: dict = {}
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    new = out.get(w, self.field.zero) + c1 * c2
-                    if new:
-                        out[w] = new
-                    else:
-                        out.pop(w, None)
-            return GradedElement(self.field, out)
+                    w, c = w1 + w2, mul(c1, c2)
+                    out[w] = add(out[w], c) if w in out else c
+            return GradedElement.from_payloads(self.field, out)
         if isinstance(other, (FieldElement, int)):
             return self.scale(other)
         return NotImplemented
@@ -159,26 +162,20 @@ class GradedElement:
         if not self.terms:
             return "0"
         parts = []
-        for w, c in self.sorted_terms():
+        for w, c in self.key():
             mono = "".join(f"x{letter}" for letter in w) or "1"
-            parts.append(f"({c})*{mono}")
+            parts.append(f"({self.field._render(c)})*{mono}")
         return " + ".join(parts)
 
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"word": list(w), "coeff": str(c)} for w, c in self.sorted_terms()
-            ]
-        }
+        render = self.field._render
+        return {"terms": [{"word": list(w), "coeff": render(c)} for w, c in self.key()]}
 
     @classmethod
     def from_json(cls, field: Field, data: dict) -> "GradedElement":
-        terms = {}
-        for item in data["terms"]:
-            word = tuple(item["word"])
-            terms[word] = field.parse(item["coeff"])
+        terms = {tuple(t["word"]): field.parse(t["coeff"]) for t in data["terms"]}
         return cls(field, terms)
 
 
@@ -195,20 +192,17 @@ def skew_derive(i: int, x: GradedElement, params: BraidingParams) -> GradedEleme
     field = x.field
     if params.field != field:
         raise FieldMismatch("element and braiding over different fields")
-    add, mul, is_zero = field._add, field._mul, field._is_zero
-    q_to_i = {letter: getattr(params, f"q{letter}{i}").value for letter in (1, 2)}
+    add, mul = field._add, field._mul
+    q_to_i = {a: field.payload(getattr(params, f"q{a}{i}")) for a in (1, 2)}
     out: dict = {}
-    for w, c in x.terms.items():
-        factor = c.value
+    for w, factor in x.terms.items():
         for t, letter in enumerate(w):
             if letter == i:
                 reduced = w[:t] + w[t + 1 :]
                 prev = out.get(reduced)
                 out[reduced] = factor if prev is None else add(prev, factor)
             factor = mul(factor, q_to_i[letter])
-    return GradedElement(
-        field, {w: FieldElement(field, v) for w, v in out.items() if not is_zero(v)}
-    )
+    return GradedElement.from_payloads(field, out)
 
 
 def ad_x1(y: GradedElement, params: BraidingParams) -> GradedElement:

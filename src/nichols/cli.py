@@ -31,6 +31,9 @@ from .rootvec import p_k, uhat_pair_words
 
 SCHEMA_PREFIX = "nichols"
 SCHEMA_VERSION = "v1"
+# Most (q, r, s) unit triples a scan may visit, checked before any unit is
+# listed: (order - 1)^3 = 4096 for Fp:17, 17 576 for F_27, 21 952 for Fp:29.
+SCAN_POINT_BUDGET = 20_000
 
 
 def _schema(command: str) -> str:
@@ -317,6 +320,12 @@ def _cmd_scan(args) -> int:
     field = parse_field_spec(args.field)
     if field.order is None:
         raise UsageError("scan requires a finite field")
+    points = (field.order - 1) ** 3
+    if points > SCAN_POINT_BUDGET:
+        raise UsageError(
+            f"scan over {field.spec} has {points} points, "
+            f"above the budget of {SCAN_POINT_BUDGET}"
+        )
     units = [str(u) for u in field.units()]
     tasks = [
         (field, q, r, s, args.max, args.check)

@@ -2,22 +2,27 @@
 
 A :class:`Field` knows how to add, multiply and invert payloads:
 ``Fraction`` for Q, residues in [0, p) for F_p, and length-d tuples of base
-payloads for extensions.  Hot loops (symmetrizer, elimination, skew
-derivations) call the payload primitives ``_add``/``_neg``/``_mul``/
-``_inv``/``_is_zero`` directly; :class:`FieldElement` wraps a payload with
-its field at the API boundary.  An extension multiplies by convolving
+payloads for extensions.  Hot loops (symmetrizer, elimination, graded
+elements, skew derivations) call the payload primitives ``_add``/``_neg``/
+``_mul``/``_inv``/``_is_zero`` directly; :class:`FieldElement` wraps a
+payload with its field at the API boundary, and ``Field.payload`` unwraps
+one after checking its field.  An extension multiplies by convolving
 coefficients, folding t^d..t^(2d-2) back through reduction rows computed
 once, and normalising each coefficient once.  Field specs follow the grammar
 
     Q | Fp:<prime> | ext:Fp:<prime>:<c0,...,cd> | ext:Q:<c0,...,cd>
 
-where the c_i are the coefficients of the modulus f = sum c_i t^i.  Element
-literals are ``a/b`` (rationals), ``k`` (prime fields) and sums of terms
-``c``, ``c*t``, ``t^e``, ``c*t^e`` (extensions).
+where the c_i are the coefficients of the modulus f = sum c_i t^i; over Q,
+the monic f cleared to integers may have no coefficient above
+Q_MODULUS_HEIGHT in absolute value.  Element literals are ``a/b``
+(rationals), ``k`` (prime fields) and sums of terms ``c``, ``c*t``,
+``t^e``, ``c*t^e`` (extensions).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from fractions import Fraction
 from typing import Iterator
@@ -209,6 +214,12 @@ class Field:
     def parse(self, text: str) -> FieldElement:
         return FieldElement(self, self._parse(text.strip()))
 
+    def payload(self, x: FieldElement):
+        """The payload of x; raises FieldMismatch unless x is in this field."""
+        if not isinstance(x, FieldElement) or x.field != self:
+            raise FieldMismatch(f"{x!r} is not an element of {self.spec}")
+        return x.value
+
     def render(self, x: FieldElement) -> str:
         return self._render(x.value)
 
@@ -388,17 +399,10 @@ def _poly_ext_gcd(base: Field, a, b):
     return r0, u0
 
 
-def _rational_roots_exist(coeffs: list[Fraction]) -> bool:
-    """True if sum coeffs[i] x^i has a rational root (coeffs[-1] != 0)."""
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = _gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
+def _rational_roots_exist(ints: list[int]) -> bool:
+    """True if sum ints[i] x^i has a rational root (ints[-1] != 0)."""
+    g = math.gcd(*ints)
+    ints = [c // g for c in ints]
     if ints[0] == 0:
         return True  # x = 0
     for p in _divisors(abs(ints[0])):
@@ -408,12 +412,6 @@ def _rational_roots_exist(coeffs: list[Fraction]) -> bool:
                 if sum(c * x**i for i, c in enumerate(ints)) == 0:
                     return True
     return False
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list[int]:
@@ -428,28 +426,14 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = int(n**0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r * r == n
+def _quartic_splits_into_quadratics(ints: list[int]) -> bool:
+    """Whether an integer quartic has a quadratic factor over Q.
 
-
-def _quartic_splits_into_quadratics(coeffs: list[Fraction]) -> bool:
-    """Whether a degree-4 rational polynomial has a quadratic factor over Q.
-
-    Monicize by y = a*x (a = leading coefficient of the integer-cleared
-    polynomial); a monic integer quartic factors over Q into monic integer
-    quadratics, so enumerate divisor pairs of the constant term.
+    Monicize by y = a*x (a = leading coefficient); a monic integer quartic
+    factors over Q into monic integer quadratics, so enumerate divisor pairs
+    of the constant term.
     """
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-    e0, e1, e2, e3, a = (int(c * denom_lcm) for c in coeffs)
+    e0, e1, e2, e3, a = ints
     # h(y) = y^4 + e3*y^3 + a*e2*y^2 + a^2*e1*y + a^3*e0
     h3, h2, h1, h0 = e3, a * e2, a * a * e1, a * a * a * e0
     if h0 == 0:
@@ -473,17 +457,24 @@ def _quartic_splits_into_quadratics(coeffs: list[Fraction]) -> bool:
                     continue
                 # A + C = h3, A*C = h2 - 2b
                 disc = h3 * h3 - 4 * (h2 - 2 * b_signed)
-                if _is_square(disc):
+                if disc >= 0 and math.isqrt(disc) ** 2 == disc:
                     return True
     return False
+
+
+# Largest |c| among the integer-cleared coefficients of a Q modulus.  The
+# quartic test trial-divides a^3 e0 up to its square root, at most H^2 = 10^6
+# steps, so a modulus at the bound is checked in well under a second.
+Q_MODULUS_HEIGHT = 1000
 
 
 def _check_irreducible(base: Field, mod) -> None:
     """Raise ReduciblePolynomial unless the monic modulus is irreducible.
 
     Degree 2/3: no roots in the base field.  Degree 4: additionally no monic
-    quadratic factor.  Exhaustive over F_p; rational-root test plus divisor
-    search over Q.
+    quadratic factor.  Exhaustive over F_p; over Q, a rational-root test plus
+    divisor search on the integer-cleared coefficients, refused with
+    MalformedSpec above Q_MODULUS_HEIGHT before any search starts.
     """
     d = len(mod) - 1
     if isinstance(base, PrimeField):
@@ -500,10 +491,15 @@ def _check_irreducible(base: Field, mod) -> None:
                             f"quadratic factor t^2+{b}t+{c} over F_{base.p}"
                         )
     else:
-        coeffs = list(mod)
-        if _rational_roots_exist(coeffs):
+        denom = math.lcm(*(c.denominator for c in mod))
+        ints = [int(c * denom) for c in mod]
+        if max(abs(c) for c in ints) > Q_MODULUS_HEIGHT:
+            raise MalformedSpec(
+                f"modulus coefficients, cleared to integers, exceed {Q_MODULUS_HEIGHT}"
+            )
+        if _rational_roots_exist(ints):
             raise ReduciblePolynomial("rational root")
-        if d == 4 and _quartic_splits_into_quadratics(coeffs):
+        if d == 4 and _quartic_splits_into_quadratics(ints):
             raise ReduciblePolynomial("quadratic factor over Q")
 
 
@@ -636,15 +632,7 @@ class ExtensionField(Field):
         if self.base.order is None:
             raise MalformedSpec(f"{self.spec} is infinite; cannot enumerate")
 
-        def rec(i):
-            if i == self.degree:
-                yield ()
-                return
-            for c in range(self.base.p):
-                for rest in rec(i + 1):
-                    yield (c,) + rest
-
-        return rec(0)
+        return itertools.product(range(self.base.p), repeat=self.degree)
 
     def random_element(self, rng) -> FieldElement:
         cs = tuple(self.base.random_element(rng).value for _ in range(self.degree))

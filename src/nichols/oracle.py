@@ -7,7 +7,8 @@ The symmetrizer S_n is built by the factorization
 S_n = (S_{n-1} ⊗ id)(id + c_{n-1} + c_{n-1}c_{n-2} + ... + c_{n-1}...c_1),
 restricted to one multidegree component, on field payloads: a
 :class:`SymmetrizerMatrix` holds payload columns, and its ``matrix`` is a
-FieldElement view built on access.  A naive sum over all permutation
+FieldElement view built on access.  ``apply`` and ``braiding_c`` read and
+build GradedElement payload terms directly.  A naive sum over all permutation
 operators T_sigma serves as an independent oracle for it.  An element is
 zero in the Nichols algebra iff its symmetrizer image vanishes, and the
 derivation recursion (zero iff d_1 and d_2 both map to zero) provides the
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 from .braided import GradedElement, skew_derive
 from .errors import (
@@ -50,23 +52,11 @@ def words_of_multidegree(a: int, b: int) -> list:
         raise DegreeCeilingExceeded(
             f"total degree {a + b} exceeds the ceiling {DEGREE_CEILING}"
         )
-    out: list = []
-
-    def rec(prefix: list, ones: int, twos: int) -> None:
-        if not ones and not twos:
-            out.append(tuple(prefix))
-            return
-        if ones:
-            prefix.append(1)
-            rec(prefix, ones - 1, twos)
-            prefix.pop()
-        if twos:
-            prefix.append(2)
-            rec(prefix, ones, twos - 1)
-            prefix.pop()
-
-    rec([], a, b)
-    return out
+    # position tuples in lexicographic order give the words in that order
+    return [
+        tuple(1 if i in ones else 2 for i in range(a + b))
+        for ones in combinations(range(a + b), a)
+    ]
 
 
 def _c_word(i: int, word: tuple, params: BraidingParams) -> tuple:
@@ -86,11 +76,11 @@ def _c_word(i: int, word: tuple, params: BraidingParams) -> tuple:
 
 def braiding_c(i: int, x: GradedElement, params: BraidingParams) -> GradedElement:
     """The braiding operator c_i on an element of homogeneous word length."""
-    out = GradedElement.zero(x.field)
-    for w, coeff in x.terms.items():
+    out = {}  # c_i permutes words, so no two terms land on one word
+    for w, c in x.terms.items():
         swapped, scalar = _c_word(i, w, params)
-        out = out + GradedElement.from_word(x.field, swapped, coeff * scalar)
-    return out
+        out[swapped] = x.field._mul(c, x.field.payload(scalar))
+    return GradedElement.from_payloads(x.field, out)
 
 
 @dataclass(frozen=True)
@@ -118,14 +108,12 @@ class SymmetrizerMatrix:
         field = self.field
         if x.field != field:
             raise FieldMismatch("element and symmetrizer over different fields")
-        add, mul, is_zero = field._add, field._mul, field._is_zero
+        add, mul = field._add, field._mul
         acc = [field._from_int(0)] * len(self.basis)
         for w, c in x.terms.items():
             col = self.columns[self.index[w]]
-            acc = [add(a, mul(c.value, e)) for a, e in zip(acc, col)]
-        return GradedElement(field, {
-            w: FieldElement(field, v) for w, v in zip(self.basis, acc) if not is_zero(v)
-        })
+            acc = [add(a, mul(c, e)) for a, e in zip(acc, col)]
+        return GradedElement.from_payloads(field, dict(zip(self.basis, acc)))
 
 
 @lru_cache(maxsize=512)
@@ -275,7 +263,7 @@ def ker_cap_Um(m: int, params: BraidingParams) -> tuple:
     for i in range(m + 1):
         image = sym.apply(uhat_pair_words(i, m, params))
         for w, c in image.terms.items():
-            composite[sym.index[w]][i] = c
+            composite[sym.index[w]][i] = FieldElement(field, c)
     kernel = nullspace(field, composite, ncols=m + 1)
     basis = [UhatBasisVector(params, m, tuple(v)) for v in kernel]
     return len(basis), basis

@@ -272,3 +272,42 @@ def test_scan_jobs_out_of_range_rejected(capsys, monkeypatch, jobs):
     assert rc == 2
     assert captured.out == ""
     assert "--jobs must be between 1 and 2" in captured.err
+
+
+@pytest.mark.parametrize("modulus", [
+    f"1,{10**200},0,{10**200},1",  # once an OverflowError from a float square root
+    "1000000000000000000000000000057,0,1",  # once an endless trial division
+])
+def test_oversized_q_modulus_refused(capsys, modulus):
+    rc = run_command(["jset", "--field", f"ext:Q:{modulus}", "--q", "1", "--r", "1",
+                      "--s", "1", "--max", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_scan_point_budget_refused_before_units(capsys, monkeypatch):
+    def no_units(field):
+        raise AssertionError("units enumerated")
+
+    monkeypatch.setattr(cli.Field, "units", no_units)
+    rc = run_command(["scan", "--field", "ext:Fp:101:2,0,0,0,1", "--max", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    points = (101**4 - 1) ** 3
+    assert f"has {points} points, above the budget of {cli.SCAN_POINT_BUDGET}" in captured.err
+
+
+@pytest.mark.parametrize("spec, points", [("Fp:17", 4096), ("ext:Fp:2:1,1,0,0,1", 3375)])
+def test_scan_point_budget_admits_shipped_sweeps(capsys, monkeypatch, spec, points):
+    # each point is stubbed out: only the guard and the task list are under test
+    monkeypatch.setattr(cli, "_scan_point", lambda task: {
+        "q": task[1], "r": task[2], "s": task[3], "checks": 0, "skipped": 0,
+        "violations": [],
+    })
+    rc, data = run_json(capsys, ["scan", "--field", spec, "--max", "1",
+                                 "--check", "table1", "--format", "json"])
+    assert rc == 0
+    assert data["points"] == points

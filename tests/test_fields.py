@@ -175,3 +175,11 @@ def test_extension_kernel_matches_polynomial_route(spec, data):
     assert field._add(a, field._neg(a)) == field._from_int(0)
     if not field._is_zero(a):
         assert field._mul(a, field._inv(a)) == field._from_int(1)
+
+
+def test_q_modulus_height_bound():
+    # the worst case at the bound (a^3 e0 = 999 * 10^9) still parses
+    assert parse_field_spec("ext:Q:999,0,0,0,1000").degree == 4
+    for spec in ("ext:Q:1001,0,1", "ext:Q:1/1001,0,1", "ext:Q:1,0,0,0,1/1001"):
+        with pytest.raises(MalformedSpec, match="exceed 1000"):
+            parse_field_spec(spec)
