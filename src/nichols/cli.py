@@ -85,8 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="kernel-basis verification per m")
     add_common(p_verify)
-    p_verify.add_argument("--m", type=_nonneg_int, help="verify a single m")
-    p_verify.add_argument("--max", "--max-m", type=_nonneg_int, dest="max")
+    levels = p_verify.add_mutually_exclusive_group(required=True)
+    levels.add_argument("--m", type=_nonneg_int, help="verify a single m")
+    levels.add_argument("--max", "--max-m", type=_nonneg_int, dest="max")
 
     p_dim = sub.add_parser("dim", help="Nichols-algebra dimension in one degree")
     add_common(p_dim)
@@ -187,8 +188,6 @@ def _cmd_multiplicity(args) -> int:
 def _cmd_verify(args) -> int:
     field = parse_field_spec(args.field)
     params = _params_from_args(field, args)
-    if args.m is None and args.max is None:
-        raise UsageError("verify needs --m or --max")
     levels = [args.m] if args.m is not None else list(range(args.max + 1))
     reports = []
     lines = []
@@ -420,16 +419,16 @@ def _run_config(path: str) -> int:
 
 def run_command(argv: list) -> int:
     try:
-        # --config replaces the subcommand with runs read from a file
-        if argv and argv[0] == "--config":
-            if len(argv) < 2:
-                raise UsageError("--config needs a path")
-            return _run_config(argv[1])
         parser = build_parser()
         try:
             args = parser.parse_args(_attach_dash_values(argv))
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
+        # --config replaces the subcommand with runs read from a file
+        if args.config is not None:
+            if args.command is not None:
+                raise UsageError("--config cannot be combined with a subcommand")
+            return _run_config(args.config)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2

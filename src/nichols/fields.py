@@ -8,15 +8,17 @@ elements, skew derivations) call the payload primitives ``_add``/``_neg``/
 payload with its field at the API boundary, and ``Field.payload`` unwraps
 one after checking its field.  An extension multiplies by convolving
 coefficients, folding t^d..t^(2d-2) back through reduction rows computed
-once, and normalising each coefficient once.  Field specs follow the grammar
+once, and normalising each coefficient once; it inverts a by solving the
+d x d base-field system a*x = 1 with ``linalg.rref``.  Field specs follow
+the grammar
 
     Q | Fp:<prime> | ext:Fp:<prime>:<c0,...,cd> | ext:Q:<c0,...,cd>
 
-where the c_i are the coefficients of the modulus f = sum c_i t^i; over Q,
-the monic f cleared to integers may have no coefficient above
-Q_MODULUS_HEIGHT in absolute value.  Element literals are ``a/b``
-(rationals), ``k`` (prime fields) and sums of terms ``c``, ``c*t``,
-``t^e``, ``c*t^e`` (extensions).
+where the c_i are the coefficients of the modulus f = sum c_i t^i; a prime
+may not exceed PRIME_BOUND, and over Q the monic f cleared to integers may
+have no coefficient above Q_MODULUS_HEIGHT in absolute value.  Element
+literals are ``a/b`` (rationals), ``k`` (prime fields) and sums of terms
+``c``, ``c*t``, ``t^e``, ``c*t^e`` (extensions).
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ from .errors import (
     NonPrimeCharacteristic,
     ReduciblePolynomial,
 )
+from .linalg import rref
+
+# Largest admissible characteristic.  Primality is tested by trial division
+# up to sqrt(p), about 5 * 10^5 steps at the bound (well under a second).
+PRIME_BOUND = 10**12
 
 
 def _is_prime(n: int) -> bool:
@@ -291,6 +298,8 @@ class PrimeField(Field):
     kind = "prime-field"
 
     def __init__(self, p: int) -> None:
+        if p > PRIME_BOUND:
+            raise MalformedSpec(f"characteristic {p} exceeds {PRIME_BOUND}")
         if not _is_prime(p):
             raise NonPrimeCharacteristic(f"{p} is not prime")
         self.p = p
@@ -351,10 +360,6 @@ def _poly_add(base: Field, a, b):
     return _poly_trim(base, out)
 
 
-def _poly_neg(base: Field, a):
-    return tuple(base._neg(c) for c in a)
-
-
 def _poly_mul(base: Field, a, b):
     if not a or not b:
         return ()
@@ -386,17 +391,6 @@ def _poly_eval(base: Field, cs, x):
     for c in reversed(cs):
         acc = base._add(base._mul(acc, x), c)
     return acc
-
-
-def _poly_ext_gcd(base: Field, a, b):
-    """(g, u, v) with u*a + v*b = g over the base field."""
-    r0, r1 = a, b
-    u0, u1 = (base._from_int(1),), ()
-    while r1:
-        q, r = _poly_divmod(base, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_add(base, u0, _poly_neg(base, _poly_mul(base, q, u1)))
-    return r0, u0
 
 
 def _rational_roots_exist(ints: list[int]) -> bool:
@@ -526,8 +520,9 @@ class ExtensionField(Field):
         self.degree = deg
         self._p = getattr(base, "p", None)
         self._zero = base._from_int(0)
-        # reduction rows: t^d, ..., t^(2d-2) mod f
         one = base._from_int(1)
+        self._t = self._pad((self._zero, one))
+        # reduction rows: t^d, ..., t^(2d-2) mod f
         self._rows = tuple(
             self._reduce((self._zero,) * k + (one,)) for k in range(deg, 2 * deg - 1)
         )
@@ -572,11 +567,15 @@ class ExtensionField(Field):
         return self._canon(out)
 
     def _inv(self, a):
-        g, u = _poly_ext_gcd(self.base, _poly_trim(self.base, a), self.modulus)
-        if len(g) != 1:
-            raise DivisionByZero("element shares a factor with the modulus")
-        scale = self.base._inv(g[0])
-        return self._pad(tuple(self.base._mul(c, scale) for c in u))
+        """Solve a*x = 1 over the base field: column j of the system is a*t^j."""
+        d = self.degree
+        cols = [a]
+        for _ in range(d - 1):
+            cols.append(self._mul(cols[-1], self._t))
+        reduced, pivots = rref(self.base, list(zip(*cols, self._from_int(1))))
+        if d in pivots:  # a*t^j spans less than the field only when a = 0
+            raise DivisionByZero("inverse of zero")
+        return tuple(row[d] for row in reduced)
 
     def _from_int(self, n):
         return self._pad((self.base._from_int(n),))
@@ -640,8 +639,7 @@ class ExtensionField(Field):
 
     def gen(self) -> FieldElement:
         """The class of t."""
-        z = self.base._from_int(0)
-        return FieldElement(self, self._pad((z, self.base._from_int(1))))
+        return FieldElement(self, self._t)
 
 
 def parse_field_spec(spec: str) -> Field:

@@ -1,30 +1,34 @@
-"""Exact dense linear algebra over a Field: row reduction, rank, nullspace,
-and linear solving.  The API takes and returns matrices as lists of row
-lists of FieldElement; elimination itself runs on raw payload rows through
-the field's ``_add``/``_mul``/``_inv`` (see :func:`reduce_rows`), with
-pivots chosen as the first nonzero entry in each column (deterministic
-bases).
+"""Exact dense linear algebra over a field, on payload rows: row reduction,
+rank, nullspace, linear solving and matrix-vector products.
+
+A matrix is a list of rows, each a list (or tuple) of the field's raw
+payloads (``Fraction`` for Q, residues for F_p, coefficient tuples for
+extensions), and vectors are payload lists; the field argument supplies
+``_add``/``_neg``/``_mul``/``_inv``/``_is_zero``/``_from_int``.  This is
+the package's only exact elimination: ranks and kernels in the oracle and
+inverses in extension fields all go through :func:`rref`.  Pivots are the
+first nonzero entry in each column (deterministic bases), and no input is
+modified.
 """
 
 from __future__ import annotations
 
-from .fields import Field, FieldElement
 
-
-def mat_vec(field: Field, matrix: list, vec: list) -> list:
+def mat_vec(field, matrix: list, vec: list) -> list:
+    add, mul = field._add, field._mul
     out = []
     for row in matrix:
-        acc = field.zero
+        acc = field._from_int(0)
         for a, x in zip(row, vec):
-            acc = acc + a * x
+            acc = add(acc, mul(a, x))
         out.append(acc)
     return out
 
 
-def reduce_rows(field: Field, rows: list) -> list:
-    """Bring payload rows to reduced row echelon form in place; returns the
-    pivot columns."""
+def rref(field, matrix: list) -> tuple:
+    """Reduced row echelon form of a copy of matrix; returns (rows, pivot_columns)."""
     add, neg, mul, is_zero = field._add, field._neg, field._mul, field._is_zero
+    rows = [list(r) for r in matrix]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list = []
@@ -46,61 +50,37 @@ def reduce_rows(field: Field, rows: list) -> list:
                 tail = [add(a, mul(factor, b)) for a, b in zip(row[col:], pivot)]
                 rows[i] = row[:col] + tail
         pivots.append(col)
-    return pivots
+    return rows, pivots
 
 
-def rref(field: Field, matrix: list) -> tuple:
-    """Reduced row echelon form; returns (rows, pivot_columns).
-
-    The input is not modified.
-    """
-    rows = [[x.value for x in r] for r in matrix]
-    pivots = reduce_rows(field, rows)
-    return [[FieldElement(field, v) for v in r] for r in rows], pivots
+def rank(field, matrix: list) -> int:
+    return len(rref(field, matrix)[1])
 
 
-def rank(field: Field, matrix: list) -> int:
-    if not matrix:
-        return 0
-    _, pivots = rref(field, matrix)
-    return len(pivots)
-
-
-def nullspace(field: Field, matrix: list, ncols: int | None = None) -> list:
+def nullspace(field, matrix: list) -> list:
     """Basis of the right kernel, one vector per free column."""
-    if not matrix:
-        if ncols is None:
-            return []
-        basis = []
-        for j in range(ncols):
-            v = [field.zero] * ncols
-            v[j] = field.one
-            basis.append(v)
-        return basis
-    ncols = len(matrix[0])
+    ncols = len(matrix[0]) if matrix else 0
     reduced, pivots = rref(field, matrix)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
+    zero, one = field._from_int(0), field._from_int(1)
     basis = []
-    for j in free:
-        v = [field.zero] * ncols
-        v[j] = field.one
-        for row_idx, pcol in enumerate(pivots):
-            v[pcol] = -reduced[row_idx][j]
+    for j in sorted(set(range(ncols)) - set(pivots)):
+        v = [zero] * ncols
+        v[j] = one
+        for row, pcol in zip(reduced, pivots):
+            v[pcol] = field._neg(row[j])
         basis.append(v)
     return basis
 
 
-def solve(field: Field, matrix: list, rhs: list) -> list | None:
+def solve(field, matrix: list, rhs: list) -> list | None:
     """One solution of matrix @ x = rhs, or None if inconsistent."""
     if not matrix:
         return None
     ncols = len(matrix[0])
-    augmented = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    reduced, pivots = rref(field, augmented)
+    reduced, pivots = rref(field, [list(row) + [b] for row, b in zip(matrix, rhs)])
     if ncols in pivots:
         return None  # pivot in the constant column
-    x = [field.zero] * ncols
-    for row_idx, pcol in enumerate(pivots):
-        x[pcol] = reduced[row_idx][ncols]
+    x = [field._from_int(0)] * ncols
+    for row, pcol in zip(reduced, pivots):
+        x[pcol] = row[ncols]
     return x

@@ -13,6 +13,11 @@ operators T_sigma serves as an independent oracle for it.  An element is
 zero in the Nichols algebra iff its symmetrizer image vanishes, and the
 derivation recursion (zero iff d_1 and d_2 both map to zero) provides the
 second, logically independent membership test.
+
+On U_m everything is read off one payload matrix C_m, the symmetrizer
+applied to each basis vector (-q21)^i u_hat_i u_hat_{m-i}: ``ker_cap_Um``
+is its nullspace, and ``verify_main`` takes a candidate's kernel membership
+from C_m times its coordinates and the kernel dimension from its rank.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .errors import (
 )
 from .fields import Field, FieldElement
 from .jset import compute_J
-from .linalg import nullspace, rank as matrix_rank, reduce_rows
+from .linalg import mat_vec, nullspace, rank as matrix_rank
 from .qcalc import BraidingParams, qfact_b
 from .rootvec import (
     UhatBasisVector,
@@ -212,8 +217,7 @@ def naive_symmetrizer(md: tuple, params: BraidingParams) -> SymmetrizerMatrix:
 def nichols_dim(md: tuple, params: BraidingParams) -> int:
     """dim of the Nichols algebra in one multidegree: rank of the symmetrizer."""
     # rank(S) = rank(S^T), so the payload columns serve as rows
-    sym = symmetrizer(tuple(md), params)
-    return len(reduce_rows(params.field, [list(c) for c in sym.columns]))
+    return matrix_rank(params.field, symmetrizer(tuple(md), params).columns)
 
 
 def in_kernel(x: GradedElement, params: BraidingParams) -> bool:
@@ -253,19 +257,26 @@ def in_kernel_by_derivations(x: GradedElement, params: BraidingParams) -> bool:
     return rec(x)
 
 
+def _composite(m: int, params: BraidingParams) -> list:
+    """C_m as payload rows: row w, column i the coefficient of the word w in
+    S((-q21)^i u_hat_i u_hat_{m-i}), so S(v.to_words()) = C_m v.coords."""
+    sym = symmetrizer((m, 2), params)
+    composite = [[params.field._from_int(0)] * (m + 1) for _ in sym.basis]
+    for i in range(m + 1):
+        for w, c in sym.apply(uhat_pair_words(i, m, params)).terms.items():
+            composite[sym.index[w]][i] = c
+    return composite
+
+
 def ker_cap_Um(m: int, params: BraidingParams) -> tuple:
     """(dimension, basis in u_hat coordinates) of ker(pi) ∩ U_m."""
     if not qfact_b(m, params):
         raise HypothesisViolated(f"({m})_q^! b_{m} = 0; the u_hat basis is undefined")
     field = params.field
-    sym = symmetrizer((m, 2), params)
-    composite = [[field.zero] * (m + 1) for _ in sym.basis]
-    for i in range(m + 1):
-        image = sym.apply(uhat_pair_words(i, m, params))
-        for w, c in image.terms.items():
-            composite[sym.index[w]][i] = FieldElement(field, c)
-    kernel = nullspace(field, composite, ncols=m + 1)
-    basis = [UhatBasisVector(params, m, tuple(v)) for v in kernel]
+    basis = [
+        UhatBasisVector(params, m, tuple(FieldElement(field, c) for c in v))
+        for v in nullspace(field, _composite(m, params))
+    ]
     return len(basis), basis
 
 
@@ -294,12 +305,15 @@ def verify_main(m: int, params: BraidingParams) -> KernelReport:
 
     Builds the candidates (ad x1)^(m-j)(P_j) for j in J1 ∩ [0,m] and
     (ad x1)^(m-n)(L_n) for n in J2 ∩ [0,m], then verifies kernel membership,
-    linear independence, and the dimension count against the symmetrizer.
+    linear independence, and the dimension count against the symmetrizer,
+    all read off the composite matrix C_m: a candidate with coordinates v is
+    in the kernel iff C_m v = 0, and dim(ker pi ∩ U_m) = m + 1 - rank C_m.
     """
     if not qfact_b(m, params):
         raise HypothesisViolated(f"({m})_q^! b_{m} = 0; theorem hypothesis fails")
     field = params.field
     classification = compute_J(m, params)
+    composite = _composite(m, params)
 
     candidates: list = []
     vectors: list = []
@@ -313,16 +327,13 @@ def verify_main(m: int, params: BraidingParams) -> KernelReport:
             base = l_n(entry.j, params, entry.witness)
             label = f"L({entry.j})" if power == 0 else f"adL({power},{entry.j})"
             vec = ad_pow_coords(power, base, params)
-        candidates.append((label, in_kernel(vec.to_words(), params)))
-        vectors.append(vec)
+        coords = [field.payload(c) for c in vec.coords]
+        image = mat_vec(field, composite, coords)
+        candidates.append((label, all(field._is_zero(c) for c in image)))
+        vectors.append(coords)
 
-    if vectors:
-        coord_matrix = [list(v.coords) for v in vectors]
-        independent = matrix_rank(field, coord_matrix) == len(vectors)
-    else:
-        independent = True
-
-    dim, _ = ker_cap_Um(m, params)
+    independent = matrix_rank(field, vectors) == len(vectors)
+    dim = m + 1 - matrix_rank(field, composite)
     matches = (
         dim == len(classification.members)
         and all(ok for _, ok in candidates)

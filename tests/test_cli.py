@@ -1,10 +1,11 @@
 """Exit codes, JSON schemas, and determinism of the command-line front end."""
 
 import json
+import time
 
 import pytest
 
-from nichols import cli
+from nichols import cli, fields
 from nichols.cli import run_command
 from nichols.oracle import KernelReport
 
@@ -177,17 +178,46 @@ def test_config_file(tmp_path, capsys):
         "\n"
         "dim --field Fp:5 --q 2 --r 3 --s 4 --deg 1,1 --format json\n"
     )
-    rc = run_command(["--config", str(cfg)])
-    out = capsys.readouterr().out.strip().splitlines()
-    assert rc == 0
-    assert len(out) == 2
-    assert json.loads(out[0])["J"] == [0, 3]
-    assert json.loads(out[1])["dim"] == 2
+    for argv in (["--config", str(cfg)], [f"--config={cfg}"]):
+        rc = run_command(argv)
+        out = capsys.readouterr().out.strip().splitlines()
+        assert rc == 0
+        assert len(out) == 2
+        assert json.loads(out[0])["J"] == [0, 3]
+        assert json.loads(out[1])["dim"] == 2
 
 
 def test_config_missing_file(capsys):
-    rc = run_command(["--config", "/nonexistent/path.cfg"])
+    path = "/nonexistent/path.cfg"
+    for argv in (["--config", path], [f"--config={path}"]):
+        rc = run_command(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_config_with_subcommand_rejected(tmp_path, capsys):
+    cfg = tmp_path / "runs.cfg"
+    cfg.write_text("jset --field Fp:3 --q 1 --r 2 --s 2 --max 3\n")
+    rc = run_command(["--config", str(cfg), "jset", "--field", "Q", "--q", "2",
+                      "--r", "3", "--s", "5", "--max", "1"])
+    captured = capsys.readouterr()
     assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: --config cannot be combined with a subcommand\n"
+
+
+@pytest.mark.parametrize(
+    "levels", [["--m", "3", "--max", "4"], []], ids=["both", "neither"]
+)
+def test_verify_needs_exactly_one_of_m_and_max(capsys, levels):
+    rc = run_command(["verify", "--field", "Q", "--q", "2", "--r", "3", "--s", "5",
+                      *levels])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--m" in captured.err.splitlines()[-1]
 
 
 def test_zero_braiding_entry_is_usage_error(capsys):
@@ -285,6 +315,25 @@ def test_oversized_q_modulus_refused(capsys, modulus):
     assert rc == 2
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("spec", [
+    "Fp:1000000000000000000000000000057",
+    "ext:Fp:1000000000000000000000000000057:1,0,1",
+])
+def test_huge_prime_refused_before_trial_division(capsys, monkeypatch, spec):
+    # once an endless trial division; now refused before any primality test
+    monkeypatch.setattr(fields, "_is_prime", lambda n: pytest.fail("trial division"))
+    start = time.perf_counter()
+    rc = run_command(["jset", "--field", spec, "--q", "1", "--r", "1", "--s", "1",
+                      "--max", "1"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (
+        f"error: characteristic {10**30 + 57} exceeds {fields.PRIME_BOUND}\n"
+    )
+    assert elapsed < 1.0
 
 
 def test_scan_point_budget_refused_before_units(capsys, monkeypatch):

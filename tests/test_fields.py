@@ -12,7 +12,7 @@ from nichols.errors import (
     NonPrimeCharacteristic,
     ReduciblePolynomial,
 )
-from nichols.fields import _poly_add, _poly_mul, parse_field_spec
+from nichols.fields import PRIME_BOUND, _poly_add, _poly_mul, parse_field_spec
 
 
 def test_rational_literals(QQ):
@@ -119,6 +119,14 @@ def test_nonprime_characteristic_rejected():
         parse_field_spec("Fp:6")
     with pytest.raises(NonPrimeCharacteristic):
         parse_field_spec("Fp:1")
+
+
+def test_prime_bound():
+    # the largest prime below the bound is admitted; one past it is refused
+    assert parse_field_spec("Fp:999999999989").order == 999999999989
+    assert PRIME_BOUND == 10**12
+    with pytest.raises(MalformedSpec):
+        parse_field_spec(f"Fp:{PRIME_BOUND + 39}")
 
 
 def test_render_parse_round_trip(F9, QQ, rng):

@@ -9,9 +9,11 @@ from nichols.errors import (
     NonHomogeneous,
     OutOfRange,
 )
+from nichols import oracle
 from nichols.fields import parse_field_spec
 from nichols.linalg import mat_vec
 from nichols.oracle import (
+    _composite,
     braiding_c,
     in_kernel,
     in_kernel_by_derivations,
@@ -22,8 +24,8 @@ from nichols.oracle import (
     verify_main,
     words_of_multidegree,
 )
-from nichols.qcalc import first_equation, qfact_b
-from nichols.rootvec import p_k, u_k
+from nichols.qcalc import BraidingParams, first_equation, qfact_b
+from nichols.rootvec import UhatBasisVector, p_k, u_k
 
 
 def test_words_of_multidegree():
@@ -109,8 +111,9 @@ def test_apply_matches_dense_matvec(md, generic_q_params, f9_params, extension_p
             vec = [field.random_element(rng) if rng.random() < 0.5 else field.zero
                    for _ in sym.basis]
             x = GradedElement(field, dict(zip(sym.basis, vec)))
-            expected = mat_vec(field, sym.matrix, vec)
-            assert [sym.apply(x).coeff(w) for w in sym.basis] == expected
+            rows = [[field.payload(e) for e in row] for row in sym.matrix]
+            expected = mat_vec(field, rows, [field.payload(c) for c in vec])
+            assert [field.payload(sym.apply(x).coeff(w)) for w in sym.basis] == expected
 
 
 def test_nichols_dim_generic(generic_q_params):
@@ -193,6 +196,58 @@ def test_ker_cap_um_dimensions(f9_params, generic_q_params):
     assert ker_cap_Um(3, generic_q_params)[0] == 0
 
 
+def test_composite_matches_word_membership(
+    generic_q_params, f9_params, F7, make_params, rng
+):
+    # verify_main reads membership off C_m; the word expansion plus a
+    # symmetrizer apply is the independent route
+    f25 = parse_field_spec("ext:Fp:5:2,0,1")
+    n = F7.from_int
+    points = [
+        generic_q_params,
+        make_params(F7, 1, 2, -1),
+        BraidingParams(n(1), n(4), n(3), n(6)),  # q21 != 1
+        f9_params,
+        make_params(f25, "t", "3", "-1"),  # 5 in J2 with witness 0
+    ]
+    verdicts = set()
+    for p in points:
+        field = p.field
+        for m in range(7):
+            if not qfact_b(m, p):
+                continue
+            composite = _composite(m, p)
+            dim, basis = ker_cap_Um(m, p)
+            vectors = list(basis)
+            for _ in range(2):
+                combo = UhatBasisVector.zero(p, m)
+                for v in basis:
+                    combo = combo + v.scale(field.random_element(rng))
+                vectors.append(combo)
+            for _ in range(3):
+                coords = tuple(field.random_element(rng) for _ in range(m + 1))
+                vectors.append(UhatBasisVector(p, m, coords))
+            for v in vectors:
+                image = mat_vec(field, composite, [field.payload(c) for c in v.coords])
+                verdict = all(field._is_zero(c) for c in image)
+                assert verdict == in_kernel(v.to_words(), p)
+                verdicts.add((verdict, v.is_zero()))
+            assert verify_main(m, p).dim == dim
+    assert {(True, False), (False, False)} <= verdicts
+
+
+def test_verify_main_flags_a_non_kernel_candidate(f9_params, monkeypatch):
+    # a J1 candidate replaced by the first basis vector x2 u_hat_3 of U_3
+    p = f9_params
+    field = p.field
+    first = UhatBasisVector(p, 3, (field.one,) + (field.zero,) * 3)
+    monkeypatch.setattr(oracle, "ad_p_closed_form", lambda power, j, params: first)
+    report = verify_main(3, p)
+    assert not in_kernel(first.to_words(), p)
+    assert report.candidates[0] == ("adP(3,0)", False)
+    assert not report.matches_theorem
+
+
 def test_verify_main_f9(f9_params):
     report = verify_main(3, f9_params)
     assert report.to_json() == {
@@ -244,7 +299,7 @@ def test_ad_x1_preserves_kernel(f9_params, char3_params, generic_q_params):
             for v in basis:
                 image = ad_x1_pow(1, v.to_words(), p)
                 assert in_kernel(image, p)
-                rows.append([image.coeff(w) for w in words])
+                rows.append([p.field.payload(image.coeff(w)) for w in words])
             assert rank(p.field, rows) == dim
     assert nontrivial >= 2
 

@@ -162,9 +162,12 @@ def test_uhat_coords_round_trip(generic_q_params, rng):
         assert back.coords == v.coords
         # independent route: a dense solve against the expanded basis
         words = sorted({w for i in range(m + 1) for w in uhat_pair_words(i, m, p).terms})
-        matrix = [[uhat_pair_words(i, m, p).coeff(w) for i in range(m + 1)] for w in words]
-        dense = solve(field, matrix, [x.coeff(w) for w in words])
-        assert tuple(dense) == back.coords
+        matrix = [
+            [field.payload(uhat_pair_words(i, m, p).coeff(w)) for i in range(m + 1)]
+            for w in words
+        ]
+        dense = solve(field, matrix, [field.payload(x.coeff(w)) for w in words])
+        assert tuple(dense) == tuple(field.payload(c) for c in back.coords)
 
 
 def test_uhat_coords_rejects_outsiders(generic_q_params):
@@ -277,7 +280,7 @@ def test_ad_x1_injective_on_um(generic_q_params, F5, make_params):
             rows = []
             for i in range(m + 1):
                 image = ad_x1_pow(1, uhat_pair_words(i, m, p), p)
-                rows.append([image.coeff(w) for w in words])
+                rows.append([p.field.payload(image.coeff(w)) for w in words])
             assert rank(p.field, rows) == m + 1
 
 
