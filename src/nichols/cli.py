@@ -21,6 +21,8 @@ from .errors import HypothesisViolated, NicholsError, UsageError
 from .fields import Field, parse_field_spec
 from .jset import compute_J, m_prime, multiplicity, non_root_table_check
 from .oracle import (
+    DEGREE_CEILING,
+    LEVEL_CEILING,
     in_kernel,
     in_kernel_by_derivations,
     nichols_dim,
@@ -185,7 +187,16 @@ def _cmd_multiplicity(args) -> int:
     return 0
 
 
+def _check_level(flag: str, m: int, ceiling: int) -> None:
+    if m > ceiling:
+        raise UsageError(f"{flag} {m} exceeds the level ceiling {ceiling}")
+
+
 def _cmd_verify(args) -> int:
+    if args.m is not None:
+        _check_level("--m", args.m, LEVEL_CEILING)
+    else:
+        _check_level("--max", args.max, LEVEL_CEILING)
     field = parse_field_spec(args.field)
     params = _params_from_args(field, args)
     levels = [args.m] if args.m is not None else list(range(args.max + 1))
@@ -316,6 +327,11 @@ def _cmd_scan(args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise UsageError(f"--jobs must be between 1 and {cpus} (the CPU count)")
+    if args.check == "main":
+        _check_level("--max", args.max, LEVEL_CEILING)
+    elif args.check == "oracles":
+        # the oracles expand U_m into words of length m + 2
+        _check_level("--max", args.max, DEGREE_CEILING - 2)
     field = parse_field_spec(args.field)
     if field.order is None:
         raise UsageError("scan requires a finite field")
@@ -411,13 +427,17 @@ def _run_config(path: str) -> int:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                status = max(status, run_command(shlex.split(line)))
+                status = max(status, _run(shlex.split(line), in_config=True))
     except OSError as exc:
         raise UsageError(str(exc)) from exc
     return status
 
 
 def run_command(argv: list) -> int:
+    return _run(argv, in_config=False)
+
+
+def _run(argv: list, in_config: bool) -> int:
     try:
         parser = build_parser()
         try:
@@ -426,6 +446,8 @@ def run_command(argv: list) -> int:
             return exc.code if isinstance(exc.code, int) else 2
         # --config replaces the subcommand with runs read from a file
         if args.config is not None:
+            if in_config:
+                raise UsageError("--config cannot appear inside a config file")
             if args.command is not None:
                 raise UsageError("--config cannot be combined with a subcommand")
             return _run_config(args.config)

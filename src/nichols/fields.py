@@ -18,7 +18,8 @@ where the c_i are the coefficients of the modulus f = sum c_i t^i; a prime
 may not exceed PRIME_BOUND, and over Q the monic f cleared to integers may
 have no coefficient above Q_MODULUS_HEIGHT in absolute value.  Element
 literals are ``a/b`` (rationals), ``k`` (prime fields) and sums of terms
-``c``, ``c*t``, ``t^e``, ``c*t^e`` (extensions).
+``c``, ``c*t``, ``t^e``, ``c*t^e`` (extensions).  No numeral in a spec or a
+literal may exceed LITERAL_LENGTH characters.
 """
 
 from __future__ import annotations
@@ -41,6 +42,17 @@ from .linalg import rref
 # Largest admissible characteristic.  Primality is tested by trial division
 # up to sqrt(p), about 5 * 10^5 steps at the bound (well under a second).
 PRIME_BOUND = 10**12
+# Longest numeral int() or Fraction() is given, checked first: Python refuses
+# strings over 4300 digits with a bare ValueError.
+LITERAL_LENGTH = 1000
+
+
+def _numeral(text: str) -> str:
+    if len(text) > LITERAL_LENGTH:
+        raise MalformedSpec(
+            f"numeral of {len(text)} characters exceeds {LITERAL_LENGTH}"
+        )
+    return text
 
 
 def _is_prime(n: int) -> bool:
@@ -288,7 +300,7 @@ class RationalField(Field):
     def _parse(self, text):
         if not re.fullmatch(r"[+-]?\d+(?:/\d+)?", text):
             raise MalformedSpec(f"bad rational literal: {text!r}")
-        return Fraction(text)
+        return Fraction(_numeral(text))
 
     def random_element(self, rng):
         return FieldElement(self, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
@@ -331,7 +343,7 @@ class PrimeField(Field):
     def _parse(self, text):
         if not re.fullmatch(r"[+-]?\d+", text):
             raise MalformedSpec(f"bad prime-field literal: {text!r}")
-        return int(text) % self.p
+        return int(_numeral(text)) % self.p
 
     def _iter_payloads(self):
         return iter(range(self.p))
@@ -614,7 +626,7 @@ class ExtensionField(Field):
             m = _TERM_RE.fullmatch(term)
             if not m:
                 raise MalformedSpec(f"bad extension term: {term!r}")
-            exp = int(m.group("exp") or 1)
+            exp = int(_numeral(m.group("exp") or "1"))
             coeff = (
                 self.base._parse(m.group("coeff"))
                 if m.group("coeff")
@@ -651,7 +663,7 @@ def parse_field_spec(spec: str) -> Field:
         body = spec[3:]
         if not re.fullmatch(r"\d+", body):
             raise MalformedSpec(f"bad prime-field spec: {spec!r}")
-        return PrimeField(int(body))
+        return PrimeField(int(_numeral(body)))
     if spec.startswith("ext:"):
         rest = spec[4:]
         if rest.startswith("Fp:"):
@@ -660,7 +672,7 @@ def parse_field_spec(spec: str) -> Field:
                 raise MalformedSpec(f"bad extension spec: {spec!r}")
             if not re.fullmatch(r"\d+", parts[0]):
                 raise MalformedSpec(f"bad extension spec: {spec!r}")
-            base: Field = PrimeField(int(parts[0]))
+            base: Field = PrimeField(int(_numeral(parts[0])))
             coeff_text = parts[1]
         elif rest.startswith("Q:"):
             base = RationalField()

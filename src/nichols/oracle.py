@@ -14,17 +14,21 @@ zero in the Nichols algebra iff its symmetrizer image vanishes, and the
 derivation recursion (zero iff d_1 and d_2 both map to zero) provides the
 second, logically independent membership test.
 
-On U_m everything is read off one payload matrix C_m, the symmetrizer
-applied to each basis vector (-q21)^i u_hat_i u_hat_{m-i}: ``ker_cap_Um``
-is its nullspace, and ``verify_main`` takes a candidate's kernel membership
-from C_m times its coordinates and the kernel dimension from its rank.
+On U_m no word is built: by the derivation criterion, applied through the
+coordinate formulas for d_1 and d_2, ker(pi) ∩ U_m is the kernel of a
+square (m+1) x (m+1) payload matrix Phi_m on the coordinates in the basis
+(-q21)^i u_hat_i u_hat_{m-i}.  ``ker_cap_Um`` is its nullspace, and
+``verify_main`` takes a candidate's kernel membership from Phi_m times its
+coordinates and the kernel dimension from its rank.  Words are capped at
+total degree DEGREE_CEILING; the CLI caps the coordinate route at level
+LEVEL_CEILING.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .braided import GradedElement, skew_derive
 from .errors import (
@@ -43,10 +47,12 @@ from .rootvec import (
     ad_p_closed_form,
     ad_pow_coords,
     l_n,
-    uhat_pair_words,
 )
 
+# Longest word the symmetrizer routes build (dim, in_kernel, scan --check oracles).
 DEGREE_CEILING = 14
+# Highest level m the coordinate route serves in verify and scan --check main.
+LEVEL_CEILING = 40
 
 
 def words_of_multidegree(a: int, b: int) -> list:
@@ -257,25 +263,46 @@ def in_kernel_by_derivations(x: GradedElement, params: BraidingParams) -> bool:
     return rec(x)
 
 
-def _composite(m: int, params: BraidingParams) -> list:
-    """C_m as payload rows: row w, column i the coefficient of the word w in
-    S((-q21)^i u_hat_i u_hat_{m-i}), so S(v.to_words()) = C_m v.coords."""
-    sym = symmetrizer((m, 2), params)
-    composite = [[params.field._from_int(0)] * (m + 1) for _ in sym.basis]
-    for i in range(m + 1):
-        for w, c in sym.apply(uhat_pair_words(i, m, params)).terms.items():
-            composite[sym.index[w]][i] = c
-    return composite
+def _phi(m: int, params: BraidingParams) -> list:
+    """Phi_m as payload rows: lambda in U_m lies in ker(pi) iff Phi_m lambda = 0.
+
+    x is in ker(pi) iff d_1 x and d_2 x are, and d_2 x = z_m(lambda) u_hat_m
+    with u_hat_m outside ker(pi) under the hypothesis.  So Phi_0 = [1 + s],
+    and Phi_k is the rows of Phi_{k-1} D_k, D_k the d1 map
+    mu_i = -q21 (lambda_{i+1} - q^i lambda_i) from U_k to U_{k-1}, followed
+    by the d2 row z_k = lambda_0 + (-r)^k s lambda_k.
+    """
+    field = params.field
+    add, mul, neg = field._add, field._mul, field._neg
+    zero, one = field._from_int(0), field._from_int(1)
+    q, q21, s = params.q.value, params.q21.value, params.s.value
+    minus_q21, minus_r = neg(q21), neg(params.r.value)
+    rows = [[add(one, s)]]
+    rs = s  # (-r)^k s
+    for k in range(1, m + 1):
+        # (row D_k)_j = -q21 row_{j-1} + q21 q^j row_j, with row_{-1} = row_k = 0
+        weights = list(accumulate([q21] + [q] * k, mul))
+        rows = [
+            [
+                add(mul(a, minus_q21), mul(b, w))
+                for a, b, w in zip([zero] + row, row + [zero], weights)
+            ]
+            for row in rows
+        ]
+        rs = mul(rs, minus_r)
+        rows.append([one] + [zero] * (k - 1) + [rs])
+    return rows
 
 
 def ker_cap_Um(m: int, params: BraidingParams) -> tuple:
-    """(dimension, basis in u_hat coordinates) of ker(pi) ∩ U_m."""
+    """(dimension, basis in u_hat coordinates) of ker(pi) ∩ U_m, read off
+    the nullspace of Phi_m."""
     if not qfact_b(m, params):
         raise HypothesisViolated(f"({m})_q^! b_{m} = 0; the u_hat basis is undefined")
     field = params.field
     basis = [
         UhatBasisVector(params, m, tuple(FieldElement(field, c) for c in v))
-        for v in nullspace(field, _composite(m, params))
+        for v in nullspace(field, _phi(m, params))
     ]
     return len(basis), basis
 
@@ -305,15 +332,15 @@ def verify_main(m: int, params: BraidingParams) -> KernelReport:
 
     Builds the candidates (ad x1)^(m-j)(P_j) for j in J1 ∩ [0,m] and
     (ad x1)^(m-n)(L_n) for n in J2 ∩ [0,m], then verifies kernel membership,
-    linear independence, and the dimension count against the symmetrizer,
-    all read off the composite matrix C_m: a candidate with coordinates v is
-    in the kernel iff C_m v = 0, and dim(ker pi ∩ U_m) = m + 1 - rank C_m.
+    linear independence, and the dimension count, all in coordinates: a
+    candidate with coordinates v is in the kernel iff Phi_m v = 0, and
+    dim(ker pi ∩ U_m) = m + 1 - rank Phi_m.
     """
     if not qfact_b(m, params):
         raise HypothesisViolated(f"({m})_q^! b_{m} = 0; theorem hypothesis fails")
     field = params.field
     classification = compute_J(m, params)
-    composite = _composite(m, params)
+    phi = _phi(m, params)
 
     candidates: list = []
     vectors: list = []
@@ -328,12 +355,12 @@ def verify_main(m: int, params: BraidingParams) -> KernelReport:
             label = f"L({entry.j})" if power == 0 else f"adL({power},{entry.j})"
             vec = ad_pow_coords(power, base, params)
         coords = [field.payload(c) for c in vec.coords]
-        image = mat_vec(field, composite, coords)
+        image = mat_vec(field, phi, coords)
         candidates.append((label, all(field._is_zero(c) for c in image)))
         vectors.append(coords)
 
     independent = matrix_rank(field, vectors) == len(vectors)
-    dim = m + 1 - matrix_rank(field, composite)
+    dim = m + 1 - matrix_rank(field, phi)
     matches = (
         dim == len(classification.members)
         and all(ok for _, ok in candidates)

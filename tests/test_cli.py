@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from nichols import cli, fields
+from nichols import cli, fields, oracle
 from nichols.cli import run_command
 from nichols.oracle import KernelReport
 
@@ -360,3 +360,60 @@ def test_scan_point_budget_admits_shipped_sweeps(capsys, monkeypatch, spec, poin
                                  "--check", "table1", "--format", "json"])
     assert rc == 0
     assert data["points"] == points
+
+
+@pytest.mark.parametrize("argv, flag, ceiling", [
+    (["verify", "--field", "Q", "--q", "2", "--r", "3", "--s", "5", "--m", "41"],
+     "--m 41", oracle.LEVEL_CEILING),
+    (["verify", "--field", "Q", "--q", "2", "--r", "3", "--s", "5", "--max", "41"],
+     "--max 41", oracle.LEVEL_CEILING),
+    (["scan", "--field", "Fp:5", "--max", "41", "--check", "main"],
+     "--max 41", oracle.LEVEL_CEILING),
+    (["scan", "--field", "Fp:5", "--max", "13", "--check", "oracles"],
+     "--max 13", oracle.DEGREE_CEILING - 2),
+], ids=["verify-m", "verify-max", "scan-main", "scan-oracles"])
+def test_level_ceiling_refused_before_any_level(capsys, monkeypatch, argv, flag, ceiling):
+    monkeypatch.setattr(cli, "verify_main", lambda m, p: pytest.fail("verify_main"))
+    monkeypatch.setattr(oracle, "symmetrizer", lambda md, p: pytest.fail("symmetrizer"))
+    monkeypatch.setattr(cli, "_scan_point", lambda task: pytest.fail("_scan_point"))
+    rc = run_command(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} exceeds the level ceiling {ceiling}\n"
+
+
+def test_verify_past_the_word_ceiling(capsys, monkeypatch):
+    # level 13 has words of length 15 > DEGREE_CEILING; verify builds none
+    monkeypatch.setattr(oracle, "symmetrizer", lambda md, p: pytest.fail("symmetrizer"))
+    rc, data = run_json(capsys, ["verify", "--field", "Q", "--q", "2", "--r", "3",
+                                 "--s", "5", "--max", "13", "--format", "json"])
+    assert rc == 0
+    assert [rep["m"] for rep in data["reports"]] == list(range(14))
+    assert all(rep["matches_theorem"] for rep in data["reports"])
+
+
+@pytest.mark.parametrize("field, q", [
+    ("Fp:" + "1" * 5000, "1"),
+    ("Q", "2" * 5000),
+], ids=["prime-spec", "rational-literal"])
+def test_long_numerals_refused(capsys, field, q):
+    # int() and Fraction() refuse over 4300 digits with a bare ValueError
+    rc = run_command(["jset", "--field", field, "--q", q, "--r", "1", "--s", "1",
+                      "--max", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (
+        f"error: numeral of 5000 characters exceeds {fields.LITERAL_LENGTH}\n"
+    )
+
+
+def test_nested_config_refused(tmp_path, capsys):
+    # a file naming itself once recursed until RecursionError
+    cfg = tmp_path / "loop.cfg"
+    cfg.write_text(f"--config {cfg}\n")
+    rc = run_command(["--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: --config cannot appear inside a config file\n"

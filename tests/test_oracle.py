@@ -13,7 +13,7 @@ from nichols import oracle
 from nichols.fields import parse_field_spec
 from nichols.linalg import mat_vec
 from nichols.oracle import (
-    _composite,
+    _phi,
     braiding_c,
     in_kernel,
     in_kernel_by_derivations,
@@ -26,6 +26,7 @@ from nichols.oracle import (
 )
 from nichols.qcalc import BraidingParams, first_equation, qfact_b
 from nichols.rootvec import UhatBasisVector, p_k, u_k
+from word_oracles import composite
 
 
 def test_words_of_multidegree():
@@ -199,8 +200,8 @@ def test_ker_cap_um_dimensions(f9_params, generic_q_params):
 def test_composite_matches_word_membership(
     generic_q_params, f9_params, F7, make_params, rng
 ):
-    # verify_main reads membership off C_m; the word expansion plus a
-    # symmetrizer apply is the independent route
+    # C_m, the word-level oracle for Phi_m, against the word expansion plus
+    # a symmetrizer apply of each vector
     f25 = parse_field_spec("ext:Fp:5:2,0,1")
     n = F7.from_int
     points = [
@@ -216,7 +217,7 @@ def test_composite_matches_word_membership(
         for m in range(7):
             if not qfact_b(m, p):
                 continue
-            composite = _composite(m, p)
+            composite_m = composite(m, p)
             dim, basis = ker_cap_Um(m, p)
             vectors = list(basis)
             for _ in range(2):
@@ -228,12 +229,60 @@ def test_composite_matches_word_membership(
                 coords = tuple(field.random_element(rng) for _ in range(m + 1))
                 vectors.append(UhatBasisVector(p, m, coords))
             for v in vectors:
-                image = mat_vec(field, composite, [field.payload(c) for c in v.coords])
+                image = mat_vec(field, composite_m, [field.payload(c) for c in v.coords])
                 verdict = all(field._is_zero(c) for c in image)
                 assert verdict == in_kernel(v.to_words(), p)
                 verdicts.add((verdict, v.is_zero()))
             assert verify_main(m, p).dim == dim
     assert {(True, False), (False, False)} <= verdicts
+
+
+def test_phi_kernel_equals_composite_kernel(
+    make_params, F3, F7, f9_params, generic_q_params
+):
+    # ker Phi_m = ker C_m as subspaces: equal dimension, and Phi_m kills a
+    # basis of ker C_m
+    from nichols.linalg import nullspace, rank
+
+    f25 = parse_field_spec("ext:Fp:5:2,0,1")
+    n3, n7 = F3.from_int, F7.from_int
+    points = [
+        generic_q_params,
+        make_params(F7, 1, 2, -1),
+        f9_params,
+        make_params(f25, "t", "3", "-1"),  # 5 in J2 with witness 0
+    ]
+    # every F_3 triple, and every F_3 matrix with q21 = 2
+    units3 = (1, 2)
+    points += [make_params(F3, q, r, s) for q in units3 for r in units3 for s in units3]
+    points += [
+        BraidingParams(n3(a), n3(b), n3(2), n3(d))
+        for a in units3
+        for b in units3
+        for d in units3
+    ]
+    # F_7 matrices with q21 != 1
+    points += [
+        BraidingParams(n7(a), n7(b), n7(c), n7(d))
+        for a in (1, 3, 6)
+        for b in (1, 2, 5)
+        for c in (3, 6)
+        for d in (1, 6)
+    ]
+    levels = nontrivial = 0
+    for p in points:
+        field = p.field
+        for m in range(7):
+            if not qfact_b(m, p):
+                break
+            phi, kernel = _phi(m, p), nullspace(field, composite(m, p))
+            assert len(phi) == m + 1 and all(len(row) == m + 1 for row in phi)
+            assert m + 1 - rank(field, phi) == len(kernel)
+            for v in kernel:
+                assert all(field._is_zero(c) for c in mat_vec(field, phi, v))
+            levels += 1
+            nontrivial += bool(kernel)
+    assert levels >= 180 and nontrivial >= 100
 
 
 def test_verify_main_flags_a_non_kernel_candidate(f9_params, monkeypatch):

@@ -114,19 +114,27 @@ def test_d2_on_p_k_matches_first_equation(QQ, F5, F7, make_params):
                 assert vanishes == first_equation(k, p)
 
 
-def test_coordinate_derivations_match_word_level(generic_q_params, rng):
-    p = generic_q_params
-    field = p.field
-    for m in range(1, 5):
-        v = UhatBasisVector.from_coords(
-            p, tuple(field.random_element(rng) for _ in range(m + 1))
-        )
-        word_form = v.to_words()
-        d1 = skew_derive(1, word_form, p)
-        d2 = skew_derive(2, word_form, p)
-        assert d1 == d1_on_um(v).to_words()
-        # d_2 lands on the single line spanned by u_hat_m
-        assert d2 == u_hat_k(m, p).scale(d2_on_um(v))
+def test_coordinate_derivations_match_word_level(generic_q_params, F7, F9, rng):
+    n7, e9 = F7.from_int, F9.parse
+    points = [
+        generic_q_params,
+        # q21 != 1, and (4)_q^! b_4 != 0 at each point
+        BraidingParams(n7(1), n7(2), n7(3), n7(6)),
+        BraidingParams(n7(3), n7(1), n7(2), n7(4)),
+        BraidingParams(e9("1+t"), e9("t"), e9("t"), e9("2")),
+    ]
+    for p in points:
+        field = p.field
+        for m in range(1, 5):
+            v = UhatBasisVector.from_coords(
+                p, tuple(field.random_element(rng) for _ in range(m + 1))
+            )
+            word_form = v.to_words()
+            d1 = skew_derive(1, word_form, p)
+            d2 = skew_derive(2, word_form, p)
+            assert d1 == d1_on_um(v).to_words()
+            # d_2 lands on the single line spanned by u_hat_m
+            assert d2 == u_hat_k(m, p).scale(d2_on_um(v))
 
 
 def test_solve_d1_round_trip(generic_q_params, rng):
