@@ -26,7 +26,7 @@ from .oracle import (
     in_kernel,
     in_kernel_by_derivations,
     nichols_dim,
-    verify_main,
+    verify_levels,
 )
 from .qcalc import BraidingParams, qfact_b
 from .rootvec import p_k, uhat_pair_words
@@ -148,6 +148,7 @@ def _emit(args, data: dict, text_lines: list) -> None:
 
 
 def _cmd_jset(args) -> int:
+    _check_level("--max", args.max, LEVEL_CEILING)
     field = parse_field_spec(args.field)
     params = _params_from_args(field, args)
     cls = compute_J(args.max, params)
@@ -164,6 +165,7 @@ def _cmd_jset(args) -> int:
 
 
 def _cmd_multiplicity(args) -> int:
+    _check_level("--max", args.max, LEVEL_CEILING)
     field = parse_field_spec(args.field)
     params = _params_from_args(field, args)
     rows = []
@@ -199,16 +201,15 @@ def _cmd_verify(args) -> int:
         _check_level("--max", args.max, LEVEL_CEILING)
     field = parse_field_spec(args.field)
     params = _params_from_args(field, args)
-    levels = [args.m] if args.m is not None else list(range(args.max + 1))
+    levels = range(args.m, args.m + 1) if args.m is not None else range(args.max + 1)
     reports = []
     lines = []
     failed = False
-    for m in levels:
-        if not qfact_b(m, params):
+    for m, rep in zip(levels, verify_levels(levels, params)):
+        if rep is None:
             reports.append({"m": m, "skipped": f"({m})_q^! b_{m} = 0"})
             lines.append(f"m={m}: skipped (({m})_q^! b_{m} = 0)")
             continue
-        rep = verify_main(m, params)
         reports.append(rep.to_json())
         verdict = "ok" if rep.matches_theorem else "MISMATCH"
         lines.append(
@@ -286,11 +287,11 @@ def _scan_point(task: tuple) -> dict:
         "violations": [],
     }
     if check == "main":
-        for m in range(max_m + 1):
-            if not qfact_b(m, params):
+        levels = range(max_m + 1)
+        for m, rep in zip(levels, verify_levels(levels, params)):
+            if rep is None:
                 row["skipped"] += 1
                 continue
-            rep = verify_main(m, params)
             row["checks"] += 1
             if not rep.matches_theorem:
                 row["violations"].append({"m": m, "report": rep.to_json()})

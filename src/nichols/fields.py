@@ -18,8 +18,9 @@ where the c_i are the coefficients of the modulus f = sum c_i t^i; a prime
 may not exceed PRIME_BOUND, and over Q the monic f cleared to integers may
 have no coefficient above Q_MODULUS_HEIGHT in absolute value.  Element
 literals are ``a/b`` (rationals), ``k`` (prime fields) and sums of terms
-``c``, ``c*t``, ``t^e``, ``c*t^e`` (extensions).  No numeral in a spec or a
-literal may exceed LITERAL_LENGTH characters.
+``c``, ``c*t``, ``t^e``, ``c*t^e`` (extensions) with e <= EXPONENT_BOUND.
+No numeral in a spec or a literal may exceed LITERAL_LENGTH characters.
+Irreducibility over F_p is a gcd with t^(p^k) - t, not a search over roots.
 """
 
 from __future__ import annotations
@@ -398,13 +399,6 @@ def _poly_divmod(base: Field, a, b):
     return _poly_trim(base, q), _poly_trim(base, a)
 
 
-def _poly_eval(base: Field, cs, x):
-    acc = base._from_int(0)
-    for c in reversed(cs):
-        acc = base._add(base._mul(acc, x), c)
-    return acc
-
-
 def _rational_roots_exist(ints: list[int]) -> bool:
     """True if sum ints[i] x^i has a rational root (ints[-1] != 0)."""
     g = math.gcd(*ints)
@@ -477,25 +471,29 @@ Q_MODULUS_HEIGHT = 1000
 def _check_irreducible(base: Field, mod) -> None:
     """Raise ReduciblePolynomial unless the monic modulus is irreducible.
 
-    Degree 2/3: no roots in the base field.  Degree 4: additionally no monic
-    quadratic factor.  Exhaustive over F_p; over Q, a rational-root test plus
-    divisor search on the integer-cleared coefficients, refused with
-    MalformedSpec above Q_MODULUS_HEIGHT before any search starts.
+    A reducible f of degree d <= 4 has a factor of degree at most d // 2,
+    and every such degree divides d // 2.  Over F_p, t^(p^k) - t is the
+    product of the monic irreducibles of degree dividing k, so f is
+    irreducible iff gcd(f, t^(p^k) - t) = 1 for k = d // 2; t^(p^k) mod f
+    takes O(k log p) products.  Over Q, a rational-root test plus divisor
+    search on the integer-cleared coefficients, refused with MalformedSpec
+    above Q_MODULUS_HEIGHT before any search starts.
     """
     d = len(mod) - 1
     if isinstance(base, PrimeField):
-        for x in range(base.p):
-            if base._is_zero(_poly_eval(base, mod, x)):
-                raise ReduciblePolynomial(f"root t={x} in F_{base.p}")
-        if d == 4:
-            one = base._from_int(1)
-            for b in range(base.p):
-                for c in range(base.p):
-                    _, rem = _poly_divmod(base, mod, (c, b, one))
-                    if not rem:
-                        raise ReduciblePolynomial(
-                            f"quadratic factor t^2+{b}t+{c} over F_{base.p}"
-                        )
+        one = base._from_int(1)
+        power, square = (one,), (base._from_int(0), one)
+        e = base.p ** (d // 2)
+        while e:
+            if e & 1:
+                power = _poly_divmod(base, _poly_mul(base, power, square), mod)[1]
+            square = _poly_divmod(base, _poly_mul(base, square, square), mod)[1]
+            e >>= 1
+        a, b = mod, _poly_add(base, power, (base._from_int(0), base._neg(one)))
+        while b:
+            a, b = b, _poly_divmod(base, a, b)[1]
+        if len(a) > 1:
+            raise ReduciblePolynomial(f"factor of degree <= {d // 2} over F_{base.p}")
     else:
         denom = math.lcm(*(c.denominator for c in mod))
         ints = [int(c * denom) for c in mod]
@@ -509,6 +507,9 @@ def _check_irreducible(base: Field, mod) -> None:
             raise ReduciblePolynomial("quadratic factor over Q")
 
 
+# Largest e in a literal term t^e: the term is reduced mod f from a list of
+# length e + 1, which at the bound takes well under a second even over Q.
+EXPONENT_BOUND = 1000
 _TERM_RE = re.compile(r"(?:(?P<coeff>[^*\s]+)\*)?t(?:\^(?P<exp>\d+))?")
 
 
@@ -627,6 +628,8 @@ class ExtensionField(Field):
             if not m:
                 raise MalformedSpec(f"bad extension term: {term!r}")
             exp = int(_numeral(m.group("exp") or "1"))
+            if exp > EXPONENT_BOUND:
+                raise MalformedSpec(f"exponent {exp} exceeds {EXPONENT_BOUND}")
             coeff = (
                 self.base._parse(m.group("coeff"))
                 if m.group("coeff")

@@ -17,18 +17,21 @@ second, logically independent membership test.
 On U_m no word is built: by the derivation criterion, applied through the
 coordinate formulas for d_1 and d_2, ker(pi) ∩ U_m is the kernel of a
 square (m+1) x (m+1) payload matrix Phi_m on the coordinates in the basis
-(-q21)^i u_hat_i u_hat_{m-i}.  ``ker_cap_Um`` is its nullspace, and
-``verify_main`` takes a candidate's kernel membership from Phi_m times its
-coordinates and the kernel dimension from its rank.  Words are capped at
-total degree DEGREE_CEILING; the CLI caps the coordinate route at level
-LEVEL_CEILING.
+(-q21)^i u_hat_i u_hat_{m-i}.  ``ker_cap_Um`` is its nullspace.
+``verify_levels`` walks the levels of one parameter point once: it
+classifies J once, up to the last level, grows Phi_m from Phi_{m-1}, and
+takes a candidate's kernel membership from Phi_m times its coordinates and
+the kernel dimension from its rank; ``verify_main`` is its one-level case.
+Words are capped at total degree DEGREE_CEILING; the CLI caps the level
+routes at LEVEL_CEILING.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, count, islice
+from typing import Iterator
 
 from .braided import GradedElement, skew_derive
 from .errors import (
@@ -51,7 +54,7 @@ from .rootvec import (
 
 # Longest word the symmetrizer routes build (dim, in_kernel, scan --check oracles).
 DEGREE_CEILING = 14
-# Highest level m the coordinate route serves in verify and scan --check main.
+# Highest level m served by verify, scan --check main, jset and multiplicity.
 LEVEL_CEILING = 40
 
 
@@ -263,14 +266,16 @@ def in_kernel_by_derivations(x: GradedElement, params: BraidingParams) -> bool:
     return rec(x)
 
 
-def _phi(m: int, params: BraidingParams) -> list:
-    """Phi_m as payload rows: lambda in U_m lies in ker(pi) iff Phi_m lambda = 0.
+def _phis(params: BraidingParams) -> Iterator[list]:
+    """Phi_0, Phi_1, ... as payload rows: lambda in U_m lies in ker(pi) iff
+    Phi_m lambda = 0.
 
     x is in ker(pi) iff d_1 x and d_2 x are, and d_2 x = z_m(lambda) u_hat_m
     with u_hat_m outside ker(pi) under the hypothesis.  So Phi_0 = [1 + s],
     and Phi_k is the rows of Phi_{k-1} D_k, D_k the d1 map
     mu_i = -q21 (lambda_{i+1} - q^i lambda_i) from U_k to U_{k-1}, followed
-    by the d2 row z_k = lambda_0 + (-r)^k s lambda_k.
+    by the d2 row z_k = lambda_0 + (-r)^k s lambda_k.  A yielded Phi is
+    never modified afterwards.
     """
     field = params.field
     add, mul, neg = field._add, field._mul, field._neg
@@ -279,7 +284,8 @@ def _phi(m: int, params: BraidingParams) -> list:
     minus_q21, minus_r = neg(q21), neg(params.r.value)
     rows = [[add(one, s)]]
     rs = s  # (-r)^k s
-    for k in range(1, m + 1):
+    for k in count(1):
+        yield rows
         # (row D_k)_j = -q21 row_{j-1} + q21 q^j row_j, with row_{-1} = row_k = 0
         weights = list(accumulate([q21] + [q] * k, mul))
         rows = [
@@ -291,7 +297,11 @@ def _phi(m: int, params: BraidingParams) -> list:
         ]
         rs = mul(rs, minus_r)
         rows.append([one] + [zero] * (k - 1) + [rs])
-    return rows
+
+
+def _phi(m: int, params: BraidingParams) -> list:
+    """Phi_m, the m-th item of ``_phis``."""
+    return next(islice(_phis(params), m, None))
 
 
 def ker_cap_Um(m: int, params: BraidingParams) -> tuple:
@@ -327,50 +337,65 @@ class KernelReport:
         }
 
 
-def verify_main(m: int, params: BraidingParams) -> KernelReport:
-    """Check the kernel-basis theorem at one parameter point.
+def verify_levels(
+    levels: range, params: BraidingParams
+) -> Iterator[KernelReport | None]:
+    """Check the kernel-basis theorem at each level of ``levels`` in one pass.
 
-    Builds the candidates (ad x1)^(m-j)(P_j) for j in J1 ∩ [0,m] and
-    (ad x1)^(m-n)(L_n) for n in J2 ∩ [0,m], then verifies kernel membership,
-    linear independence, and the dimension count, all in coordinates: a
-    candidate with coordinates v is in the kernel iff Phi_m v = 0, and
-    dim(ker pi ∩ U_m) = m + 1 - rank Phi_m.
+    Yields a KernelReport per level, or None where (m)_q^! b_m = 0.  J is
+    classified once, up to the last level: it is built one j at a time, so
+    level m reads the members with j <= m.  Phi_m comes from the one
+    ``_phis`` stream.  At level m the candidates are (ad x1)^(m-j)(P_j) for
+    j in J1 ∩ [0,m] and (ad x1)^(m-n)(L_n) for n in J2 ∩ [0,m]; kernel
+    membership, linear independence and the dimension count are all read in
+    coordinates: a candidate with coordinates v is in the kernel iff
+    Phi_m v = 0, and dim(ker pi ∩ U_m) = m + 1 - rank Phi_m.
     """
-    if not qfact_b(m, params):
-        raise HypothesisViolated(f"({m})_q^! b_{m} = 0; theorem hypothesis fails")
     field = params.field
-    classification = compute_J(m, params)
-    phi = _phi(m, params)
+    classification = compute_J(levels[-1], params)
+    phis = islice(_phis(params), levels.start, levels.stop, levels.step)
+    for m, phi in zip(levels, phis):
+        if not qfact_b(m, params):
+            yield None
+            continue
+        members = [e for e in classification.members if e.j <= m]
+        candidates: list = []
+        vectors: list = []
+        for entry in members:
+            if entry.cls == "J1":
+                power = m - entry.j
+                label = f"adP({power},{entry.j})"
+                vec = ad_p_closed_form(power, entry.j, params).scale(params.q12**power)
+            else:
+                power = m - entry.j
+                base = l_n(entry.j, params, entry.witness)
+                label = f"L({entry.j})" if power == 0 else f"adL({power},{entry.j})"
+                vec = ad_pow_coords(power, base, params)
+            coords = [field.payload(c) for c in vec.coords]
+            image = mat_vec(field, phi, coords)
+            candidates.append((label, all(field._is_zero(c) for c in image)))
+            vectors.append(coords)
 
-    candidates: list = []
-    vectors: list = []
-    for entry in classification.members:
-        if entry.cls == "J1":
-            power = m - entry.j
-            label = f"adP({power},{entry.j})"
-            vec = ad_p_closed_form(power, entry.j, params).scale(params.q12**power)
-        else:
-            power = m - entry.j
-            base = l_n(entry.j, params, entry.witness)
-            label = f"L({entry.j})" if power == 0 else f"adL({power},{entry.j})"
-            vec = ad_pow_coords(power, base, params)
-        coords = [field.payload(c) for c in vec.coords]
-        image = mat_vec(field, phi, coords)
-        candidates.append((label, all(field._is_zero(c) for c in image)))
-        vectors.append(coords)
+        independent = matrix_rank(field, vectors) == len(vectors)
+        dim = m + 1 - matrix_rank(field, phi)
+        matches = (
+            dim == len(members)
+            and all(ok for _, ok in candidates)
+            and independent
+            and len(candidates) == dim
+        )
+        yield KernelReport(
+            m=m,
+            dim=dim,
+            candidates=candidates,
+            independent=independent,
+            matches_theorem=matches,
+        )
 
-    independent = matrix_rank(field, vectors) == len(vectors)
-    dim = m + 1 - matrix_rank(field, phi)
-    matches = (
-        dim == len(classification.members)
-        and all(ok for _, ok in candidates)
-        and independent
-        and len(candidates) == dim
-    )
-    return KernelReport(
-        m=m,
-        dim=dim,
-        candidates=candidates,
-        independent=independent,
-        matches_theorem=matches,
-    )
+
+def verify_main(m: int, params: BraidingParams) -> KernelReport:
+    """Check the kernel-basis theorem at one level: see ``verify_levels``."""
+    (report,) = verify_levels(range(m, m + 1), params)
+    if report is None:
+        raise HypothesisViolated(f"({m})_q^! b_{m} = 0; theorem hypothesis fails")
+    return report

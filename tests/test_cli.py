@@ -120,12 +120,13 @@ def test_verify_reports_skips(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    def fake_verify(m, params):
-        return KernelReport(
-            m=m, dim=1, candidates=[], independent=True, matches_theorem=False
-        )
+    def fake_verify(levels, params):
+        for m in levels:
+            yield KernelReport(
+                m=m, dim=1, candidates=[], independent=True, matches_theorem=False
+            )
 
-    monkeypatch.setattr(cli, "verify_main", fake_verify)
+    monkeypatch.setattr(cli, "verify_levels", fake_verify)
     rc = run_command(
         ["verify", "--field", "Q", "--q", "2", "--r", "3", "--s", "5", "--m", "2"]
     )
@@ -371,9 +372,16 @@ def test_scan_point_budget_admits_shipped_sweeps(capsys, monkeypatch, spec, poin
      "--max 41", oracle.LEVEL_CEILING),
     (["scan", "--field", "Fp:5", "--max", "13", "--check", "oracles"],
      "--max 13", oracle.DEGREE_CEILING - 2),
-], ids=["verify-m", "verify-max", "scan-main", "scan-oracles"])
+    (["jset", "--field", "Q", "--q", "2", "--r", "3", "--s", "5", "--max", "2000"],
+     "--max 2000", oracle.LEVEL_CEILING),
+    (["multiplicity", "--field", "Q", "--q", "2", "--r", "3", "--s", "5",
+      "--max", "2000"],
+     "--max 2000", oracle.LEVEL_CEILING),
+], ids=["verify-m", "verify-max", "scan-main", "scan-oracles", "jset-max",
+        "multiplicity-max"])
 def test_level_ceiling_refused_before_any_level(capsys, monkeypatch, argv, flag, ceiling):
-    monkeypatch.setattr(cli, "verify_main", lambda m, p: pytest.fail("verify_main"))
+    monkeypatch.setattr(cli, "verify_levels", lambda levels, p: pytest.fail("verify_levels"))
+    monkeypatch.setattr(cli, "compute_J", lambda m, p: pytest.fail("compute_J"))
     monkeypatch.setattr(oracle, "symmetrizer", lambda md, p: pytest.fail("symmetrizer"))
     monkeypatch.setattr(cli, "_scan_point", lambda task: pytest.fail("_scan_point"))
     rc = run_command(argv)
@@ -381,6 +389,47 @@ def test_level_ceiling_refused_before_any_level(capsys, monkeypatch, argv, flag,
     assert rc == 2
     assert captured.out == ""
     assert captured.err == f"error: {flag} exceeds the level ceiling {ceiling}\n"
+
+
+def test_multiplicity_at_the_level_ceiling(capsys):
+    rc, data = run_json(capsys, ["multiplicity", "--field", "Q", "--q", "2", "--r", "3",
+                                 "--s", "5", "--max", str(oracle.LEVEL_CEILING),
+                                 "--format", "json"])
+    assert rc == 0
+    assert [row["m"] for row in data["rows"]] == list(range(oracle.LEVEL_CEILING + 1))
+
+
+def _count_compute_J(monkeypatch) -> list:
+    """Wrap ``oracle.compute_J`` in a counter; returns the list of bounds asked."""
+    calls = []
+    original = oracle.compute_J
+
+    def counting(m_max, params):
+        calls.append(m_max)
+        return original(m_max, params)
+
+    monkeypatch.setattr(oracle, "compute_J", counting)
+    return calls
+
+
+def test_verify_classifies_J_once(capsys, monkeypatch):
+    # one classification up to the last level serves every level
+    calls = _count_compute_J(monkeypatch)
+    rc, data = run_json(capsys, ["verify", "--field", "Q", "--q", "2", "--r", "3",
+                                 "--s", "5", "--max", "8", "--format", "json"])
+    assert rc == 0
+    assert [rep["m"] for rep in data["reports"]] == list(range(9))
+    assert all("skipped" not in rep for rep in data["reports"])
+    assert calls == [8]
+
+
+def test_scan_main_classifies_J_once_per_point(capsys, monkeypatch):
+    calls = _count_compute_J(monkeypatch)
+    rc, data = run_json(capsys, ["scan", "--field", "Fp:3", "--max", "4",
+                                 "--check", "main", "--format", "json"])
+    assert rc == 0
+    assert data["points"] == 8
+    assert calls == [4] * 8
 
 
 def test_verify_past_the_word_ceiling(capsys, monkeypatch):
@@ -406,6 +455,27 @@ def test_long_numerals_refused(capsys, field, q):
     assert captured.err == (
         f"error: numeral of 5000 characters exceeds {fields.LITERAL_LENGTH}\n"
     )
+
+
+def test_huge_exponent_refused(capsys):
+    # t^e once built a list of length e before reducing it mod f
+    start = time.perf_counter()
+    rc = run_command(["jset", "--field", "ext:Fp:3:1,0,1", "--q", "t^3000000",
+                      "--r", "1", "--s", "1", "--max", "1"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: exponent 3000000 exceeds {fields.EXPONENT_BOUND}\n"
+    assert elapsed < 1.0
+
+
+def test_exponent_at_the_bound_accepted(capsys):
+    rc, data = run_json(capsys, ["jset", "--field", "ext:Q:999,0,0,0,1000", "--q",
+                                 f"t^{fields.EXPONENT_BOUND}", "--r", "1", "--s", "1",
+                                 "--max", "1", "--format", "json"])
+    assert rc == 0
+    assert data["bound"] == 1
 
 
 def test_nested_config_refused(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Field tower: rationals, prime fields, and small extensions."""
 
 import fractions
+import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,15 @@ from nichols.errors import (
     NonPrimeCharacteristic,
     ReduciblePolynomial,
 )
-from nichols.fields import PRIME_BOUND, _poly_add, _poly_mul, parse_field_spec
+from nichols.fields import (
+    PRIME_BOUND,
+    PrimeField,
+    _check_irreducible,
+    _poly_add,
+    _poly_divmod,
+    _poly_mul,
+    parse_field_spec,
+)
 
 
 def test_rational_literals(QQ):
@@ -106,6 +116,47 @@ def test_reducible_polynomials_rejected():
 def test_irreducible_quartics_accepted():
     parse_field_spec("ext:Q:1,0,0,0,1")  # x^4 + 1
     parse_field_spec("ext:Fp:2:1,1,0,0,1")  # x^4 + x + 1 over F_2
+
+
+def _reducible_by_search(base, mod) -> bool:
+    """The exhaustive oracle: a root in F_p, or, for a quartic, a monic quadratic factor."""
+    p = base.p
+    if any(sum(c * x**i for i, c in enumerate(mod)) % p == 0 for x in range(p)):
+        return True
+    return len(mod) == 5 and any(
+        not _poly_divmod(base, mod, (c, b, 1))[1] for b in range(p) for c in range(p)
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_gcd_irreducibility_matches_search(p):
+    base = PrimeField(p)
+    irreducible = {2: 0, 3: 0, 4: 0}
+    for d in (2, 3, 4):
+        for low in itertools.product(range(p), repeat=d):
+            mod = low + (1,)
+            try:
+                _check_irreducible(base, mod)
+                by_gcd = False
+            except ReduciblePolynomial:
+                by_gcd = True
+            assert by_gcd == _reducible_by_search(base, mod), mod
+            irreducible[d] += not by_gcd
+    # Gauss's count of monic irreducibles: (p^2 - p)/2, (p^3 - p)/3, (p^4 - p^2)/4
+    assert irreducible == {2: (p**2 - p) // 2, 3: (p**3 - p) // 3, 4: (p**4 - p**2) // 4}
+
+
+@pytest.mark.parametrize("coeffs, reducible", [("2,0,1", False), ("1,0,1", True)])
+def test_irreducibility_over_a_large_prime(coeffs, reducible):
+    # p = 999999999989 = 5 mod 8: -1 is a square and -2 is not; a search over
+    # the p residues once ran for minutes
+    start = time.perf_counter()
+    if reducible:
+        with pytest.raises(ReduciblePolynomial):
+            parse_field_spec(f"ext:Fp:999999999989:{coeffs}")
+    else:
+        parse_field_spec(f"ext:Fp:999999999989:{coeffs}")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_malformed_specs_rejected():

@@ -155,6 +155,25 @@ def test_gap_property_small_sweep(F5, make_params):
                         assert a == b or abs(a - b) >= 3
 
 
+def _anomaly_level(text: str) -> int:
+    return int(text.split(":")[0].removeprefix("j="))
+
+
+def test_classification_is_a_prefix(QQ, F3, F5, F9, make_params):
+    # J is built one j at a time, so one classification up to M serves every m <= M
+    points = [(field, bound, (str(q), str(r), str(s)))
+              for field, bound in ((F3, 10), (F5, 10), (F9, 8))
+              for q in field.units() for r in field.units() for s in field.units()]
+    points += [(QQ, 12, (2, 3, 5)), (QQ, 12, (1, 2, -1))]
+    for field, bound, qrs in points:
+        p = make_params(field, *qrs)
+        full = compute_J(bound, p)
+        for m in range(bound + 1):
+            part = compute_J(m, p)
+            assert [e for e in full.members if e.j <= m] == part.members
+            assert [a for a in full.anomalies if _anomaly_level(a) <= m] == part.anomalies
+
+
 def test_characteristic_zero_has_no_j2(QQ, make_params):
     # over Q the pairing condition can only be met trivially, so every
     # member is J1 -- including at s = -1 and rs = 1 edge cases

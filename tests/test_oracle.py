@@ -21,6 +21,7 @@ from nichols.oracle import (
     naive_symmetrizer,
     nichols_dim,
     symmetrizer,
+    verify_levels,
     verify_main,
     words_of_multidegree,
 )
@@ -295,6 +296,25 @@ def test_verify_main_flags_a_non_kernel_candidate(f9_params, monkeypatch):
     assert not in_kernel(first.to_words(), p)
     assert report.candidates[0] == ("adP(3,0)", False)
     assert not report.matches_theorem
+
+
+def test_verify_levels_matches_each_level_alone(QQ, F5, f9_params, char3_params,
+                                               make_params):
+    # one walk over 0..M, with J classified up to M and Phi grown level by
+    # level, reports what each level checked alone (J up to m, Phi_m) does
+    points = [(f9_params, 8), (char3_params, 8), (make_params(QQ, 2, 3, -1), 10)]
+    points += [(make_params(F5, q, r, -1), 8) for q in (1, 2) for r in (1, 3, 4)]
+    for p, bound in points:
+        reports = list(verify_levels(range(bound + 1), p))
+        assert len(reports) == bound + 1
+        for m, rep in enumerate(reports):
+            if not qfact_b(m, p):
+                assert rep is None
+                continue
+            assert rep.matches_theorem
+            assert rep.to_json() == verify_main(m, p).to_json()
+        tail = list(verify_levels(range(2, bound + 1), p))
+        assert [r and r.to_json() for r in tail] == [r and r.to_json() for r in reports[2:]]
 
 
 def test_verify_main_f9(f9_params):
