@@ -168,6 +168,7 @@ def _cmd_multiplicity(args) -> int:
     _check_level("--max", args.max, LEVEL_CEILING)
     field = parse_field_spec(args.field)
     params = _params_from_args(field, args)
+    classification = compute_J(args.max, params)
     rows = []
     lines = [f"{'m':>3} {'m_prime':>8} {'|J∩[0,m]|':>10} {'multiplicity':>13}"]
     for m in range(args.max + 1):
@@ -175,9 +176,9 @@ def _cmd_multiplicity(args) -> int:
             rows.append({"m": m, "skipped": f"({m})_q^! b_{m} = 0"})
             lines.append(f"{m:>3} {'—':>8} {'—':>10} {'skipped':>13}")
             continue
-        count = compute_J(m, params).count_upto(m)
+        count = classification.count_upto(m)
         mp = m_prime(m, params)
-        mult = multiplicity(m, params)
+        mult = multiplicity(m, params, classification)
         rows.append({"m": m, "m_prime": mp, "j_count": count, "multiplicity": mult})
         lines.append(f"{m:>3} {mp:>8} {count:>10} {mult:>13}")
     data = {

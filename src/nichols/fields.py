@@ -9,8 +9,12 @@ payload with its field at the API boundary, and ``Field.payload`` unwraps
 one after checking its field.  An extension multiplies by convolving
 coefficients, folding t^d..t^(2d-2) back through reduction rows computed
 once, and normalising each coefficient once; it inverts a by solving the
-d x d base-field system a*x = 1 with ``linalg.rref``.  Field specs follow
-the grammar
+d x d base-field system a*x = 1 with ``linalg.rref``.  A finite extension
+of order at most TABLE_ORDER (F_4 up to F_49, so every field a scan admits)
+lists its elements once when it is built and fills lookup tables from
+those two routes; its ``_add``/``_neg``/``_mul``/``_inv``/``_from_int`` then
+read the tables, on the same payloads.  A field pickles as its spec and is
+rebuilt from it.  Field specs follow the grammar
 
     Q | Fp:<prime> | ext:Fp:<prime>:<c0,...,cd> | ext:Q:<c0,...,cd>
 
@@ -264,6 +268,9 @@ class Field:
     def __eq__(self, other):
         return isinstance(other, Field) and self.spec == other.spec
 
+    def __reduce__(self):
+        return parse_field_spec, (self.spec,)
+
     def __hash__(self):
         return hash(self.spec)
 
@@ -510,6 +517,9 @@ def _check_irreducible(base: Field, mod) -> None:
 # Largest e in a literal term t^e: the term is reduced mod f from a list of
 # length e + 1, which at the bound takes well under a second even over Q.
 EXPONENT_BOUND = 1000
+# Largest finite extension whose arithmetic is tabulated: q^2 = 2401 entries
+# per binary table at F_49, built in milliseconds.
+TABLE_ORDER = 64
 _TERM_RE = re.compile(r"(?:(?P<coeff>[^*\s]+)\*)?t(?:\^(?P<exp>\d+))?")
 
 
@@ -543,6 +553,33 @@ class ExtensionField(Field):
         self.order = None if base.order is None else base.order**deg
         base_tag = "Q" if isinstance(base, RationalField) else f"Fp:{base.p}"
         self.spec = f"ext:{base_tag}:" + ",".join(base._render(c) for c in mod)
+        if self.order is not None and self.order <= TABLE_ORDER:
+            self._tabulate()
+
+    def _tabulate(self) -> None:
+        """Shadow the payload primitives with lookups in tables filled by them.
+
+        Binary tables are nested, table[a][b]: two flat-tuple lookups beat
+        one keyed on the pair of payloads.
+        """
+        elements = list(self._iter_payloads())
+        zero, p = self._from_int(0), self.base.p
+        products = {a: {b: self._mul(a, b) for b in elements} for a in elements}
+        sums = {a: {b: self._add(a, b) for b in elements} for a in elements}
+        negatives = {a: self._neg(a) for a in elements}
+        inverses = {a: self._inv(a) for a in elements if a != zero}
+        ints = tuple(self._from_int(n) for n in range(p))
+
+        def inv(a):
+            if a == zero:
+                raise DivisionByZero("inverse of zero")
+            return inverses[a]
+
+        self._mul = lambda a, b: products[a][b]
+        self._add = lambda a, b: sums[a][b]
+        self._neg = negatives.__getitem__
+        self._inv = inv
+        self._from_int = lambda n: ints[n % p]
 
     # payloads are coefficient tuples of length == degree
     def _pad(self, cs):

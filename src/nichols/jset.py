@@ -163,11 +163,19 @@ def m_prime(m: int, params: BraidingParams):
     return half
 
 
-def multiplicity(m: int, params: BraidingParams) -> int:
-    """The multiplicity of m*alpha1 + 2*alpha2: m' - |J ∩ [0,m]|."""
+def multiplicity(
+    m: int, params: BraidingParams, classification: JClassification | None = None
+) -> int:
+    """The multiplicity of m*alpha1 + 2*alpha2: m' - |J ∩ [0,m]|.
+
+    ``classification`` is J classified up to any bound >= m; J ∩ [0,m] is a
+    prefix of it, so callers walking many levels classify J once.
+    """
     if not qfact_b(m, params):
         raise HypothesisViolated(f"({m})_q^! b_{m} = 0; the corollary does not apply")
-    count = compute_J(m, params).count_upto(m)
+    if classification is None:
+        classification = compute_J(m, params)
+    count = classification.count_upto(m)
     value = m_prime(m, params) - count
     if value < 0:
         raise AssertionError(

@@ -8,11 +8,11 @@ S_n = (S_{n-1} ⊗ id)(id + c_{n-1} + c_{n-1}c_{n-2} + ... + c_{n-1}...c_1),
 restricted to one multidegree component, on field payloads: a
 :class:`SymmetrizerMatrix` holds payload columns, and its ``matrix`` is a
 FieldElement view built on access.  ``apply`` and ``braiding_c`` read and
-build GradedElement payload terms directly.  A naive sum over all permutation
-operators T_sigma serves as an independent oracle for it.  An element is
-zero in the Nichols algebra iff its symmetrizer image vanishes, and the
-derivation recursion (zero iff d_1 and d_2 both map to zero) provides the
-second, logically independent membership test.
+build GradedElement payload terms directly; the tests keep a naive sum
+over all permutation operators T_sigma as an independent oracle for it.
+An element is zero in the Nichols algebra iff its symmetrizer image
+vanishes, and the derivation recursion (zero iff d_1 and d_2 both map to
+zero) provides the second, logically independent membership test.
 
 On U_m no word is built: by the derivation criterion, applied through the
 coordinate formulas for d_1 and d_2, ker(pi) ∩ U_m is the kernel of a
@@ -170,57 +170,6 @@ def symmetrizer(md: tuple, params: BraidingParams) -> SymmetrizerMatrix:
                 col[i] = add(col[i], mul(scalar, e))
         columns.append(tuple(col))
     return SymmetrizerMatrix(field, md, basis, tuple(columns))
-
-
-def naive_symmetrizer(md: tuple, params: BraidingParams) -> SymmetrizerMatrix:
-    """Sum of T_sigma over all of S_n, built over the weak order.
-
-    T_identity = id and T_{sigma s_i} = T_sigma ∘ c_i whenever the length
-    increases; well-definedness along different reduced words (Matsumoto)
-    is asserted whenever a permutation is reached twice.
-    """
-    a, b = md
-    field = params.field
-    basis = words_of_multidegree(a, b)
-    n = a + b
-    index = {w: i for i, w in enumerate(basis)}
-    identity = tuple(range(n))
-    # each T_sigma sends a word to scalar * word: store {word: (word', scalar)}
-    ops = {identity: {w: (w, field.one) for w in basis}}
-    frontier = [identity]
-    while frontier:
-        new_frontier = []
-        for sigma in frontier:
-            op = ops[sigma]
-            for i in range(1, n):
-                if sigma[i - 1] >= sigma[i]:
-                    continue  # length would not increase
-                tau = sigma[: i - 1] + (sigma[i], sigma[i - 1]) + sigma[i + 1 :]
-                new_op = {}
-                for w in basis:
-                    v, s1 = _c_word(i, w, params)
-                    u, s2 = op[v]
-                    new_op[w] = (u, s1 * s2)
-                if tau in ops:
-                    if ops[tau] != new_op:
-                        raise AssertionError(
-                            "braided operators violate Matsumoto invariance"
-                        )
-                else:
-                    ops[tau] = new_op
-                    new_frontier.append(tau)
-        frontier = new_frontier
-
-    columns = {w: {u: field.zero for u in basis} for w in basis}
-    for op in ops.values():
-        for w, (u, s) in op.items():
-            columns[w][u] = columns[w][u] + s
-    return SymmetrizerMatrix(
-        field,
-        md,
-        tuple(basis),
-        tuple(tuple(e.value for e in col.values()) for col in columns.values()),
-    )
 
 
 def nichols_dim(md: tuple, params: BraidingParams) -> int:

@@ -16,7 +16,6 @@ from nichols.jset import compute_J, multiplicity, non_root_table_check
 from nichols.oracle import (
     in_kernel,
     in_kernel_by_derivations,
-    naive_symmetrizer,
     symmetrizer,
     verify_main,
     words_of_multidegree,
@@ -29,6 +28,7 @@ from nichols.qcalc import (
     qfact_b,
 )
 from nichols.rootvec import ad_p_closed_form, p_k
+from word_oracles import naive_symmetrizer
 
 QQ = parse_field_spec("Q")
 F3 = parse_field_spec("Fp:3")

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from nichols import cli, fields, oracle
+from nichols import cli, fields, jset, oracle
 from nichols.cli import run_command
 from nichols.oracle import KernelReport
 
@@ -281,16 +281,19 @@ def test_negative_levels_rejected(capsys, argv, flag):
 
 @pytest.mark.parametrize("check", ["main", "oracles", "table1"])
 def test_scan_jobs_determinism(capsys, monkeypatch, check):
-    # --jobs is capped at the CPU count; let a one-CPU host run two workers too
+    # --jobs is capped at the CPU count; let a one-CPU host run two workers too.
+    # F_9 is tabulated: its field must cross the pool as a pickle.
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    argv = ["scan", "--field", "Fp:3", "--max", "4", "--check", check, "--format", "json"]
-    rc1 = run_command(argv + ["--jobs", "1"])
-    serial = capsys.readouterr().out
-    rc2 = run_command(argv + ["--jobs", "2"])
-    pooled = capsys.readouterr().out
-    assert rc1 == rc2 == 0
-    assert serial == pooled
-    assert json.loads(serial)["checks"] > 0
+    for field, max_m in (("Fp:3", "4"), ("ext:Fp:3:2,1,1", "2")):
+        argv = ["scan", "--field", field, "--max", max_m, "--check", check,
+                "--format", "json"]
+        rc1 = run_command(argv + ["--jobs", "1"])
+        serial = capsys.readouterr().out
+        rc2 = run_command(argv + ["--jobs", "2"])
+        pooled = capsys.readouterr().out
+        assert rc1 == rc2 == 0
+        assert serial == pooled
+        assert json.loads(serial)["checks"] > 0
 
 
 @pytest.mark.parametrize("jobs", ["-3", "0", "3"])
@@ -399,8 +402,9 @@ def test_multiplicity_at_the_level_ceiling(capsys):
     assert [row["m"] for row in data["rows"]] == list(range(oracle.LEVEL_CEILING + 1))
 
 
-def _count_compute_J(monkeypatch) -> list:
-    """Wrap ``oracle.compute_J`` in a counter; returns the list of bounds asked."""
+def _count_compute_J(monkeypatch, *modules) -> list:
+    """Wrap ``compute_J`` in a counter where each module (default ``oracle``)
+    calls it; returns the list of bounds asked."""
     calls = []
     original = oracle.compute_J
 
@@ -408,7 +412,8 @@ def _count_compute_J(monkeypatch) -> list:
         calls.append(m_max)
         return original(m_max, params)
 
-    monkeypatch.setattr(oracle, "compute_J", counting)
+    for module in modules or (oracle,):
+        monkeypatch.setattr(module, "compute_J", counting)
     return calls
 
 
@@ -430,6 +435,17 @@ def test_scan_main_classifies_J_once_per_point(capsys, monkeypatch):
     assert rc == 0
     assert data["points"] == 8
     assert calls == [4] * 8
+
+
+def test_multiplicity_classifies_J_once(capsys, monkeypatch):
+    # J ∩ [0, m] is a prefix of J ∩ [0, max], so one classification serves every row
+    calls = _count_compute_J(monkeypatch, cli, jset)
+    rc, data = run_json(capsys, ["multiplicity", "--field", "Q", "--q", "2", "--r", "3",
+                                 "--s", "5", "--max", "8", "--format", "json"])
+    assert rc == 0
+    assert [row["m"] for row in data["rows"]] == list(range(9))
+    assert all("skipped" not in row for row in data["rows"])
+    assert calls == [8]
 
 
 def test_verify_past_the_word_ceiling(capsys, monkeypatch):

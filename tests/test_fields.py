@@ -2,6 +2,7 @@
 
 import fractions
 import itertools
+import pickle
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from nichols.errors import (
 )
 from nichols.fields import (
     PRIME_BOUND,
+    TABLE_ORDER,
     PrimeField,
     _check_irreducible,
     _poly_add,
@@ -242,3 +244,46 @@ def test_q_modulus_height_bound():
     for spec in ("ext:Q:1001,0,1", "ext:Q:1/1001,0,1", "ext:Q:1,0,0,0,1/1001"):
         with pytest.raises(MalformedSpec, match="exceed 1000"):
             parse_field_spec(spec)
+
+
+@pytest.mark.parametrize("spec", [s for s in KERNEL_SPECS if not s.startswith("ext:Q:")])
+def test_tables_match_polynomial_route_exhaustively(spec):
+    field = parse_field_spec(spec)
+    assert field.order <= TABLE_ORDER
+    base, p = field.base, field.base.p
+    copy = pickle.loads(pickle.dumps(field))
+    assert copy == field
+    zero, one = field._from_int(0), field._from_int(1)
+    elements = list(field._iter_payloads())
+    for a in elements:
+        for b in elements:
+            assert field._mul(a, b) == field._reduce(_poly_mul(base, a, b))
+            assert field._add(a, b) == field._pad(_poly_add(base, a, b))
+            assert copy._mul(a, b) == field._mul(a, b)
+        assert field._add(a, field._neg(a)) == zero
+        if a != zero:
+            assert field._mul(a, field._inv(a)) == one
+    for n in range(-2 * p, 2 * p):
+        assert field._from_int(n) == field._pad((n % p,))
+    with pytest.raises(DivisionByZero):
+        field._inv(zero)
+
+
+@pytest.mark.parametrize("spec, square", [
+    ("ext:Fp:999999999989:2,0,1", "999999999987"),
+    ("ext:Q:-2,0,1", "2"),
+])
+def test_untabulated_extensions_multiply_by_convolution(spec, square, rng):
+    # too large or infinite to list: the convolution and solve routes serve
+    field = parse_field_spec(spec)
+    t = field.gen()
+    assert t * t == field.parse(square)
+    for _ in range(20):
+        a, b = field.random_element(rng), field.random_element(rng)
+        assert field._mul(a.value, b.value) == field._reduce(
+            _poly_mul(field.base, a.value, b.value)
+        )
+        if a:
+            assert a * a.inv() == field.one
+    with pytest.raises(DivisionByZero):
+        field._inv(field._from_int(0))

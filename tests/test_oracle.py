@@ -18,7 +18,6 @@ from nichols.oracle import (
     in_kernel,
     in_kernel_by_derivations,
     ker_cap_Um,
-    naive_symmetrizer,
     nichols_dim,
     symmetrizer,
     verify_levels,
@@ -27,7 +26,7 @@ from nichols.oracle import (
 )
 from nichols.qcalc import BraidingParams, first_equation, qfact_b
 from nichols.rootvec import UhatBasisVector, p_k, u_k
-from word_oracles import composite
+from word_oracles import composite, naive_symmetrizer
 
 
 def test_words_of_multidegree():
