@@ -275,14 +275,12 @@ def _cmd_table1(args) -> int:
 
 def _scan_point(task: tuple) -> dict:
     """Sweep worker: run one (q, r, s) triple; returns a summary row."""
-    field, q_lit, r_lit, s_lit, max_m, check = task
-    params = BraidingParams.from_qrs(
-        field.parse(q_lit), field.parse(r_lit), field.parse(s_lit)
-    )
+    _, q, r, s, max_m, check = task
+    params = BraidingParams.from_qrs(q, r, s)
     row = {
-        "q": q_lit,
-        "r": r_lit,
-        "s": s_lit,
+        "q": str(q),
+        "r": str(r),
+        "s": str(s),
         "checks": 0,
         "skipped": 0,
         "violations": [],
@@ -343,7 +341,7 @@ def _cmd_scan(args) -> int:
             f"scan over {field.spec} has {points} points, "
             f"above the budget of {SCAN_POINT_BUDGET}"
         )
-    units = [str(u) for u in field.units()]
+    units = list(field.units())
     tasks = [
         (field, q, r, s, args.max, args.check)
         for q in units

@@ -89,6 +89,9 @@ class FieldElement:
     def __setattr__(self, name, val):  # pragma: no cover - immutability guard
         raise AttributeError("FieldElement is immutable")
 
+    def __reduce__(self):
+        return FieldElement, (self.field, self.value)
+
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
             if other.field != self.field:

@@ -37,7 +37,6 @@ class JEntry:
     j: int
     cls: str  # "J1" or "J2"
     witness: int | None  # the j_n of a J2 member
-    conditions: tuple  # ((n, condition-held), ...) over earlier members
 
 
 @dataclass
@@ -101,8 +100,7 @@ def compute_J(m_max: int, params: BraidingParams) -> JClassification:
     admitted: list = []
     for j in range(m_max + 1):
         first = first_equation(j, params)
-        conditions = tuple((n, j_condition(j, n, params)) for n in admitted)
-        raw_member = first and all(ok for _, ok in conditions)
+        raw_member = first and all(j_condition(j, n, params) for n in admitted)
 
         cond1 = first and all(
             q ** (n + j - 1) * r * r != one for n in admitted
@@ -147,7 +145,7 @@ def compute_J(m_max: int, params: BraidingParams) -> JClassification:
                     "although b_j != 0"
                 )
 
-        result.members.append(JEntry(j, cls, witness, conditions))
+        result.members.append(JEntry(j, cls, witness))
         admitted.append(j)
     return result
 

@@ -19,9 +19,10 @@ coordinate formulas for d_1 and d_2, ker(pi) ∩ U_m is the kernel of a
 square (m+1) x (m+1) payload matrix Phi_m on the coordinates in the basis
 (-q21)^i u_hat_i u_hat_{m-i}.  ``ker_cap_Um`` is its nullspace.
 ``verify_levels`` walks the levels of one parameter point once: it
-classifies J once, up to the last level, grows Phi_m from Phi_{m-1}, and
-takes a candidate's kernel membership from Phi_m times its coordinates and
-the kernel dimension from its rank; ``verify_main`` is its one-level case.
+classifies J once, up to the last level, grows Phi_m from Phi_{m-1} and
+each kernel candidate by one ad x1 step from the level below, and takes a
+candidate's kernel membership from Phi_m times its coordinates and the
+kernel dimension from its rank; ``verify_main`` is its one-level case.
 Words are capped at total degree DEGREE_CEILING; the CLI caps the level
 routes at LEVEL_CEILING.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, count, islice
+from itertools import accumulate, combinations, count, islice, takewhile
 from typing import Iterator
 
 from .braided import GradedElement, skew_derive
@@ -45,12 +46,7 @@ from .fields import Field, FieldElement
 from .jset import compute_J
 from .linalg import mat_vec, nullspace, rank as matrix_rank
 from .qcalc import BraidingParams, qfact_b
-from .rootvec import (
-    UhatBasisVector,
-    ad_p_closed_form,
-    ad_pow_coords,
-    l_n,
-)
+from .rootvec import UhatBasisVector, ad_pow_coords, l_n, p_k
 
 # Longest word the symmetrizer routes build (dim, in_kernel, scan --check oracles).
 DEGREE_CEILING = 14
@@ -294,44 +290,45 @@ def verify_levels(
     Yields a KernelReport per level, or None where (m)_q^! b_m = 0.  J is
     classified once, up to the last level: it is built one j at a time, so
     level m reads the members with j <= m.  Phi_m comes from the one
-    ``_phis`` stream.  At level m the candidates are (ad x1)^(m-j)(P_j) for
-    j in J1 ∩ [0,m] and (ad x1)^(m-n)(L_n) for n in J2 ∩ [0,m]; kernel
+    ``_phis`` stream.  Each candidate enters at its own level, as P_j
+    (j in J1) or L_n (n in J2), and ``ad_pow_coords`` moves it up with the
+    levels, so at level m it is (ad x1)^(m-j)(P_j) or (ad x1)^(m-n)(L_n);
+    (m)_q^! b_m = 0 persists upwards, so no skipped level needs one.  Kernel
     membership, linear independence and the dimension count are all read in
     coordinates: a candidate with coordinates v is in the kernel iff
     Phi_m v = 0, and dim(ker pi ∩ U_m) = m + 1 - rank Phi_m.
     """
     field = params.field
-    classification = compute_J(levels[-1], params)
+    members = compute_J(levels[-1], params).members
+    walked: list = []  # the candidate of members[i], at the last level reached
     phis = islice(_phis(params), levels.start, levels.stop, levels.step)
     for m, phi in zip(levels, phis):
         if not qfact_b(m, params):
             yield None
             continue
-        members = [e for e in classification.members if e.j <= m]
-        candidates: list = []
-        vectors: list = []
-        for entry in members:
+        for entry in takewhile(lambda e: e.j <= m, members[len(walked):]):
             if entry.cls == "J1":
-                power = m - entry.j
-                label = f"adP({power},{entry.j})"
-                vec = ad_p_closed_form(power, entry.j, params).scale(params.q12**power)
+                walked.append(p_k(entry.j, params))
             else:
-                power = m - entry.j
-                base = l_n(entry.j, params, entry.witness)
+                walked.append(l_n(entry.j, params, entry.witness))
+        walked = [ad_pow_coords(m - v.m, v, params) for v in walked]
+        candidates: list = []
+        rows: list = []
+        for entry, vec in zip(members, walked):
+            power = m - entry.j
+            if entry.cls == "J1":
+                label = f"adP({power},{entry.j})"
+            else:
                 label = f"L({entry.j})" if power == 0 else f"adL({power},{entry.j})"
-                vec = ad_pow_coords(power, base, params)
             coords = [field.payload(c) for c in vec.coords]
             image = mat_vec(field, phi, coords)
             candidates.append((label, all(field._is_zero(c) for c in image)))
-            vectors.append(coords)
+            rows.append(coords)
 
-        independent = matrix_rank(field, vectors) == len(vectors)
+        independent = matrix_rank(field, rows) == len(rows)
         dim = m + 1 - matrix_rank(field, phi)
         matches = (
-            dim == len(members)
-            and all(ok for _, ok in candidates)
-            and independent
-            and len(candidates) == dim
+            dim == len(walked) and all(ok for _, ok in candidates) and independent
         )
         yield KernelReport(
             m=m,

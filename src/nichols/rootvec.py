@@ -151,11 +151,13 @@ def s_kt(k: int, t: int, params: BraidingParams) -> UhatBasisVector:
 
 
 def ad_p_closed_form(m: int, k: int, params: BraidingParams) -> UhatBasisVector:
-    """q12^(-m) (ad x1)^m (P_k) in coordinates.
+    """q12^(-m) (ad x1)^m (P_k) in coordinates, by the paper's closed formula.
 
     Sum over i of (m)_q^!/(m-i)_q^! * lambda_(m-i,k) * beta_(i,m,k) * S(k+m,i);
     the factorial ratio is computed as the product of (j)_q for
-    m-i < j <= m, which is total.
+    m-i < j <= m, which is total.  No production route calls it:
+    ``ad_pow_coords`` walks (ad x1)^m (P_k) one level at a time, and the
+    tests hold the two equal.
     """
     _require_hypothesis(k + m, params, f"(ad x1)^{m}(P_{k})")
     field, q = params.field, params.q
@@ -304,7 +306,8 @@ def l_n(n: int, params: BraidingParams, j_n: int) -> UhatBasisVector:
 
     Requires (n)_q^! b_n != 0 and that n belongs to J2 with witness j_n in J1
     satisfying q^(n+j_n-1) r^2 = 1 (validated against the computed
-    classification).  d2(L_n) = 0 always holds for interior vectors; kernel
+    classification).  ``ad_pow_coords`` walks the right-hand side up from
+    P_(j_n).  d2(L_n) = 0 always holds for interior vectors; kernel
     membership is left to the oracles (see oracle.in_kernel).
     """
     _require_hypothesis(n, params, f"L_{n}")
@@ -317,11 +320,7 @@ def l_n(n: int, params: BraidingParams, j_n: int) -> UhatBasisVector:
     if params.q ** (n + j_n - 1) * params.r**2 != params.field.one:
         raise NotInJ2(f"q^({n}+{j_n}-1) r^2 != 1")
 
-    m = n - j_n - 1
-    # The defining right-hand side is (ad x1)^m(P_(j_n)) itself, so undo the
-    # q12^(-m) normalization of the closed form before solving.
-    rhs = ad_p_closed_form(m, j_n, params).scale(params.q12**m)
-    v = solve_d1(rhs)
+    v = solve_d1(ad_pow_coords(n - j_n - 1, p_k(j_n, params), params))
     if d2_on_um(v):
         raise AssertionError("d2(L_n) != 0")
     return v

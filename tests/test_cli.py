@@ -1,11 +1,12 @@
 """Exit codes, JSON schemas, and determinism of the command-line front end."""
 
+import hashlib
 import json
 import time
 
 import pytest
 
-from nichols import cli, fields, jset, oracle
+from nichols import cli, fields, jset, oracle, rootvec
 from nichols.cli import run_command
 from nichols.oracle import KernelReport
 
@@ -402,24 +403,26 @@ def test_multiplicity_at_the_level_ceiling(capsys):
     assert [row["m"] for row in data["rows"]] == list(range(oracle.LEVEL_CEILING + 1))
 
 
-def _count_compute_J(monkeypatch, *modules) -> list:
-    """Wrap ``compute_J`` in a counter where each module (default ``oracle``)
-    calls it; returns the list of bounds asked."""
+def _count_calls(monkeypatch, name, *modules) -> list:
+    """Wrap ``name`` in a counter in each module that binds it; returns the
+    first argument of every call (the bound, for ``compute_J``)."""
     calls = []
-    original = oracle.compute_J
+    for module in modules:
+        original = getattr(module, name, None)
+        if original is None:
+            continue
 
-    def counting(m_max, params):
-        calls.append(m_max)
-        return original(m_max, params)
+        def counting(first, *rest, _original=original):
+            calls.append(first)
+            return _original(first, *rest)
 
-    for module in modules or (oracle,):
-        monkeypatch.setattr(module, "compute_J", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_verify_classifies_J_once(capsys, monkeypatch):
     # one classification up to the last level serves every level
-    calls = _count_compute_J(monkeypatch)
+    calls = _count_calls(monkeypatch, "compute_J", oracle)
     rc, data = run_json(capsys, ["verify", "--field", "Q", "--q", "2", "--r", "3",
                                  "--s", "5", "--max", "8", "--format", "json"])
     assert rc == 0
@@ -429,7 +432,7 @@ def test_verify_classifies_J_once(capsys, monkeypatch):
 
 
 def test_scan_main_classifies_J_once_per_point(capsys, monkeypatch):
-    calls = _count_compute_J(monkeypatch)
+    calls = _count_calls(monkeypatch, "compute_J", oracle)
     rc, data = run_json(capsys, ["scan", "--field", "Fp:3", "--max", "4",
                                  "--check", "main", "--format", "json"])
     assert rc == 0
@@ -439,13 +442,45 @@ def test_scan_main_classifies_J_once_per_point(capsys, monkeypatch):
 
 def test_multiplicity_classifies_J_once(capsys, monkeypatch):
     # J ∩ [0, m] is a prefix of J ∩ [0, max], so one classification serves every row
-    calls = _count_compute_J(monkeypatch, cli, jset)
+    calls = _count_calls(monkeypatch, "compute_J", cli, jset)
     rc, data = run_json(capsys, ["multiplicity", "--field", "Q", "--q", "2", "--r", "3",
                                  "--s", "5", "--max", "8", "--format", "json"])
     assert rc == 0
     assert [row["m"] for row in data["rows"]] == list(range(9))
     assert all("skipped" not in row for row in data["rows"])
     assert calls == [8]
+
+
+# an F_25 point with J = {0, 5}, 0 in J1 and 5 in J2 with witness 0
+F25_J2_POINT = ["--field", "ext:Fp:5:2,0,1", "--q=4+t", "--r=4+2*t", "--s=4"]
+
+
+def test_verify_walks_each_candidate_up(capsys, monkeypatch):
+    # L_5 is solved once, at its own level, and then walked up with P_0
+    closed = _count_calls(monkeypatch, "ad_p_closed_form", oracle, rootvec)
+    solved = _count_calls(monkeypatch, "l_n", oracle, rootvec)
+    rc, data = run_json(capsys, ["verify", *F25_J2_POINT, "--max", "8",
+                                 "--format", "json"])
+    assert rc == 0
+    labels = [c["label"] for c in data["reports"][8]["candidates"]]
+    assert labels == ["adP(8,0)", "adL(3,5)"]
+    assert closed == []
+    assert solved == [5]
+
+
+def test_verify_golden_past_the_benchmark_depth(capsys):
+    # nine adL levels, then (15)_q^! b_15 = 0; the digest is that of the
+    # closed-form route, before the candidates were walked
+    rc = run_command(["verify", *F25_J2_POINT, "--max", "15", "--format", "json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    reports = json.loads(out)["reports"]
+    labels = [c["label"] for r in reports for c in r.get("candidates", [])]
+    assert sum(label.startswith("adL") for label in labels) == 9
+    assert [r["m"] for r in reports if "skipped" in r] == [15]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "96912b83d1ad3f0f37976cbdfde1bb6fd26eb47c8ec76c01ce17c4d6192043f7"
+    )
 
 
 def test_verify_past_the_word_ceiling(capsys, monkeypatch):

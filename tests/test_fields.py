@@ -287,3 +287,27 @@ def test_untabulated_extensions_multiply_by_convolution(spec, square, rng):
             assert a * a.inv() == field.one
     with pytest.raises(DivisionByZero):
         field._inv(field._from_int(0))
+
+
+@pytest.mark.parametrize("spec, literal", [
+    ("Q", "-3/7"),
+    ("Fp:7", "5"),
+    ("ext:Fp:3:1,0,1", "2+t"),
+    ("ext:Q:-2,0,1", "1/2+t"),
+])
+def test_elements_pickle_round_trip(spec, literal):
+    # scan workers receive their units as pickled elements
+    x = parse_field_spec(spec).parse(literal)
+    copy = pickle.loads(pickle.dumps(x))
+    assert copy == x and str(copy) == literal
+    assert copy.field == x.field and copy.value == x.value
+
+
+def test_braiding_params_pickle_round_trip():
+    from nichols.qcalc import BraidingParams
+
+    field = parse_field_spec("ext:Fp:3:1,0,1")
+    params = BraidingParams(*(field.parse(v) for v in ("1+t", "t", "2", "2*t")))
+    copy = pickle.loads(pickle.dumps(params))
+    assert copy == params and hash(copy) == hash(params)
+    assert copy.r == params.r

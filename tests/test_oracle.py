@@ -290,7 +290,9 @@ def test_verify_main_flags_a_non_kernel_candidate(f9_params, monkeypatch):
     p = f9_params
     field = p.field
     first = UhatBasisVector(p, 3, (field.one,) + (field.zero,) * 3)
-    monkeypatch.setattr(oracle, "ad_p_closed_form", lambda power, j, params: first)
+    walk = oracle.ad_pow_coords  # P_0 is the one candidate that starts at level 0
+    monkeypatch.setattr(oracle, "ad_pow_coords",
+                        lambda t, v, params: first if v.m == 0 else walk(t, v, params))
     report = verify_main(3, p)
     assert not in_kernel(first.to_words(), p)
     assert report.candidates[0] == ("adP(3,0)", False)

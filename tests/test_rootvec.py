@@ -208,6 +208,32 @@ def test_closed_form_random_fields(F5, F7, make_params, rng):
                 assert lhs == rhs
 
 
+# braiding matrices (q11, q12, q21, q22) with (6)_q^! b_6 != 0, one with
+# q21 = 1 and one without per field
+WALK_POINTS = [
+    ("Q", ("2", "3", "1", "5")),
+    ("Q", ("2", "3", "7", "5")),
+    ("Fp:7", ("1", "3", "1", "2")),
+    ("Fp:7", ("1", "1", "3", "2")),
+    ("ext:Fp:3:1,0,1", ("1+t", "2*t", "1", "2")),
+    ("ext:Fp:3:1,0,1", ("1+t", "t", "1+2*t", "2")),
+    ("ext:Fp:5:2,0,1", ("t", "1+t", "1", "2")),
+    ("ext:Fp:5:2,0,1", ("t", "t", "1+t", "2")),
+]
+
+
+@pytest.mark.parametrize("spec, entries", WALK_POINTS)
+def test_closed_form_matches_walk(spec, entries):
+    # the paper's closed formula against ad_pow_coords walking up from P_k
+    field = parse_field_spec(spec)
+    p = BraidingParams(*(field.parse(e) for e in entries))
+    assert qfact_b(6, p)
+    for m in range(7):
+        for k in range(7 - m):
+            walked = ad_pow_coords(m, p_k(k, p), p)
+            assert ad_p_closed_form(m, k, p).scale(p.q12**m).coords == walked.coords
+
+
 # explicit braiding matrices (q11, q12, q21, q22) with q21 != 1; the
 # hypothesis (n)_q^! b_n != 0 holds for every n <= 5 at each of them
 AD_POW_POINTS = {
