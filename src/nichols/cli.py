@@ -28,7 +28,7 @@ from .oracle import (
     nichols_dim,
     verify_levels,
 )
-from .qcalc import BraidingParams, qfact_b
+from .qcalc import BraidingParams
 from .rootvec import p_k, uhat_pair_words
 
 SCHEMA_PREFIX = "nichols"
@@ -172,7 +172,7 @@ def _cmd_multiplicity(args) -> int:
     rows = []
     lines = [f"{'m':>3} {'m_prime':>8} {'|J∩[0,m]|':>10} {'multiplicity':>13}"]
     for m in range(args.max + 1):
-        if not qfact_b(m, params):
+        if not params.scalars.hypothesis(m):
             rows.append({"m": m, "skipped": f"({m})_q^! b_{m} = 0"})
             lines.append(f"{m:>3} {'—':>8} {'—':>10} {'skipped':>13}")
             continue
@@ -296,7 +296,7 @@ def _scan_point(task: tuple) -> dict:
                 row["violations"].append({"m": m, "report": rep.to_json()})
     elif check == "oracles":
         for m in range(max_m + 1):
-            if not qfact_b(m, params):
+            if not params.scalars.hypothesis(m):
                 row["skipped"] += 1
                 continue
             elements = [uhat_pair_words(i, m, params) for i in range(m + 1)]

@@ -15,14 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import HypothesisViolated, OutOfRange, UnsupportedM
-from .qcalc import (
-    BraidingParams,
-    b_k,
-    first_equation,
-    j_condition,
-    q_int,
-    qfact_b,
-)
+from .qcalc import BraidingParams, j_condition, q_int, qfact_b
 
 
 def _divides(d: int, x: int) -> bool:
@@ -90,16 +83,22 @@ def _condition2_witnesses(j: int, admitted: list, params: BraidingParams) -> lis
 
 
 def compute_J(m_max: int, params: BraidingParams) -> JClassification:
-    """Classify J ∩ [0, m_max] with witnesses and cross-check anomalies."""
+    """Classify J ∩ [0, m_max] with witnesses and cross-check anomalies.
+
+    The sign equation, (j)_q^! b_j and b_j are read off the point's
+    scalar table.
+    """
     field = params.field
     p = field.characteristic
     one = field.one
     q, r = params.q, params.r
+    table = params.scalars.upto(m_max)
+    is_zero = field._is_zero
 
     result = JClassification(bound=m_max, members=[])
     admitted: list = []
     for j in range(m_max + 1):
-        first = first_equation(j, params)
+        first = table.sign[j] == table.minus_one
         raw_member = first and all(j_condition(j, n, params) for n in admitted)
 
         cond1 = first and all(
@@ -107,7 +106,7 @@ def compute_J(m_max: int, params: BraidingParams) -> JClassification:
         )
         witnesses = _condition2_witnesses(j, admitted, params)
         lemma_member = cond1 or bool(witnesses)
-        if raw_member != lemma_member and qfact_b(j, params):
+        if raw_member != lemma_member and not is_zero(table.qfact_b[j]):
             result.anomalies.append(
                 f"j={j}: raw definition ({raw_member}) and characterization "
                 f"lemma ({lemma_member}) disagree under (j)_q^! b_j != 0"
@@ -132,7 +131,7 @@ def compute_J(m_max: int, params: BraidingParams) -> JClassification:
             cls, witness = "J1", None
 
         # simplified divisibility form of condition (2), valid once b_j != 0
-        if p and b_k(j, params):
+        if p and not is_zero(table.b[j]):
             simplified = any(
                 q ** (n + j - 1) * r * r == one
                 and (_divides(p, j - n) if p % 2 else _divides(4, j - n))

@@ -45,7 +45,7 @@ from .errors import (
 from .fields import Field, FieldElement
 from .jset import compute_J
 from .linalg import mat_vec, nullspace, rank as matrix_rank
-from .qcalc import BraidingParams, qfact_b
+from .qcalc import BraidingParams
 from .rootvec import UhatBasisVector, ad_pow_coords, l_n, p_k
 
 # Longest word the symmetrizer routes build (dim, in_kernel, scan --check oracles).
@@ -252,7 +252,7 @@ def _phi(m: int, params: BraidingParams) -> list:
 def ker_cap_Um(m: int, params: BraidingParams) -> tuple:
     """(dimension, basis in u_hat coordinates) of ker(pi) ∩ U_m, read off
     the nullspace of Phi_m."""
-    if not qfact_b(m, params):
+    if not params.scalars.hypothesis(m):
         raise HypothesisViolated(f"({m})_q^! b_{m} = 0; the u_hat basis is undefined")
     field = params.field
     basis = [
@@ -299,18 +299,20 @@ def verify_levels(
     Phi_m v = 0, and dim(ker pi ∩ U_m) = m + 1 - rank Phi_m.
     """
     field = params.field
-    members = compute_J(levels[-1], params).members
+    classification = compute_J(levels[-1], params)
+    members = classification.members
+    scalars = params.scalars
     walked: list = []  # the candidate of members[i], at the last level reached
     phis = islice(_phis(params), levels.start, levels.stop, levels.step)
     for m, phi in zip(levels, phis):
-        if not qfact_b(m, params):
+        if not scalars.hypothesis(m):
             yield None
             continue
         for entry in takewhile(lambda e: e.j <= m, members[len(walked):]):
             if entry.cls == "J1":
                 walked.append(p_k(entry.j, params))
             else:
-                walked.append(l_n(entry.j, params, entry.witness))
+                walked.append(l_n(entry.j, params, entry.witness, classification))
         walked = [ad_pow_coords(m - v.m, v, params) for v in walked]
         candidates: list = []
         rows: list = []

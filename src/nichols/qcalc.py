@@ -2,17 +2,22 @@
 
 Provides (n)_q, (n)_q^!, Gaussian binomials via the Pascal recursion (total
 in positive characteristic), the products b_k, lambda_{(n,k)}, beta_{(i,m',k)},
-the integer bivariate polynomials Q2^{k,m} with their exact-division
-construction, and the scalar membership conditions used to build the index
-set J.
+and the scalar membership conditions used to build the index set J.
+
+The scalars the level routes read at every k (q^k, (k)_q, (k)_q^!, b_k,
+(k)_q^! b_k, the sign-equation term and the ad x1 weights c_k) are prefix
+products, so each point keeps them in one :class:`ScalarTable` of payload
+columns, built on first use and extended on demand by one step per entry.
+The closed formulas below stay as the definitions the table is tested
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .errors import FieldMismatch, InternalInexactDivision, ZeroBraidingEntry
+from .errors import FieldMismatch, ZeroBraidingEntry
 from .fields import Field, FieldElement
 
 
@@ -20,9 +25,10 @@ from .fields import Field, FieldElement
 class BraidingParams:
     """The braiding matrix (q_ij) of a rank-2 diagonal braiding.
 
-    The derived scalars q = q11, r = q12*q21, s = q22 are recomputed on
-    access, never stored.  All four entries must be nonzero elements of one
-    field.
+    The derived scalars q = q11, r = q12*q21, s = q22 are computed on
+    access; the prefix scalars of the level routes live in ``scalars``,
+    built once per object.  Equality, hashing and pickling use the four
+    entries only.  All four entries must be nonzero elements of one field.
     """
 
     q11: FieldElement
@@ -38,6 +44,9 @@ class BraidingParams:
         for entry in (self.q11, self.q12, self.q21, self.q22):
             if not entry:
                 raise ZeroBraidingEntry("braiding entries must be nonzero")
+
+    def __reduce__(self):
+        return BraidingParams, (self.q11, self.q12, self.q21, self.q22)
 
     @classmethod
     def from_qrs(
@@ -61,6 +70,60 @@ class BraidingParams:
     @property
     def s(self) -> FieldElement:
         return self.q22
+
+    @cached_property
+    def scalars(self) -> "ScalarTable":
+        return ScalarTable(self)
+
+
+class ScalarTable:
+    """Payload prefix columns of one parameter point, indexed by k.
+
+    q_pow[k] = q^k, q_int[k] = (k)_q, q_fact[k] = (k)_q^!, b[k] = b_k,
+    qfact_b[k] = (k)_q^! b_k, sign[k] = q^(k(k-1)/2) (-r)^k s and
+    c[k] = (k+1)_q (1 - q^k r).  ``upto(n)`` extends every column to
+    index n (c to n - 1), each new entry from the one before it:
+    sign[k+1] = sign[k] q^k (-r), b[k+1] = b[k] (1 - q^k r).
+    """
+
+    def __init__(self, params: BraidingParams) -> None:
+        f = params.field
+        self.field = f
+        one = f._from_int(1)
+        self.one, self.minus_one = one, f._neg(one)
+        self.q = params.q.value
+        self.r = f._mul(params.q12.value, params.q21.value)
+        self.minus_r = f._neg(self.r)
+        self.q_pow = [one]
+        self.q_int = [f._from_int(0)]
+        self.q_fact = [one]
+        self.b = [one]
+        self.qfact_b = [one]
+        self.sign = [params.s.value]
+        self.c: list = []
+
+    def upto(self, n: int) -> "ScalarTable":
+        f = self.field
+        add, mul, neg = f._add, f._mul, f._neg
+        while len(self.q_pow) <= n:
+            k = len(self.q_pow) - 1
+            q_k = self.q_pow[k]
+            gap = add(self.one, neg(mul(q_k, self.r)))  # 1 - q^k r
+            q_int = add(self.q_int[k], q_k)  # (k+1)_q
+            q_fact = mul(self.q_fact[k], q_int)
+            b = mul(self.b[k], gap)
+            self.q_pow.append(mul(q_k, self.q))
+            self.q_int.append(q_int)
+            self.q_fact.append(q_fact)
+            self.b.append(b)
+            self.qfact_b.append(mul(q_fact, b))
+            self.sign.append(mul(mul(self.sign[k], q_k), self.minus_r))
+            self.c.append(mul(q_int, gap))
+        return self
+
+    def hypothesis(self, m: int) -> bool:
+        """Whether (m)_q^! b_m != 0."""
+        return not self.field._is_zero(self.upto(m).qfact_b[m])
 
 
 def q_int(n: int, q: FieldElement) -> FieldElement:
@@ -111,10 +174,10 @@ def b_k(k: int, params: BraidingParams) -> FieldElement:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def qfact_b(m: int, params: BraidingParams) -> FieldElement:
-    """(m)_q^! * b_m — the nonvanishing hypothesis scalar."""
-    return q_fact(m, params.q) * b_k(m, params)
+    """(m)_q^! * b_m — the nonvanishing hypothesis scalar, read off the table."""
+    return FieldElement(params.field, params.scalars.upto(m).qfact_b[m])
 
 
 def lambda_coeff(n: int, k: int, params: BraidingParams) -> FieldElement:
@@ -133,73 +196,6 @@ def beta_coeff(i: int, m_prime: int, k: int, params: BraidingParams) -> FieldEle
     acc = params.field.one
     for j in range(1, i + 1):
         acc = acc * (q ** (m_prime + 2 * k - j) * r - r_inv)
-    return acc
-
-
-# -- Q2^{k,m}: exact bivariate integer polynomials ---------------------------
-#
-# Sparse representation: {(q_exponent, r_exponent): integer coefficient}.
-# During division by q^(2k+m) r^2 - 1 the q-exponents may go negative
-# (division happens over Z[q, q^-1][r]); the quotient must come out in
-# Z[q, r] and leave zero remainder, which is asserted.
-
-
-def _qr_add_term(poly: dict, key: tuple, c: int) -> None:
-    new = poly.get(key, 0) + c
-    if new:
-        poly[key] = new
-    else:
-        poly.pop(key, None)
-
-
-def _qr_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (qa, ra), ca in a.items():
-        for (qb, rb), cb in b.items():
-            _qr_add_term(out, (qa + qb, ra + rb), ca * cb)
-    return out
-
-
-@lru_cache(maxsize=None)
-def q2_poly(k: int, m: int) -> dict:
-    """Q2^{k,m} in Z[q,r] as a sparse exponent map (read-only).
-
-    Defined as the exact quotient of
-    (q^((2k+m)(m+1)/2) (-r)^(m+1) - 1) * prod_{i=0}^{m} (1 - q^(k+i) r)
-    by q^(2k+m) r^2 - 1; exactness and nonnegativity of q-exponents are
-    verified at construction.
-    """
-    e_top = (2 * k + m) * (m + 1) // 2
-    sign = (-1) ** (m + 1)
-    numerator = {(e_top, m + 1): sign, (0, 0): -1}
-    for i in range(m + 1):
-        numerator = _qr_mul(numerator, {(0, 0): 1, (k + i, 1): -1})
-
-    d_exp = 2 * k + m
-    quotient: dict = {}
-    rem = dict(numerator)
-    while rem:
-        r_deg = max(re for (_, re) in rem)
-        if r_deg < 2:
-            break
-        lead = [(qe, c) for (qe, re), c in rem.items() if re == r_deg]
-        for qe, c in lead:
-            _qr_add_term(quotient, (qe - d_exp, r_deg - 2), c)
-            _qr_add_term(rem, (qe, r_deg), -c)
-            _qr_add_term(rem, (qe - d_exp, r_deg - 2), c)
-    if rem:
-        raise InternalInexactDivision(f"Q2^({k},{m}): nonzero remainder {rem}")
-    if any(qe < 0 for (qe, _) in quotient):
-        raise InternalInexactDivision(f"Q2^({k},{m}): negative q-exponent")
-    return quotient
-
-
-def q2_eval(k: int, m: int, params: BraidingParams) -> FieldElement:
-    """Q2^{k,m} evaluated at the field points q, r (total, even at poles)."""
-    q, r = params.q, params.r
-    acc = params.field.zero
-    for (qe, re), c in q2_poly(k, m).items():
-        acc = acc + params.field.from_int(c) * q**qe * r**re
     return acc
 
 

@@ -20,20 +20,11 @@ from .errors import (
     SolvabilityViolated,
 )
 from .fields import FieldElement
-from .jset import compute_J
-from .qcalc import (
-    BraidingParams,
-    b_k,
-    beta_coeff,
-    lambda_coeff,
-    q_binom,
-    q_fact,
-    q_int,
-    qfact_b,
-)
+from .jset import JClassification, compute_J
+from .qcalc import BraidingParams, beta_coeff, lambda_coeff, q_binom, q_int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def u_k(k: int, params: BraidingParams) -> GradedElement:
     """u_0 = x2, u_k = x1 u_{k-1} - q^(k-1) q12 u_{k-1} x1."""
     field = params.field
@@ -44,16 +35,17 @@ def u_k(k: int, params: BraidingParams) -> GradedElement:
     return x1 * prev - (params.q ** (k - 1) * params.q12) * (prev * x1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def u_hat_k(k: int, params: BraidingParams) -> GradedElement:
     """u_k normalized by (k)_q^! b_k; the zero element when that vanishes."""
-    norm = q_fact(k, params.q) * b_k(k, params)
-    if not norm:
-        return GradedElement.zero(params.field)
-    return u_k(k, params).scale(norm.inv())
+    field = params.field
+    norm = params.scalars.upto(k).qfact_b[k]
+    if field._is_zero(norm):
+        return GradedElement.zero(field)
+    return u_k(k, params).scale(FieldElement(field, field._inv(norm)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def uhat_pair_words(i: int, m: int, params: BraidingParams) -> GradedElement:
     """(-q21)^i u_hat_i u_hat_{m-i} expanded into words."""
     sign = (-params.q21) ** i
@@ -61,7 +53,7 @@ def uhat_pair_words(i: int, m: int, params: BraidingParams) -> GradedElement:
 
 
 def _require_hypothesis(m: int, params: BraidingParams, what: str) -> None:
-    if m >= 0 and not qfact_b(m, params):
+    if m >= 0 and not params.scalars.hypothesis(m):
         raise HypothesisViolated(f"({m})_q^! b_{m} = 0 while building {what}")
 
 
@@ -256,8 +248,10 @@ def uhat_coords(x: GradedElement, m: int, params: BraidingParams) -> UhatBasisVe
         [u_k(j, params).coeff((1,) * i + (2,) + (1,) * (j - i)) for i in range(j + 1)]
         for j in range(m + 1)
     ]
+    qfact_b = params.scalars.upto(m).qfact_b
     norms = [
-        (qfact_b(j, params) * qfact_b(m - j, params)).inv() for j in range(m + 1)
+        FieldElement(field, field._inv(field._mul(qfact_b[j], qfact_b[m - j])))
+        for j in range(m + 1)
     ]
     coords = [field.zero] * (m + 1)
     for i in range(m, -1, -1):
@@ -279,40 +273,57 @@ def ad_pow_coords(
     ad x1 is a braided derivation with ad x1(u_hat_k) = c_k u_hat_(k+1),
     c_k = (k+1)_q (1 - q^k r), so on the basis of U_m it acts by
     lambda'_j = lambda_(j-1) c_(j-1) (-q21)^(-1) + lambda_j q^j q12 c_(m-j).
-    Requires (m+t)_q^! b_(m+t) != 0, which covers every intermediate level.
+    The steps run on payloads, with c_k and q^j read off the point's scalar
+    table; only the input and the result are FieldElements.  Requires
+    (m+t)_q^! b_(m+t) != 0, which covers every intermediate level.
     """
     if t == 0:
         return v
     _require_hypothesis(v.m + t, params, f"(ad x1)^{t} into level {v.m + t}")
-    q, r, q12 = params.q, params.r, params.q12
-    zero = params.field.zero
-    shift = (-params.q21).inv()
-    lam = v.coords
+    field = params.field
+    add, mul = field._add, field._mul
+    table = params.scalars.upto(v.m + t)
+    c = table.c
+    zero = field._from_int(0)
+    shift = field._inv(field._neg(params.q21.value))
+    q12 = params.q12.value
+    weights = [mul(q_j, q12) for q_j in table.q_pow[: v.m + t]]  # q^j q12
+    lam = [field.payload(x) for x in v.coords]
     for m in range(v.m, v.m + t):
-        c = [q_int(k + 1, q) * (1 - q**k * r) for k in range(m + 1)]
-        lam = tuple(
-            (lam[j - 1] * c[j - 1] * shift if j > 0 else zero)
-            + (lam[j] * q**j * q12 * c[m - j] if j <= m else zero)
+        lam = [
+            add(
+                mul(mul(lam[j - 1], c[j - 1]), shift) if j > 0 else zero,
+                mul(mul(lam[j], weights[j]), c[m - j]) if j <= m else zero,
+            )
             for j in range(m + 2)
-        )
-    return UhatBasisVector(params, v.m + t, lam)
+        ]
+    coords = tuple(FieldElement(field, x) for x in lam)
+    return UhatBasisVector(params, v.m + t, coords)
 
 
 # -- L_n --------------------------------------------------------------------------
 
 
-def l_n(n: int, params: BraidingParams, j_n: int) -> UhatBasisVector:
+def l_n(
+    n: int,
+    params: BraidingParams,
+    j_n: int,
+    classification: JClassification | None = None,
+) -> UhatBasisVector:
     """The unique interior element of U_n with -q21^(-1) d1(L_n) = (ad x1)^(n-j_n-1)(P_(j_n)).
 
     Requires (n)_q^! b_n != 0 and that n belongs to J2 with witness j_n in J1
-    satisfying q^(n+j_n-1) r^2 = 1 (validated against the computed
-    classification).  ``ad_pow_coords`` walks the right-hand side up from
-    P_(j_n).  d2(L_n) = 0 always holds for interior vectors; kernel
-    membership is left to the oracles (see oracle.in_kernel).
+    satisfying q^(n+j_n-1) r^2 = 1, validated against ``classification``:
+    J classified up to any bound >= n, or classified here up to n when it
+    is None, so a caller that already holds J passes it.
+    ``ad_pow_coords`` walks the right-hand side up from P_(j_n).
+    d2(L_n) = 0 always holds for interior vectors; kernel membership is
+    left to the oracles (see oracle.in_kernel).
     """
     _require_hypothesis(n, params, f"L_{n}")
-    classification = compute_J(n, params)
-    entry = next((e for e in classification.members if e.j == n), None)
+    if classification is None:
+        classification = compute_J(n, params)
+    entry = classification.entry(n)
     if entry is None or entry.cls != "J2":
         raise NotInJ2(f"{n} is not a J2 member for these parameters")
     if entry.witness != j_n:

@@ -20,15 +20,9 @@ from nichols.oracle import (
     verify_main,
     words_of_multidegree,
 )
-from nichols.qcalc import (
-    BraidingParams,
-    first_equation,
-    q2_eval,
-    q2_poly,
-    qfact_b,
-)
+from nichols.qcalc import BraidingParams, first_equation, qfact_b
 from nichols.rootvec import ad_p_closed_form, p_k
-from word_oracles import naive_symmetrizer
+from word_oracles import naive_symmetrizer, q2_eval, q2_poly
 
 QQ = parse_field_spec("Q")
 F3 = parse_field_spec("Fp:3")

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from nichols import cli, fields, jset, oracle, rootvec
+from nichols import cli, fields, jset, oracle, qcalc, rootvec
 from nichols.cli import run_command
 from nichols.oracle import KernelReport
 
@@ -466,6 +466,30 @@ def test_verify_walks_each_candidate_up(capsys, monkeypatch):
     assert labels == ["adP(8,0)", "adL(3,5)"]
     assert closed == []
     assert solved == [5]
+
+
+def test_verify_classifies_J_once_with_a_J2_member(capsys, monkeypatch):
+    # l_n checks L_5's witness against the classification verify already holds
+    calls = _count_calls(monkeypatch, "compute_J", oracle, rootvec)
+    rc, data = run_json(capsys, ["verify", *F25_J2_POINT, "--max", "8",
+                                 "--format", "json"])
+    assert rc == 0
+    assert data["reports"][5]["candidates"][1]["label"] == "L(5)"
+    assert calls == [8]
+
+
+def test_scan_main_reads_the_scalar_table(capsys, monkeypatch):
+    # (k)_q^!, b_k and the sign equation come from each point's table, not
+    # from the closed formulas
+    closed = {
+        name: _count_calls(monkeypatch, name, qcalc, jset, rootvec, oracle, cli)
+        for name in ("q_fact", "b_k", "first_equation")
+    }
+    rc, data = run_json(capsys, ["scan", "--field", "ext:Fp:3:2,1,1", "--max", "2",
+                                 "--check", "main", "--format", "json"])
+    assert rc == 0
+    assert data["points"] == 512 and data["checks"] > 0
+    assert closed == {"q_fact": [], "b_k": [], "first_equation": []}
 
 
 def test_verify_golden_past_the_benchmark_depth(capsys):

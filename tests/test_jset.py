@@ -187,7 +187,8 @@ def test_q2_vanishing_matches_membership(F5, F7, F9):
     # wherever (n)_q^! b_n != 0 and some j in J1 satisfies j < n and
     # q^(n+j-1) r^2 = 1, membership of n in J2 is equivalent to the
     # vanishing of Q2^(j, n-j-1)
-    from nichols.qcalc import BraidingParams, q2_eval, qfact_b
+    from nichols.qcalc import BraidingParams, qfact_b
+    from word_oracles import q2_eval
 
     member_hits = nonmember_hits = 0
     t = F9.gen()

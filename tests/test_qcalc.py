@@ -1,6 +1,16 @@
-"""Quantum integers, the b_k products, and the Q2 Laurent polynomial."""
+"""Quantum integers, the b_k products, the per-point scalar table, and the
+Q2 Laurent polynomial."""
+
+import importlib
+import pickle
+import pkgutil
+import typing
 
 import pytest
+
+import nichols
+from nichols.fields import FieldElement, parse_field_spec
+from nichols.oracle import LEVEL_CEILING
 
 from nichols.errors import InternalInexactDivision
 from nichols.qcalc import (
@@ -10,13 +20,12 @@ from nichols.qcalc import (
     first_equation,
     j_condition,
     lambda_coeff,
-    q2_eval,
-    q2_poly,
     q_binom,
     q_fact,
     q_int,
     qfact_b,
 )
+from word_oracles import q2_eval, q2_poly
 
 
 def test_q_int_at_two(QQ):
@@ -205,3 +214,91 @@ def test_q2_eval_division_identity(QQ, F5, F7, rng):
                     for i in range(m + 1):
                         numerator = numerator * (one - q ** (k + i) * r)
                     assert q2_eval(k, m, p) * divisor == numerator
+
+
+def _table_points(group: str) -> list:
+    """Every F_3 and F_5 unit triple, every triple of F_9 = F_3[t]/(t^2 + 1),
+    two Q points with q21 != 1, and one point of Q(sqrt 2)."""
+    if group == "Q":
+        QQ = parse_field_spec("Q")
+        return [
+            BraidingParams(*(QQ.parse(v) for v in entries))
+            for entries in (("2", "3/5", "-7", "5"), ("-2/3", "4", "1/3", "-1"))
+        ]
+    field = parse_field_spec(group)
+    if group.startswith("ext:Q:"):
+        return [BraidingParams(*(field.parse(v) for v in ("t", "1+t", "2", "-1")))]
+    units = list(field.units())
+    return [BraidingParams.from_qrs(q, r, s) for q in units for r in units for s in units]
+
+
+@pytest.mark.parametrize("group", ["Fp:3", "Fp:5", "ext:Fp:3:1,0,1", "Q", "ext:Q:-2,0,1"])
+def test_scalar_table_matches_closed_formulas(group):
+    top = LEVEL_CEILING + 1
+    ks = range(top + 1)
+    by_q: dict = {}  # q -> closed q^k, (k)_q, (k)_q^!
+    by_qr: dict = {}  # (q, r) -> closed b_k, c_k
+    for p in _table_points(group):
+        q, r, s = p.q, p.r, p.s
+        if q not in by_q:
+            by_q[q] = (
+                [q**k for k in ks],
+                [q_int(k, q) for k in ks],
+                [q_fact(k, q) for k in ks],
+            )
+        if (q, r) not in by_qr:
+            by_qr[q, r] = (
+                [b_k(k, p) for k in ks],
+                [q_int(k + 1, q) * (1 - q**k * r) for k in range(top)],
+            )
+        pows, ints, facts = by_q[q]
+        bs, cs = by_qr[q, r]
+        table = p.scalars.upto(top)
+        column = {
+            name: [FieldElement(p.field, x) for x in getattr(table, name)]
+            for name in ("q_pow", "q_int", "q_fact", "b", "qfact_b", "c", "sign")
+        }
+        assert column["q_pow"][: top + 1] == pows
+        assert column["q_int"][: top + 1] == ints
+        assert column["q_fact"][: top + 1] == facts
+        assert column["b"][: top + 1] == bs
+        assert column["qfact_b"][: top + 1] == [f * b for f, b in zip(facts, bs)]
+        assert column["c"][:top] == cs
+        signs = column["sign"][: top + 1]
+        assert signs == [q ** (k * (k - 1) // 2) * (-r) ** k * s for k in ks]
+        assert [e == -1 for e in signs] == [first_equation(k, p) for k in ks]
+        assert [qfact_b(k, p) for k in ks] == column["qfact_b"][: top + 1]
+
+
+def test_scalar_table_is_left_out_of_equality_hash_and_pickle(F9):
+    entries = [F9.parse(v) for v in ("1+t", "t", "2", "2*t")]
+    params = BraidingParams(*entries)
+    fresh = BraidingParams(*entries)
+    before = hash(params)
+    built = params.scalars.upto(LEVEL_CEILING)
+    assert params.scalars is built
+    data = pickle.dumps(params)
+    assert data == pickle.dumps(fresh)
+    copy = pickle.loads(data)
+    assert copy == params == fresh
+    assert hash(copy) == hash(params) == before
+    assert "scalars" not in vars(copy)
+    assert copy.scalars.upto(5).qfact_b == built.qfact_b[:6]
+
+
+def test_caches_keyed_on_params_are_bounded():
+    # a point's scalar table lives as long as its params, so a cache that
+    # keeps every params it has seen would keep every table
+    cached = {}
+    for info in pkgutil.iter_modules(nichols.__path__):
+        module = importlib.import_module(f"nichols.{info.name}")
+        for name, fn in vars(module).items():
+            if callable(getattr(fn, "cache_info", None)) and fn.__module__ == module.__name__:
+                hints = typing.get_type_hints(fn.__wrapped__)
+                if BraidingParams in hints.values():
+                    cached[f"{info.name}.{name}"] = fn.cache_parameters()["maxsize"]
+    assert {
+        "qcalc.qfact_b", "rootvec.u_k", "rootvec.u_hat_k",
+        "rootvec.uhat_pair_words", "oracle.symmetrizer",
+    } <= set(cached)
+    assert [name for name, maxsize in cached.items() if maxsize is None] == []

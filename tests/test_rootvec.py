@@ -283,6 +283,18 @@ def test_l_n_rejects_non_j2(generic_q_params):
         l_n(2, generic_q_params, 0)
 
 
+def test_l_n_reads_a_passed_classification(f9_params):
+    # J classified past n serves l_n as well as J classified up to n
+    from nichols.jset import compute_J
+
+    p = f9_params
+    assert l_n(3, p, 0, compute_J(6, p)) == l_n(3, p, 0)
+    with pytest.raises(NotInJ2):
+        l_n(3, p, 0, compute_J(2, p))  # a bound below n has no entry for n
+    with pytest.raises(NotInJ2):
+        l_n(3, p, 1, compute_J(6, p))
+
+
 def test_l_n_defining_equation(f9_params):
     # -q21^{-1} d1(L_3) must equal (ad x1)^2(P_0) at the word level
     p = f9_params
@@ -324,7 +336,8 @@ def test_solvability_tracks_q2(F5, F7, F9):
     # solvable exactly when Q2^(j, n-j-1) vanishes, and that happens
     # exactly when n lands in J2.
     from nichols.jset import compute_J
-    from nichols.qcalc import BraidingParams, q2_eval
+    from nichols.qcalc import BraidingParams
+    from word_oracles import q2_eval
 
     solvable_hits = 0
     for field in (F5, F7, F9):
