@@ -83,11 +83,8 @@ def _condition2_witnesses(j: int, admitted: list, params: BraidingParams) -> lis
 
 
 def compute_J(m_max: int, params: BraidingParams) -> JClassification:
-    """Classify J ∩ [0, m_max] with witnesses and cross-check anomalies.
-
-    The sign equation, (j)_q^! b_j and b_j are read off the point's
-    scalar table.
-    """
+    """Classify J ∩ [0, m_max] with witnesses and cross-check anomalies;
+    the sign equation, (j)_q^! b_j and b_j come from the scalar table."""
     field = params.field
     p = field.characteristic
     one = field.one

@@ -4,12 +4,10 @@ Provides (n)_q, (n)_q^!, Gaussian binomials via the Pascal recursion (total
 in positive characteristic), the products b_k, lambda_{(n,k)}, beta_{(i,m',k)},
 and the scalar membership conditions used to build the index set J.
 
-The scalars the level routes read at every k (q^k, (k)_q, (k)_q^!, b_k,
-(k)_q^! b_k, the sign-equation term and the ad x1 weights c_k) are prefix
-products, so each point keeps them in one :class:`ScalarTable` of payload
-columns, built on first use and extended on demand by one step per entry.
-The closed formulas below stay as the definitions the table is tested
-against.
+The scalars the level routes read at every k are prefix products, so each
+point keeps them in one :class:`ScalarTable` of payload columns, extended
+on demand by one step per entry; the closed formulas below are the
+definitions the tests hold the table to.
 """
 
 from __future__ import annotations
@@ -110,13 +108,11 @@ class ScalarTable:
             q_k = self.q_pow[k]
             gap = add(self.one, neg(mul(q_k, self.r)))  # 1 - q^k r
             q_int = add(self.q_int[k], q_k)  # (k+1)_q
-            q_fact = mul(self.q_fact[k], q_int)
-            b = mul(self.b[k], gap)
             self.q_pow.append(mul(q_k, self.q))
             self.q_int.append(q_int)
-            self.q_fact.append(q_fact)
-            self.b.append(b)
-            self.qfact_b.append(mul(q_fact, b))
+            self.q_fact.append(mul(self.q_fact[k], q_int))
+            self.b.append(mul(self.b[k], gap))
+            self.qfact_b.append(mul(self.q_fact[-1], self.b[-1]))
             self.sign.append(mul(mul(self.sign[k], q_k), self.minus_r))
             self.c.append(mul(q_int, gap))
         return self

@@ -283,32 +283,22 @@ def ad_pow_coords(
     field = params.field
     add, mul = field._add, field._mul
     table = params.scalars.upto(v.m + t)
-    c = table.c
-    zero = field._from_int(0)
+    c, zero = table.c, field._from_int(0)
     shift = field._inv(field._neg(params.q21.value))
-    q12 = params.q12.value
-    weights = [mul(q_j, q12) for q_j in table.q_pow[: v.m + t]]  # q^j q12
+    weights = [mul(q_j, params.q12.value) for q_j in table.q_pow[: v.m + t]]  # q^j q12
     lam = [field.payload(x) for x in v.coords]
     for m in range(v.m, v.m + t):
-        lam = [
-            add(
-                mul(mul(lam[j - 1], c[j - 1]), shift) if j > 0 else zero,
-                mul(mul(lam[j], weights[j]), c[m - j]) if j <= m else zero,
-            )
-            for j in range(m + 2)
-        ]
-    coords = tuple(FieldElement(field, x) for x in lam)
-    return UhatBasisVector(params, v.m + t, coords)
+        up = [mul(mul(x, c[j]), shift) for j, x in enumerate(lam)]  # into j + 1
+        stay = [mul(mul(x, weights[j]), c[m - j]) for j, x in enumerate(lam)]
+        lam = [add(a, b) for a, b in zip([zero] + up, stay + [zero])]
+    return UhatBasisVector(params, v.m + t, tuple(FieldElement(field, x) for x in lam))
 
 
 # -- L_n --------------------------------------------------------------------------
 
 
 def l_n(
-    n: int,
-    params: BraidingParams,
-    j_n: int,
-    classification: JClassification | None = None,
+    n: int, params: BraidingParams, j_n: int, classification: JClassification | None = None
 ) -> UhatBasisVector:
     """The unique interior element of U_n with -q21^(-1) d1(L_n) = (ad x1)^(n-j_n-1)(P_(j_n)).
 
