@@ -90,7 +90,6 @@ def compute_J(m_max: int, params: BraidingParams) -> JClassification:
     one = field.one
     q, r = params.q, params.r
     table = params.scalars.upto(m_max)
-    is_zero = field._is_zero
 
     result = JClassification(bound=m_max, members=[])
     admitted: list = []
@@ -103,7 +102,7 @@ def compute_J(m_max: int, params: BraidingParams) -> JClassification:
         )
         witnesses = _condition2_witnesses(j, admitted, params)
         lemma_member = cond1 or bool(witnesses)
-        if raw_member != lemma_member and not is_zero(table.qfact_b[j]):
+        if raw_member != lemma_member and table.hypothesis(j):
             result.anomalies.append(
                 f"j={j}: raw definition ({raw_member}) and characterization "
                 f"lemma ({lemma_member}) disagree under (j)_q^! b_j != 0"
@@ -128,7 +127,7 @@ def compute_J(m_max: int, params: BraidingParams) -> JClassification:
             cls, witness = "J1", None
 
         # simplified divisibility form of condition (2), valid once b_j != 0
-        if p and not is_zero(table.b[j]):
+        if p and not field._is_zero(table.b[j]):
             simplified = any(
                 q ** (n + j - 1) * r * r == one
                 and (_divides(p, j - n) if p % 2 else _divides(4, j - n))
