@@ -306,12 +306,12 @@ def _scan_point(task: tuple) -> dict:
                 if in_kernel(el, params) != in_kernel_by_derivations(el, params):
                     row["violations"].append({"m": m, "element": idx})
     else:  # table1
-        for m in (1, 2, 3, 4, 6):
-            if m > max_m:
-                continue
+        targets = [m for m in (1, 2, 3, 4, 6) if m <= max_m]
+        classification = compute_J(targets[-1], params) if targets else None
+        for m in targets:
             try:
                 table_says_nonroot = non_root_table_check(m, params)
-                mult = multiplicity(m, params)
+                mult = multiplicity(m, params, classification)
             except HypothesisViolated:
                 row["skipped"] += 1
                 continue

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import HypothesisViolated, OutOfRange, UnsupportedM
-from .qcalc import BraidingParams, j_condition, q_int, qfact_b
+from .qcalc import BraidingParams, q_int
 
 
 def _divides(d: int, x: int) -> bool:
@@ -65,42 +65,49 @@ class JClassification:
         return data
 
 
-def _condition2_witnesses(j: int, admitted: list, params: BraidingParams) -> list:
-    """Earlier members n < j realizing the lemma's second condition."""
-    p = params.field.characteristic
-    q, r = params.q, params.r
-    one = params.field.one
-    out = []
-    for n in admitted:
-        d = j - n
-        if d % 2 == 0:
-            if q ** (n + j - 1) * r * r == one and _divides(2 * p, d):
-                out.append(n)
-        else:
-            if q ** ((n + j - 1) // 2) * r == -one and _divides(p, d):
-                out.append(n)
-    return out
-
-
 def compute_J(m_max: int, params: BraidingParams) -> JClassification:
-    """Classify J ∩ [0, m_max] with witnesses and cross-check anomalies;
-    the sign equation, (j)_q^! b_j and b_j come from the scalar table."""
+    """Classify J ∩ [0, m_max] with witnesses and cross-check anomalies.
+
+    Runs on payloads: the sign equation, b_j and (j)_q^! b_j are table reads,
+    and with q^k r^2 listed once, each pair (n, j) makes q^(n+j-1) r^2, or
+    q^((n+j-1)/2) r for odd j - n, by one product.  The raw definition sums
+    that base's q-integer."""
     field = params.field
     p = field.characteristic
-    one = field.one
-    q, r = params.q, params.r
+    add, mul, neg, is_zero = field._add, field._mul, field._neg, field._is_zero
     table = params.scalars.upto(m_max)
+    one, minus_one, zero = table.one, table.minus_one, field._from_int(0)
+    q_pow, r = table.q_pow, table.r
+    r2 = mul(r, r)
+    q_r2 = [mul(q_k, r2) for q_k in q_pow[: m_max + 1]]  # q^k r^2
+
+    def q_int_vanishes(k: int, base) -> bool:  # (k)_base = 0
+        acc, power = zero, one
+        for _ in range(k):
+            acc, power = add(acc, power), mul(power, base)
+        return is_zero(acc)
 
     result = JClassification(bound=m_max, members=[])
-    admitted: list = []
     for j in range(m_max + 1):
-        first = table.sign[j] == table.minus_one
-        raw_member = first and all(j_condition(j, n, params) for n in admitted)
-
-        cond1 = first and all(
-            q ** (n + j - 1) * r * r != one for n in admitted
-        )
-        witnesses = _condition2_witnesses(j, admitted, params)
+        first = table.sign[j] == minus_one
+        raw_member = cond1 = first
+        witnesses, simplified = [], False
+        for n in (e.j for e in result.members):
+            d = j - n
+            base = mul(q_pow[n], q_r2[j - 1])  # q^(n+j-1) r^2
+            unit = base == one
+            cond1 = cond1 and not unit
+            if d % 2 == 0:
+                raw_member = raw_member and q_int_vanishes(d // 2, base)
+                realizes = unit and _divides(2 * p, d)
+            else:
+                half = mul(q_pow[(n + j - 1) // 2], r)  # q^((n+j-1)/2) r
+                raw_member = raw_member and q_int_vanishes(d, neg(half))
+                realizes = half == minus_one and _divides(p, d)
+            if realizes:  # the lemma's second condition
+                witnesses.append(n)
+            # the divisibility form of condition (2), valid once b_j != 0
+            simplified = simplified or (unit and _divides(p if p % 2 else 4, d))
         lemma_member = cond1 or bool(witnesses)
         if raw_member != lemma_member and table.hypothesis(j):
             result.anomalies.append(
@@ -126,22 +133,14 @@ def compute_J(m_max: int, params: BraidingParams) -> JClassification:
             )
             cls, witness = "J1", None
 
-        # simplified divisibility form of condition (2), valid once b_j != 0
-        if p and not field._is_zero(table.b[j]):
-            simplified = any(
-                q ** (n + j - 1) * r * r == one
-                and (_divides(p, j - n) if p % 2 else _divides(4, j - n))
-                for n in admitted
+        if p and not is_zero(table.b[j]) and simplified != bool(witnesses):
+            result.anomalies.append(
+                f"j={j}: condition (2) ({bool(witnesses)}) and its "
+                f"divisibility simplification ({simplified}) disagree "
+                "although b_j != 0"
             )
-            if simplified != bool(witnesses):
-                result.anomalies.append(
-                    f"j={j}: condition (2) ({bool(witnesses)}) and its "
-                    f"divisibility simplification ({simplified}) disagree "
-                    "although b_j != 0"
-                )
 
         result.members.append(JEntry(j, cls, witness))
-        admitted.append(j)
     return result
 
 
@@ -164,7 +163,7 @@ def multiplicity(
     ``classification`` is J classified up to any bound >= m; J ∩ [0,m] is a
     prefix of it, so callers walking many levels classify J once.
     """
-    if not qfact_b(m, params):
+    if not params.scalars.hypothesis(m):
         raise HypothesisViolated(f"({m})_q^! b_{m} = 0; the corollary does not apply")
     if classification is None:
         classification = compute_J(m, params)
@@ -181,7 +180,7 @@ def root_vector_criterion(k: int, l: int, params: BraidingParams) -> bool:
     """Whether [x1^k x2 x1^l x2] is a root vector: |J ∩ [0,k+l]| <= l."""
     if k < l:
         raise OutOfRange(f"requires k >= l, got k={k}, l={l}")
-    if not qfact_b(k + l, params):
+    if not params.scalars.hypothesis(k + l):
         raise HypothesisViolated(f"({k + l})_q^! b_{k + l} = 0")
     if k == l:
         if params.q ** (k * k) * params.r**k * params.s != -params.field.one:
@@ -198,7 +197,7 @@ def non_root_table_check(m: int, params: BraidingParams) -> bool:
     """
     if m not in (1, 2, 3, 4, 6):
         raise UnsupportedM(f"the table covers m in {{1,2,3,4,6}}, got {m}")
-    if not qfact_b(m, params):
+    if not params.scalars.hypothesis(m):
         raise HypothesisViolated(f"({m})_q^! b_{m} = 0")
     field = params.field
     q, r, s = params.q, params.r, params.s

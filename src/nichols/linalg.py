@@ -1,28 +1,17 @@
 """Exact dense linear algebra over a field, on payload rows: row reduction,
-rank, nullspace, linear solving and matrix-vector products.
+rank, nullspace and linear solving.
 
 A matrix is a list of rows, each a list (or tuple) of the field's raw
 payloads (``Fraction`` for Q, residues for F_p, coefficient tuples for
 extensions), and vectors are payload lists; the field argument supplies
 ``_add``/``_neg``/``_mul``/``_inv``/``_is_zero``/``_from_int``.  This is
-the package's only exact elimination: ranks and kernels in the oracle and
-inverses in extension fields all go through :func:`rref`.  Pivots are the
-first nonzero entry in each column (deterministic bases), and no input is
-modified.
+the package's only exact elimination: ranks and reduced bases in the
+oracle and inverses in extension fields all go through :func:`rref`.
+Pivots are the first nonzero entry in each column (deterministic bases),
+and no input is modified.
 """
 
 from __future__ import annotations
-
-
-def mat_vec(field, matrix: list, vec: list) -> list:
-    add, mul = field._add, field._mul
-    out = []
-    for row in matrix:
-        acc = field._from_int(0)
-        for a, x in zip(row, vec):
-            acc = add(acc, mul(a, x))
-        out.append(acc)
-    return out
 
 
 def rref(field, matrix: list) -> tuple:

@@ -15,14 +15,15 @@ vanishes, and the derivation recursion (zero iff d_1 and d_2 both map to
 zero) provides the second, logically independent membership test.
 
 On U_m no word is built: by the derivation criterion, applied through the
-coordinate formulas for d_1 and d_2, ker(pi) ∩ U_m is the kernel of a
-square (m+1) x (m+1) payload matrix Phi_m on the coordinates in the basis
-(-q21)^i u_hat_i u_hat_{m-i}.  ``ker_cap_Um`` is its nullspace.
+coordinate formulas for d_1 and d_2, ker(pi) ∩ U_m is carried up from
+ker(pi) ∩ U_{m-1}, one level at a time and with no elimination, as a basis
+K_m of payload rows on the coordinates in the basis
+(-q21)^i u_hat_i u_hat_{m-i}.  ``ker_cap_Um`` reads K_m in reduced form.
 ``verify_levels`` walks the levels of one parameter point once: it
-classifies J once, up to the last level, grows Phi_m from Phi_{m-1} and
-each kernel candidate by one ad x1 step from the level below, and takes a
-candidate's kernel membership from Phi_m times its coordinates and the
-kernel dimension from its rank; ``verify_main`` is its one-level case.
+classifies J once, up to the last level, carries K_m and each kernel
+candidate by one ad x1 step from the level below, and reads a candidate's
+kernel membership as lying in span K_m and the kernel dimension as |K_m|;
+``verify_main`` is its one-level case.
 Words are capped at total degree DEGREE_CEILING; the CLI caps the level
 routes at LEVEL_CEILING.
 """
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .fields import Field, FieldElement
 from .jset import compute_J
-from .linalg import mat_vec, nullspace, rank as matrix_rank
+from .linalg import rank as matrix_rank, rref
 from .qcalc import BraidingParams
 from .rootvec import UhatBasisVector, ad_pow_coords, l_n, p_k
 
@@ -211,53 +212,63 @@ def in_kernel_by_derivations(x: GradedElement, params: BraidingParams) -> bool:
     return rec(x)
 
 
-def _phis(params: BraidingParams) -> Iterator[list]:
-    """Phi_0, Phi_1, ... as payload rows: lambda in U_m lies in ker(pi) iff
-    Phi_m lambda = 0.
+def _kernels(params: BraidingParams) -> Iterator[list]:
+    """K_0, K_1, ...: a basis of ker(pi) ∩ U_m as payload rows of coordinates.
 
     x is in ker(pi) iff d_1 x and d_2 x are, and d_2 x = z_m(lambda) u_hat_m
-    with u_hat_m outside ker(pi) under the hypothesis.  So Phi_0 = [1 + s],
-    and Phi_k is the rows of Phi_{k-1} D_k, D_k the d1 map
-    mu_i = -q21 (lambda_{i+1} - q^i lambda_i) from U_k to U_{k-1}, followed
-    by the d2 row z_k = lambda_0 + (-r)^k s lambda_k.  A yielded Phi is
-    never modified afterwards.
+    with u_hat_m outside ker(pi) under the hypothesis.  So K_0 = [[1]] if
+    1 + s = 0 and [] otherwise, and K_m spans the lambda with D_m lambda in
+    span K_{m-1} and z_m(lambda) = lambda_0 + (-r)^m s lambda_m = 0, D_m the
+    d1 map mu_i = -q21 (lambda_{i+1} - q^i lambda_i).  D_m is onto with
+    kernel P_m, so P_m and the preimages of K_{m-1} with lambda_0 = 0
+    (lambda_{i+1} = q^i lambda_i - kappa_i / q21) span the first condition,
+    and one pivot cuts them by z_m.  The walk is formal: it runs through
+    levels where the hypothesis fails.  A yielded K is never modified.
     """
     field = params.field
-    add, mul, neg = field._add, field._mul, field._neg
+    add, mul, neg, is_zero = field._add, field._mul, field._neg, field._is_zero
     zero, one = field._from_int(0), field._from_int(1)
-    q, q21, s = params.q.value, params.q21.value, params.s.value
-    minus_q21, minus_r = neg(q21), neg(params.r.value)
-    rows = [[add(one, s)]]
-    rs = s  # (-r)^k s
-    for k in count(1):
-        yield rows
-        # (row D_k)_j = -q21 row_{j-1} + q21 q^j row_j, with row_{-1} = row_k = 0
-        weights = list(accumulate([q21] + [q] * k, mul))
-        rows = [
-            [
-                add(mul(a, minus_q21), mul(b, w))
-                for a, b, w in zip([zero] + row, row + [zero], weights)
-            ]
-            for row in rows
-        ]
-        rs = mul(rs, minus_r)
-        rows.append([one] + [zero] * (k - 1) + [rs])
-
-
-def _phi(m: int, params: BraidingParams) -> list:
-    """Phi_m, the m-th item of ``_phis``."""
-    return next(islice(_phis(params), m, None))
+    table = params.scalars
+    shift = neg(field._inv(params.q21.value))  # -1 / q21
+    rs = params.s.value  # (-r)^m s
+    basis = [[one]] if is_zero(add(one, rs)) else []
+    for m in count(1):
+        yield basis
+        q_pow = table.upto(m).q_pow
+        span = []
+        for kappa in basis:
+            lam = [zero]
+            for q_i, k in zip(q_pow, kappa):
+                lam.append(add(mul(q_i, lam[-1]), mul(k, shift)))
+            span.append(lam)
+        span.append(list(accumulate([one] + q_pow[:m], mul)))  # P_m
+        rs = mul(rs, table.minus_r)
+        z = [add(lam[0], mul(rs, lam[m])) for lam in span]
+        pivot = next((i for i, c in enumerate(z) if not is_zero(c)), None)
+        if pivot is not None:
+            head = span.pop(pivot)
+            scale = neg(field._inv(z.pop(pivot)))
+            for i, c in enumerate(z):
+                if not is_zero(c):
+                    factor = mul(c, scale)
+                    span[i] = [add(a, mul(factor, b)) for a, b in zip(span[i], head)]
+        basis = span
 
 
 def ker_cap_Um(m: int, params: BraidingParams) -> tuple:
-    """(dimension, basis in u_hat coordinates) of ker(pi) ∩ U_m, read off
-    the nullspace of Phi_m."""
+    """(dimension, basis in u_hat coordinates) of ker(pi) ∩ U_m, read off K_m.
+
+    The basis is the kernel's reduced echelon form with the columns reversed,
+    as a nullspace of Phi_m gives it: each vector ends in a 1 at its own free
+    column and is zero at the others.  So it depends on the kernel only."""
     if not params.scalars.hypothesis(m):
         raise HypothesisViolated(f"({m})_q^! b_{m} = 0; the u_hat basis is undefined")
     field = params.field
+    kernel = next(islice(_kernels(params), m, None))
+    reduced, _ = rref(field, [row[::-1] for row in kernel])
     basis = [
-        UhatBasisVector(params, m, tuple(FieldElement(field, c) for c in v))
-        for v in nullspace(field, _phi(m, params))
+        UhatBasisVector(params, m, tuple(FieldElement(field, c) for c in row[::-1]))
+        for row in reversed(reduced)
     ]
     return len(basis), basis
 
@@ -289,22 +300,22 @@ def verify_levels(
 
     Yields a KernelReport per level, or None where (m)_q^! b_m = 0.  J is
     classified once, up to the last level: it is built one j at a time, so
-    level m reads the members with j <= m.  Phi_m comes from the one
-    ``_phis`` stream.  Each candidate enters at its own level, as P_j
+    level m reads the members with j <= m.  K_m comes from the one
+    ``_kernels`` walk.  Each candidate enters at its own level, as P_j
     (j in J1) or L_n (n in J2), and ``ad_pow_coords`` moves it up with the
     levels, so at level m it is (ad x1)^(m-j)(P_j) or (ad x1)^(m-n)(L_n);
     (m)_q^! b_m = 0 persists upwards, so no skipped level needs one.  Kernel
     membership, linear independence and the dimension count are all read in
-    coordinates: a candidate with coordinates v is in the kernel iff
-    Phi_m v = 0, and dim(ker pi ∩ U_m) = m + 1 - rank Phi_m.
+    coordinates: a candidate is in the kernel iff it lies in span K_m, and
+    dim(ker pi ∩ U_m) = |K_m|.
     """
     field = params.field
     classification = compute_J(levels[-1], params)
     members = classification.members
     scalars = params.scalars
     walked: list = []  # the candidate of members[i], at the last level reached
-    phis = islice(_phis(params), levels.start, levels.stop, levels.step)
-    for m, phi in zip(levels, phis):
+    kernels = islice(_kernels(params), levels.start, levels.stop, levels.step)
+    for m, kernel in zip(levels, kernels):
         if not scalars.hypothesis(m):
             yield None
             continue
@@ -323,12 +334,12 @@ def verify_levels(
             else:
                 label = f"L({entry.j})" if power == 0 else f"adL({power},{entry.j})"
             coords = [field.payload(c) for c in vec.coords]
-            image = mat_vec(field, phi, coords)
-            candidates.append((label, all(field._is_zero(c) for c in image)))
             rows.append(coords)
+            in_span = matrix_rank(field, kernel + [coords]) == len(kernel)
+            candidates.append((label, in_span))
 
         independent = matrix_rank(field, rows) == len(rows)
-        dim = m + 1 - matrix_rank(field, phi)
+        dim = len(kernel)
         matches = (
             dim == len(walked) and all(ok for _, ok in candidates) and independent
         )

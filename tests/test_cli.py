@@ -451,6 +451,28 @@ def test_multiplicity_classifies_J_once(capsys, monkeypatch):
     assert calls == [8]
 
 
+def test_multiplicity_reads_the_hypothesis_off_the_table(capsys, monkeypatch):
+    # the CLI and jset.multiplicity test (m)_q^! b_m != 0 on the scalar table
+    calls = _count_calls(monkeypatch, "qfact_b", qcalc, jset, cli)
+    rc, data = run_json(capsys, ["multiplicity", "--field", "Q", "--q", "2", "--r", "3",
+                                 "--s", "5", "--max", "40", "--format", "json"])
+    assert rc == 0
+    assert len(data["rows"]) == 41
+    assert calls == []
+
+
+def test_scan_table1_classifies_J_once_per_point(capsys, monkeypatch):
+    # one classification up to the largest table row serves every row
+    calls = _count_calls(monkeypatch, "compute_J", cli, jset)
+    rc = run_command(["scan", "--field", "Fp:5", "--max", "6", "--check", "table1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert calls == [6] * 64
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1be34984b05f9fceeaf9ad9d0c3a672f9e98f2fb05cd7781fdbd1deaa70c6bf5"
+    )
+
+
 # an F_25 point with J = {0, 5}, 0 in J1 and 5 in J2 with witness 0
 F25_J2_POINT = ["--field", "ext:Fp:5:2,0,1", "--q=4+t", "--r=4+2*t", "--s=4"]
 

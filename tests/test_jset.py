@@ -11,7 +11,8 @@ from nichols.jset import (
     non_root_table_check,
     root_vector_criterion,
 )
-from nichols.qcalc import qfact_b
+from nichols.fields import parse_field_spec
+from nichols.qcalc import BraidingParams, qfact_b
 
 
 def test_divides_convention():
@@ -172,6 +173,46 @@ def test_classification_is_a_prefix(QQ, F3, F5, F9, make_params):
             part = compute_J(m, p)
             assert [e for e in full.members if e.j <= m] == part.members
             assert [a for a in full.anomalies if _anomaly_level(a) <= m] == part.anomalies
+
+
+def _all_unit_triples(spec: str) -> list:
+    field = parse_field_spec(spec)
+    units = list(field.units())
+    return [BraidingParams.from_qrs(q, r, s) for q in units for r in units for s in units]
+
+
+def _char0_points() -> list:
+    QQ, E = parse_field_spec("Q"), parse_field_spec("ext:Q:-2,0,1")
+    points = [BraidingParams.from_qrs(*map(QQ.parse, qrs)) for qrs in (
+        ("2", "3", "5"), ("2/3", "-5/7", "11/13"), ("1", "-1", "-1"), ("-1", "1", "-1"),
+        ("1", "1", "-1"), ("-1", "-1", "-1"), ("2", "1/2", "-1"),
+    )]
+    points.append(BraidingParams(*map(QQ.parse, ("2", "3/2", "-2", "-1"))))
+    t, half = E.parse("t"), E.from_int(2).inv()
+    points += [BraidingParams.from_qrs(q, r, s) for q, r, s in (
+        (E.one, t, -E.one), (E.from_int(2), t * half, -E.one), (-E.one, t, -E.one),
+        (t, t * half, E.from_int(3)),
+    )]
+    return points
+
+
+@pytest.mark.parametrize("points, bound", [
+    (lambda: _all_unit_triples("Fp:3"), 12),
+    (lambda: _all_unit_triples("Fp:5"), 12),
+    (lambda: _all_unit_triples("Fp:7"), 12),
+    (lambda: _all_unit_triples("ext:Fp:3:1,0,1"), 12),
+    (_char0_points, 40),
+], ids=["Fp:3", "Fp:5", "Fp:7", "F9", "char0"])
+def test_compute_J_matches_the_closed_formulas(points, bound):
+    # members, witnesses, anomalies and bound, against the FieldElement route
+    from word_oracles import compute_J_by_elements
+
+    j2 = 0
+    for p in points():
+        cls = compute_J(bound, p)
+        assert cls == compute_J_by_elements(bound, p)
+        j2 += bool(cls.j2())
+    assert j2 or bound == 40
 
 
 def test_characteristic_zero_has_no_j2(QQ, make_params):

@@ -11,9 +11,7 @@ from nichols.errors import (
 )
 from nichols import oracle
 from nichols.fields import parse_field_spec
-from nichols.linalg import mat_vec
 from nichols.oracle import (
-    _phi,
     braiding_c,
     in_kernel,
     in_kernel_by_derivations,
@@ -26,7 +24,7 @@ from nichols.oracle import (
 )
 from nichols.qcalc import BraidingParams, first_equation, qfact_b
 from nichols.rootvec import UhatBasisVector, p_k, u_k
-from word_oracles import composite, naive_symmetrizer
+from word_oracles import _phi, _phis, composite, mat_vec, naive_symmetrizer
 
 
 def test_words_of_multidegree():
@@ -283,6 +281,46 @@ def test_phi_kernel_equals_composite_kernel(
             levels += 1
             nontrivial += bool(kernel)
     assert levels >= 180 and nontrivial >= 100
+
+
+def _unit_triples(spec: str) -> list:
+    field = parse_field_spec(spec)
+    units = list(field.units())
+    return [BraidingParams.from_qrs(q, r, s) for q in units for r in units for s in units]
+
+
+@pytest.mark.parametrize("points, top", [
+    (lambda: _unit_triples("Fp:3"), 10),
+    (lambda: _unit_triples("Fp:5"), 10),
+    (lambda: _unit_triples("ext:Fp:3:1,0,1"), 10),
+    # formal kernels up to dimension 21 past level 1, and a kernel at every
+    # level with the hypothesis holding throughout
+    (lambda: [BraidingParams.from_qrs(*map(parse_field_spec("Q").parse, ("-1", "1", "-1"))),
+              BraidingParams.from_qrs(*map(parse_field_spec("Q").parse, ("1", "-1", "-1")))],
+     40),
+    (lambda: [BraidingParams.from_qrs(*map(parse_field_spec("ext:Q:-2,0,1").parse,
+                                           ("1", "t", "-1")))], 20),
+], ids=["Fp:3", "Fp:5", "F9", "Q", "ext:Q"])
+def test_kernel_walk_spans_ker_phi(points, top):
+    # span K_m = ker Phi_m at every level, and ker_cap_Um is the nullspace
+    # of Phi_m exactly wherever the hypothesis holds
+    from nichols.linalg import nullspace, rank
+
+    levels = 0
+    for p in points():
+        field = p.field
+        walk = zip(oracle._kernels(p), _phis(p))
+        for m, (kernel, phi) in zip(range(top + 1), walk):
+            expected = nullspace(field, phi)
+            assert rank(field, kernel) == len(kernel) == len(expected)
+            for v in kernel:
+                assert all(field._is_zero(c) for c in mat_vec(field, phi, v))
+            if p.scalars.hypothesis(m):
+                dim, basis = ker_cap_Um(m, p)
+                assert dim == len(kernel)
+                assert [[field.payload(c) for c in v.coords] for v in basis] == expected
+                levels += 1
+    assert levels > 0
 
 
 def test_verify_main_flags_a_non_kernel_candidate(f9_params, monkeypatch):

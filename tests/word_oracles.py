@@ -1,19 +1,24 @@
 """Independent routes kept as test oracles for src/: the composite matrix
-C_m for the coordinate kernel, the naive sum over S_n for the recursive
-symmetrizer, and the integer polynomials Q2^{k,m} whose vanishing at a
-point the J2 membership condition restates."""
+C_m for the coordinate kernel, the square matrix Phi_m whose kernel the
+kernel walk carries, the naive sum over S_n for the recursive symmetrizer,
+the classification of J on FieldElements by the closed formulas, and the
+integer polynomials Q2^{k,m} whose vanishing at a point the J2 membership
+condition restates."""
 
 from functools import lru_cache
+from itertools import accumulate, count, islice
+from typing import Iterator
 
 from nichols.errors import InternalInexactDivision
 from nichols.fields import FieldElement
+from nichols.jset import JClassification, JEntry, _divides
 from nichols.oracle import (
     SymmetrizerMatrix,
     _c_word,
     symmetrizer,
     words_of_multidegree,
 )
-from nichols.qcalc import BraidingParams
+from nichols.qcalc import BraidingParams, first_equation, j_condition
 from nichols.rootvec import uhat_pair_words
 
 
@@ -26,6 +31,55 @@ def composite(m: int, params: BraidingParams) -> list:
         for w, c in sym.apply(uhat_pair_words(i, m, params)).terms.items():
             rows[sym.index[w]][i] = c
     return rows
+
+
+def mat_vec(field, matrix: list, vec: list) -> list:
+    add, mul = field._add, field._mul
+    out = []
+    for row in matrix:
+        acc = field._from_int(0)
+        for a, x in zip(row, vec):
+            acc = add(acc, mul(a, x))
+        out.append(acc)
+    return out
+
+
+def _phis(params: BraidingParams) -> Iterator[list]:
+    """Phi_0, Phi_1, ... as payload rows: lambda in U_m lies in ker(pi) iff
+    Phi_m lambda = 0.
+
+    x is in ker(pi) iff d_1 x and d_2 x are, and d_2 x = z_m(lambda) u_hat_m
+    with u_hat_m outside ker(pi) under the hypothesis.  So Phi_0 = [1 + s],
+    and Phi_k is the rows of Phi_{k-1} D_k, D_k the d1 map
+    mu_i = -q21 (lambda_{i+1} - q^i lambda_i) from U_k to U_{k-1}, followed
+    by the d2 row z_k = lambda_0 + (-r)^k s lambda_k.  A yielded Phi is
+    never modified afterwards.
+    """
+    field = params.field
+    add, mul, neg = field._add, field._mul, field._neg
+    zero, one = field._from_int(0), field._from_int(1)
+    q, q21, s = params.q.value, params.q21.value, params.s.value
+    minus_q21, minus_r = neg(q21), neg(params.r.value)
+    rows = [[add(one, s)]]
+    rs = s  # (-r)^k s
+    for k in count(1):
+        yield rows
+        # (row D_k)_j = -q21 row_{j-1} + q21 q^j row_j, with row_{-1} = row_k = 0
+        weights = list(accumulate([q21] + [q] * k, mul))
+        rows = [
+            [
+                add(mul(a, minus_q21), mul(b, w))
+                for a, b, w in zip([zero] + row, row + [zero], weights)
+            ]
+            for row in rows
+        ]
+        rs = mul(rs, minus_r)
+        rows.append([one] + [zero] * (k - 1) + [rs])
+
+
+def _phi(m: int, params: BraidingParams) -> list:
+    """Phi_m, the m-th item of ``_phis``."""
+    return next(islice(_phis(params), m, None))
 
 
 def naive_symmetrizer(md: tuple, params: BraidingParams) -> SymmetrizerMatrix:
@@ -76,6 +130,85 @@ def naive_symmetrizer(md: tuple, params: BraidingParams) -> SymmetrizerMatrix:
         tuple(basis),
         tuple(tuple(e.value for e in col.values()) for col in columns.values()),
     )
+
+
+def _condition2_witnesses(j: int, admitted: list, params: BraidingParams) -> list:
+    """Earlier members n < j realizing the lemma's second condition."""
+    p = params.field.characteristic
+    q, r = params.q, params.r
+    one = params.field.one
+    out = []
+    for n in admitted:
+        d = j - n
+        if d % 2 == 0:
+            if q ** (n + j - 1) * r * r == one and _divides(2 * p, d):
+                out.append(n)
+        else:
+            if q ** ((n + j - 1) // 2) * r == -one and _divides(p, d):
+                out.append(n)
+    return out
+
+
+def compute_J_by_elements(m_max: int, params: BraidingParams) -> JClassification:
+    """``jset.compute_J`` on FieldElements: the sign equation, the pairwise
+    condition and the lemma's powers of q and r by the closed formulas."""
+    field = params.field
+    p = field.characteristic
+    one = field.one
+    q, r = params.q, params.r
+
+    result = JClassification(bound=m_max, members=[])
+    admitted: list = []
+    for j in range(m_max + 1):
+        first = first_equation(j, params)
+        raw_member = first and all(j_condition(j, n, params) for n in admitted)
+
+        cond1 = first and all(
+            q ** (n + j - 1) * r * r != one for n in admitted
+        )
+        witnesses = _condition2_witnesses(j, admitted, params)
+        lemma_member = cond1 or bool(witnesses)
+        if raw_member != lemma_member and params.scalars.hypothesis(j):
+            result.anomalies.append(
+                f"j={j}: raw definition ({raw_member}) and characterization "
+                f"lemma ({lemma_member}) disagree under (j)_q^! b_j != 0"
+            )
+        if not raw_member:
+            continue
+
+        if cond1 and witnesses:
+            result.anomalies.append(f"j={j}: satisfies both J1 and J2 conditions")
+        if cond1:
+            cls, witness = "J1", None
+        elif witnesses:
+            cls = "J2"
+            j1_so_far = {e.j for e in result.members if e.cls == "J1"}
+            preferred = [n for n in witnesses if n in j1_so_far]
+            witness = (preferred or witnesses)[0]
+        else:
+            result.anomalies.append(
+                f"j={j}: raw member matching neither lemma condition; "
+                "classified J1 by fallback"
+            )
+            cls, witness = "J1", None
+
+        # simplified divisibility form of condition (2), valid once b_j != 0
+        if p and not field._is_zero(params.scalars.upto(j).b[j]):
+            simplified = any(
+                q ** (n + j - 1) * r * r == one
+                and (_divides(p, j - n) if p % 2 else _divides(4, j - n))
+                for n in admitted
+            )
+            if simplified != bool(witnesses):
+                result.anomalies.append(
+                    f"j={j}: condition (2) ({bool(witnesses)}) and its "
+                    f"divisibility simplification ({simplified}) disagree "
+                    "although b_j != 0"
+                )
+
+        result.members.append(JEntry(j, cls, witness))
+        admitted.append(j)
+    return result
 
 
 # -- Q2^{k,m}: exact bivariate integer polynomials ---------------------------
