@@ -303,11 +303,11 @@ def verify_levels(
     level m reads the members with j <= m.  K_m comes from the one
     ``_kernels`` walk.  Each candidate enters at its own level, as P_j
     (j in J1) or L_n (n in J2), and ``ad_pow_coords`` moves it up with the
-    levels, so at level m it is (ad x1)^(m-j)(P_j) or (ad x1)^(m-n)(L_n);
-    (m)_q^! b_m = 0 persists upwards, so no skipped level needs one.  Kernel
-    membership, linear independence and the dimension count are all read in
-    coordinates: a candidate is in the kernel iff it lies in span K_m, and
-    dim(ker pi ∩ U_m) = |K_m|.
+    levels, so at level m it is (ad x1)^(m-j)(P_j) or (ad x1)^(m-n)(L_n).
+    (m)_q^! b_m = 0 persists upwards, so skipped levels come last and need
+    no candidate and no K_m.  Membership, independence and the dimension
+    are read in coordinates: a candidate is in the kernel iff it lies in
+    span K_m, and dim(ker pi ∩ U_m) = |K_m|.
     """
     field = params.field
     classification = compute_J(levels[-1], params)
@@ -315,10 +315,11 @@ def verify_levels(
     scalars = params.scalars
     walked: list = []  # the candidate of members[i], at the last level reached
     kernels = islice(_kernels(params), levels.start, levels.stop, levels.step)
-    for m, kernel in zip(levels, kernels):
+    for m in levels:
         if not scalars.hypothesis(m):
             yield None
             continue
+        kernel = next(kernels)
         for entry in takewhile(lambda e: e.j <= m, members[len(walked):]):
             if entry.cls == "J1":
                 walked.append(p_k(entry.j, params))

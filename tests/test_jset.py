@@ -175,44 +175,37 @@ def test_classification_is_a_prefix(QQ, F3, F5, F9, make_params):
             assert [a for a in full.anomalies if _anomaly_level(a) <= m] == part.anomalies
 
 
-def _all_unit_triples(spec: str) -> list:
-    field = parse_field_spec(spec)
-    units = list(field.units())
-    return [BraidingParams.from_qrs(q, r, s) for q in units for r in units for s in units]
-
-
-def _char0_points() -> list:
-    QQ, E = parse_field_spec("Q"), parse_field_spec("ext:Q:-2,0,1")
-    points = [BraidingParams.from_qrs(*map(QQ.parse, qrs)) for qrs in (
-        ("2", "3", "5"), ("2/3", "-5/7", "11/13"), ("1", "-1", "-1"), ("-1", "1", "-1"),
-        ("1", "1", "-1"), ("-1", "-1", "-1"), ("2", "1/2", "-1"),
-    )]
-    points.append(BraidingParams(*map(QQ.parse, ("2", "3/2", "-2", "-1"))))
-    t, half = E.parse("t"), E.from_int(2).inv()
-    points += [BraidingParams.from_qrs(q, r, s) for q, r, s in (
-        (E.one, t, -E.one), (E.from_int(2), t * half, -E.one), (-E.one, t, -E.one),
-        (t, t * half, E.from_int(3)),
-    )]
-    return points
-
-
-@pytest.mark.parametrize("points, bound", [
-    (lambda: _all_unit_triples("Fp:3"), 12),
-    (lambda: _all_unit_triples("Fp:5"), 12),
-    (lambda: _all_unit_triples("Fp:7"), 12),
-    (lambda: _all_unit_triples("ext:Fp:3:1,0,1"), 12),
-    (_char0_points, 40),
-], ids=["Fp:3", "Fp:5", "Fp:7", "F9", "char0"])
-def test_compute_J_matches_the_closed_formulas(points, bound):
-    # members, witnesses, anomalies and bound, against the FieldElement route
+@pytest.mark.parametrize("spec, points, bound", [
+    ("Fp:3", None, 12),
+    ("Fp:5", None, 12),
+    ("Fp:7", None, 12),
+    ("ext:Fp:3:1,0,1", None, 12),
+    # four entries give the matrix itself, with q21 != 1
+    ("Q", [("2", "3", "5"), ("2/3", "-5/7", "11/13"), ("1", "-1", "-1"),
+           ("-1", "1", "-1"), ("1", "1", "-1"), ("-1", "-1", "-1"), ("2", "1/2", "-1"),
+           ("2", "3/2", "-2", "-1")], 40),
+    ("ext:Q:-2,0,1", [("1", "t", "-1"), ("2", "1/2*t", "-1"), ("-1", "t", "-1"),
+                      ("t", "1/2*t", "3")], 40),
+], ids=["Fp:3", "Fp:5", "Fp:7", "F9", "Q", "ext:Q"])
+def test_compute_J_matches_the_closed_formulas(make_params, spec, points, bound):
+    # members, witnesses, anomalies and bound, against the FieldElement
+    # route (None: every unit triple)
     from word_oracles import compute_J_by_elements
 
+    field = parse_field_spec(spec)
+    if points is None:
+        units = [str(u) for u in field.units()]
+        points = [(q, r, s) for q in units for r in units for s in units]
     j2 = 0
-    for p in points():
+    for entries in points:
+        if len(entries) == 4:
+            p = BraidingParams(*map(field.parse, entries))
+        else:
+            p = make_params(field, *entries)
         cls = compute_J(bound, p)
         assert cls == compute_J_by_elements(bound, p)
         j2 += bool(cls.j2())
-    assert j2 or bound == 40
+    assert j2 or field.characteristic == 0
 
 
 def test_characteristic_zero_has_no_j2(QQ, make_params):

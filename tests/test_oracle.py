@@ -283,32 +283,27 @@ def test_phi_kernel_equals_composite_kernel(
     assert levels >= 180 and nontrivial >= 100
 
 
-def _unit_triples(spec: str) -> list:
-    field = parse_field_spec(spec)
-    units = list(field.units())
-    return [BraidingParams.from_qrs(q, r, s) for q in units for r in units for s in units]
-
-
-@pytest.mark.parametrize("points, top", [
-    (lambda: _unit_triples("Fp:3"), 10),
-    (lambda: _unit_triples("Fp:5"), 10),
-    (lambda: _unit_triples("ext:Fp:3:1,0,1"), 10),
+@pytest.mark.parametrize("spec, triples, top", [
+    ("Fp:3", None, 10),
+    ("Fp:5", None, 10),
+    ("ext:Fp:3:1,0,1", None, 10),
     # formal kernels up to dimension 21 past level 1, and a kernel at every
     # level with the hypothesis holding throughout
-    (lambda: [BraidingParams.from_qrs(*map(parse_field_spec("Q").parse, ("-1", "1", "-1"))),
-              BraidingParams.from_qrs(*map(parse_field_spec("Q").parse, ("1", "-1", "-1")))],
-     40),
-    (lambda: [BraidingParams.from_qrs(*map(parse_field_spec("ext:Q:-2,0,1").parse,
-                                           ("1", "t", "-1")))], 20),
+    ("Q", [("-1", "1", "-1"), ("1", "-1", "-1")], 40),
+    ("ext:Q:-2,0,1", [("1", "t", "-1")], 20),
 ], ids=["Fp:3", "Fp:5", "F9", "Q", "ext:Q"])
-def test_kernel_walk_spans_ker_phi(points, top):
-    # span K_m = ker Phi_m at every level, and ker_cap_Um is the nullspace
-    # of Phi_m exactly wherever the hypothesis holds
+def test_kernel_walk_spans_ker_phi(make_params, spec, triples, top):
+    # span K_m = ker Phi_m at every level (None: every unit triple), and
+    # ker_cap_Um is the nullspace of Phi_m exactly wherever the hypothesis holds
     from nichols.linalg import nullspace, rank
 
+    field = parse_field_spec(spec)
+    if triples is None:
+        units = [str(u) for u in field.units()]
+        triples = [(q, r, s) for q in units for r in units for s in units]
     levels = 0
-    for p in points():
-        field = p.field
+    for qrs in triples:
+        p = make_params(field, *qrs)
         walk = zip(oracle._kernels(p), _phis(p))
         for m, (kernel, phi) in zip(range(top + 1), walk):
             expected = nullspace(field, phi)
@@ -354,6 +349,24 @@ def test_verify_levels_matches_each_level_alone(QQ, F5, f9_params, char3_params,
             assert rep.to_json() == verify_main(m, p).to_json()
         tail = list(verify_levels(range(2, bound + 1), p))
         assert [r and r.to_json() for r in tail] == [r and r.to_json() for r in reports[2:]]
+
+
+def test_verify_levels_stops_the_walk_at_the_first_skipped_level(QQ, make_params,
+                                                                 monkeypatch):
+    # (m)_q^! b_m = 0 persists upwards: at q = -1, (2)_q = 0, so levels 2..40
+    # are skipped and the kernel walk goes no further than level 1
+    walked = []
+    walk = oracle._kernels
+
+    def counting(params):
+        for m, kernel in enumerate(walk(params)):
+            walked.append(m)
+            yield kernel
+
+    monkeypatch.setattr(oracle, "_kernels", counting)
+    reports = list(verify_levels(range(41), make_params(QQ, -1, 2, -1)))
+    assert [rep is None for rep in reports] == [False] * 2 + [True] * 39
+    assert walked == [0, 1]
 
 
 def test_verify_main_f9(f9_params):
