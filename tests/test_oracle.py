@@ -287,7 +287,7 @@ def test_phi_kernel_equals_composite_kernel(
     ("Fp:3", None, 10),
     ("Fp:5", None, 10),
     ("ext:Fp:3:1,0,1", None, 10),
-    # formal kernels up to dimension 21 past level 1, and a kernel at every
+    # formal kernels up to dimension 21 past level 0, and a kernel at every
     # level with the hypothesis holding throughout
     ("Q", [("-1", "1", "-1"), ("1", "-1", "-1")], 40),
     ("ext:Q:-2,0,1", [("1", "t", "-1")], 20),
