@@ -7,12 +7,19 @@ The symmetrizer S_n is built by the factorization
 S_n = (S_{n-1} ⊗ id)(id + c_{n-1} + c_{n-1}c_{n-2} + ... + c_{n-1}...c_1),
 restricted to one multidegree component, on field payloads: a
 :class:`SymmetrizerMatrix` holds payload columns, and its ``matrix`` is a
-FieldElement view built on access.  ``apply`` and ``braiding_c`` read and
-build GradedElement payload terms directly; the tests keep a naive sum
-over all permutation operators T_sigma as an independent oracle for it.
-An element is zero in the Nichols algebra iff its symmetrizer image
-vanishes, and the derivation recursion (zero iff d_1 and d_2 both map to
-zero) provides the second, logically independent membership test.
+FieldElement view built on access.  What does not depend on the point
+(the basis, the rows each sub-basis word lands on, and each column's chain
+of sub-columns) is a plan built once per process per multidegree, at most
+120 of them; per point, ``symmetrizer`` (512 entries) only multiplies the
+running q-products into the sub-columns and sums them.  ``apply`` and
+``braiding_c`` read and build GradedElement payload terms directly; the
+tests keep a naive sum over all permutation operators T_sigma as an
+independent oracle for it.  An element is zero in the Nichols algebra iff
+its symmetrizer image vanishes, and the derivation recursion (zero iff d_1
+and d_2 both map to zero) provides the second, logically independent
+membership test.  Its verdicts live in one cache of 512 entries, keyed on
+params and the sorted terms scaled to a leading 1, shared by every element
+and level of a point.
 
 On U_m no word is built: by the derivation criterion, applied through the
 coordinate formulas for d_1 and d_2, ker(pi) ∩ U_m is carried up from
@@ -127,43 +134,61 @@ class SymmetrizerMatrix:
         return GradedElement.from_payloads(field, dict(zip(self.basis, acc)))
 
 
+@lru_cache(maxsize=128)  # 120 multidegrees lie under DEGREE_CEILING
+def _plan(a: int, b: int) -> tuple:
+    """The point-free part of the symmetrizer build: (basis, lifts, chains).
+
+    lifts lists (last letter, sub-multidegree, the rows of this basis that
+    the sub-basis words land on with the letter appended).
+    chains[j] lists the terms of (id + sum_t c_{n-1}...c_t) w, w = basis[j],
+    as (letter passed, letter moved, sub-column): the chain moves letter
+    w[t-1] to the end past w[t:]; the identity term passes no letter (0).
+    """
+    basis = tuple(words_of_multidegree(a, b))
+    index = {w: i for i, w in enumerate(basis)}
+    lifts, sub_index = [], {}
+    for last, sub_md in ((1, (a - 1, b)), (2, (a, b - 1))):
+        if min(sub_md) >= 0:
+            sub_basis = _plan(*sub_md)[0]
+            lifts.append((last, sub_md, tuple(index[u + (last,)] for u in sub_basis)))
+            sub_index[last] = {u: k for k, u in enumerate(sub_basis)}
+    chains = []
+    for w in basis:
+        chain = [(0, w[-1], sub_index[w[-1]][w[:-1]])] if w else []
+        for t in range(len(w) - 1, 0, -1):
+            moved = w[t - 1]
+            chain.append((w[t], moved, sub_index[moved][w[: t - 1] + w[t:]]))
+        chains.append(tuple(chain))
+    return basis, tuple(lifts), tuple(chains)
+
+
 @lru_cache(maxsize=512)
 def symmetrizer(md: tuple, params: BraidingParams) -> SymmetrizerMatrix:
     """The quantum symmetrizer restricted to one multidegree component."""
-    a, b = md
+    basis, plan_lifts, chains = _plan(*md)
     field = params.field
-    basis = tuple(words_of_multidegree(a, b))
-    n = a + b
     one, zero = field._from_int(1), field._from_int(0)
-    if n <= 1:
+    if sum(md) <= 1:
         return SymmetrizerMatrix(field, md, basis, tuple((one,) for _ in basis))
 
-    index = {w: i for i, w in enumerate(basis)}
     add, mul = field._add, field._mul
-    q = {(i, j): getattr(params, f"q{i}{j}").value for i in (1, 2) for j in (1, 2)}
-    # S_{n-1} ⊗ id on words ending in `last`: the sub-symmetrizer's columns,
-    # and the rows of this basis that its basis words land on
-    lifts = {}
-    for last, sub_md in ((1, (a - 1, b)), (2, (a, b - 1))):
-        if min(sub_md) >= 0:
-            sub = symmetrizer(sub_md, params)
-            rows = [index[u + (last,)] for u in sub.basis]
-            lifts[last] = (sub.columns, sub.index, rows)
-
+    # the letter x passed -> (q_{1,x}, q_{2,x}); S_{n-1} ⊗ id on words ending
+    # in `last`: the rows its basis words land on, and its columns
+    q_past = {1: (params.q11.value, params.q21.value),
+              2: (params.q12.value, params.q22.value)}
+    lifts = {last: (rows, symmetrizer(sub_md, params).columns)
+             for last, sub_md, rows in plan_lifts}
     columns = []
-    for w in basis:
-        # (id + sum_t c_{n-1}...c_t) w: the chain moves letter w[t-1] to the
-        # end past w[t:], scaled by q_{w[t-1], x} for each letter x it passes
-        terms = [(w, one)]
-        p1 = p2 = one  # prod of q_{1,x} and of q_{2,x} over the x in w[t:]
-        for t in range(n - 1, 0, -1):
-            p1, p2 = mul(p1, q[1, w[t]]), mul(p2, q[2, w[t]])
-            letter = w[t - 1]
-            terms.append((w[: t - 1] + w[t:] + (letter,), p1 if letter == 1 else p2))
+    for chain in chains:
         col = [zero] * len(basis)
-        for v, scalar in terms:
-            sub_columns, sub_index, rows = lifts[v[-1]]
-            for i, e in zip(rows, sub_columns[sub_index[v[:-1]]]):
+        p1 = p2 = one  # prod of q_{1,x} and of q_{2,x} over the letters x passed
+        for passed, moved, k in chain:
+            if passed:
+                q1, q2 = q_past[passed]
+                p1, p2 = mul(p1, q1), mul(p2, q2)
+            scalar = p1 if moved == 1 else p2
+            rows, sub_columns = lifts[moved]
+            for i, e in zip(rows, sub_columns[k]):
                 col[i] = add(col[i], mul(scalar, e))
         columns.append(tuple(col))
     return SymmetrizerMatrix(field, md, basis, tuple(columns))
@@ -187,29 +212,35 @@ def in_kernel_by_derivations(x: GradedElement, params: BraidingParams) -> bool:
     """Derivation recursion: zero iff d_1 and d_2 images are both zero.
 
     Base case: elements of total degree <= 1 are in the kernel iff zero.
-    Verdicts are memoized on the canonical term form.
+    Verdicts are shared through ``_derivations_vanish``.
     """
     if not x.is_zero() and not x.is_homogeneous():
         raise NonHomogeneous("membership test requires a homogeneous element")
-    memo: dict = {}
+    if x.field != params.field:  # the verdict cache is keyed on payloads
+        raise FieldMismatch("element and braiding over different fields")
+    return _derivations_vanish(_unit_key(x), params)
 
-    def rec(y: GradedElement) -> bool:
-        if y.is_zero():
-            return True
-        key = y.key()
-        if key in memo:
-            return memo[key]
-        total = sum(y.degree())
-        if total <= 1:
-            verdict = False
-        else:
-            verdict = rec(skew_derive(1, y, params)) and rec(
-                skew_derive(2, y, params)
-            )
-        memo[key] = verdict
-        return verdict
 
-    return rec(x)
+def _unit_key(y: GradedElement) -> tuple:
+    """y's sorted terms, scaled so that the first coefficient is 1."""
+    terms = y.key()
+    if not terms:
+        return terms
+    mul, inv = y.field._mul, y.field._inv(terms[0][1])
+    return tuple([(w, mul(inv, c)) for w, c in terms])
+
+
+@lru_cache(maxsize=512)
+def _derivations_vanish(terms: tuple, params: BraidingParams) -> bool:
+    """The verdict on a unit key: ker(pi) is a subspace, so one verdict
+    serves every nonzero multiple, across elements and levels."""
+    if not terms or len(terms[0][0]) <= 1:
+        return not terms  # zero is in ker(pi); a nonzero element of degree <= 1 is not
+    y = GradedElement.from_payloads(params.field, dict(terms))
+    return all(
+        _derivations_vanish(_unit_key(skew_derive(i, y, params)), params)
+        for i in (1, 2)
+    )
 
 
 def _kernels(params: BraidingParams) -> Iterator[list]:

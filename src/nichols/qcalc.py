@@ -35,13 +35,19 @@ class BraidingParams:
     q22: FieldElement
 
     def __post_init__(self):
+        entries = (self.q11, self.q12, self.q21, self.q22)
         f = self.q11.field
-        for entry in (self.q12, self.q21, self.q22):
+        for entry in entries[1:]:
             if entry.field != f:
                 raise FieldMismatch("braiding entries from different fields")
-        for entry in (self.q11, self.q12, self.q21, self.q22):
+        for entry in entries:
             if not entry:
                 raise ZeroBraidingEntry("braiding entries must be nonzero")
+        # the dataclass hash, computed once: every lru_cache on params reads it
+        object.__setattr__(self, "_hash", hash(entries))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __reduce__(self):
         return BraidingParams, (self.q11, self.q12, self.q21, self.q22)
@@ -101,6 +107,8 @@ class ScalarTable:
         self.c: list = []
 
     def upto(self, n: int) -> "ScalarTable":
+        if n < len(self.q_pow):
+            return self
         f = self.field
         add, mul, neg = f._add, f._mul, f._neg
         while len(self.q_pow) <= n:

@@ -529,6 +529,22 @@ def test_verify_golden_past_the_benchmark_depth(capsys):
     )
 
 
+@pytest.mark.parametrize("field, max_m, digest", [
+    ("Fp:5", "6", "214261c8c49762b89e60a0f0f8fa026af07960800d4ce48c6ea9d67197a4cd0d"),
+    ("ext:Fp:3:2,1,1", "2",
+     "4e5b9dce12092e6a877b2bb01121fdd041ed28a68c66e5a32a204b15de70d954"),
+], ids=["Fp:5", "F9"])
+def test_scan_oracles_golden(capsys, field, max_m, digest):
+    # digests taken before the symmetrizer plans and the shared derivation
+    # verdicts, which must leave every byte as it was
+    rc = run_command(["scan", "--field", field, "--max", max_m, "--check", "oracles",
+                      "--format", "json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert json.loads(out)["violations"] == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_past_the_word_ceiling(capsys, monkeypatch):
     # level 13 has words of length 15 > DEGREE_CEILING; verify builds none
     monkeypatch.setattr(oracle, "symmetrizer", lambda md, p: pytest.fail("symmetrizer"))

@@ -94,7 +94,10 @@ def extension_points(make_params):
     return [make_params(f25, "t", "1+t", "2"), make_params(f16, "t", "t^2+1", "t^3")]
 
 
-@pytest.mark.parametrize("md", [(2, 0), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
+# (1, 0) and (0, 1) are the identity, (3, 0) and (0, 2) have one lift, and
+# (4, 2) is the level-4 multidegree of scan --check oracles
+@pytest.mark.parametrize("md", [(2, 0), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1),
+                                (1, 0), (0, 1), (3, 0), (0, 2), (4, 2)])
 def test_recursive_matches_naive(md, generic_q_params, f9_params, extension_points):
     for p in (generic_q_params, f9_params, *extension_points):
         assert symmetrizer(md, p).matrix == naive_symmetrizer(md, p).matrix
@@ -145,14 +148,21 @@ def test_membership_rejects_mismatched_fields(generic_q_params, F5):
         in_kernel_by_derivations(x, generic_q_params)
 
 
-def test_in_kernel_x2_squared(QQ, make_params):
-    p = make_params(QQ, 2, 3, -1)
-    x22 = GradedElement.from_word(QQ, (2, 2))
-    assert in_kernel(x22, p)
-    assert in_kernel_by_derivations(x22, p)
-    generic = make_params(QQ, 2, 3, 5)
-    assert not in_kernel(x22, generic)
-    assert not in_kernel_by_derivations(x22, generic)
+def test_in_kernel_x2_squared(QQ, F5, make_params):
+    # s = -1 kills x2^2 and a generic s does not.  Derivation verdicts are
+    # shared across calls, so the two points, queried in either order, must
+    # not read each other's verdict, and a unit multiple shares the verdict.
+    for field in (QQ, F5):
+        x22 = GradedElement.from_word(field, (2, 2))
+        kernel_point = make_params(field, 2, 3, -1)
+        generic = make_params(field, 2, 3, 2)
+        for order in ((kernel_point, generic), (generic, kernel_point)):
+            oracle._derivations_vanish.cache_clear()
+            for p in order:
+                expected = p is kernel_point
+                for x in (x22, x22.scale(3)):
+                    assert in_kernel(x, p) == expected
+                    assert in_kernel_by_derivations(x, p) == expected
 
 
 def test_p_k_kernel_membership_tracks_first_equation(F5, make_params, rng):
