@@ -10,7 +10,7 @@ The names below are the library API the README documents; everything else
 is imported from its module (``nichols.fields``, ``nichols.oracle``, ...).
 """
 
-from .braided import GradedElement, ad_x1_pow, shirshov_superletter, skew_derive
+from .braided import GradedElement, ad_x1_pow, skew_derive
 from .errors import NicholsError
 from .fields import parse_field_spec
 from .jset import compute_J, multiplicity

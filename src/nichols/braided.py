@@ -1,5 +1,5 @@
 """The rank-2 free braided algebra: words, graded elements, bicharacter,
-skew derivations, the adjoint action of x1, and Lyndon/super-letter machinery.
+skew derivations and the adjoint action of x1.
 
 Words are tuples over {1, 2}; a :class:`GradedElement` is a finite map from
 words to nonzero payloads of its field; FieldElements appear only at its API
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import FieldMismatch, NonHomogeneous, NotLyndon
+from .errors import FieldMismatch, NonHomogeneous
 from .fields import Field, FieldElement
 from .qcalc import BraidingParams
 
@@ -193,7 +193,10 @@ def skew_derive(i: int, x: GradedElement, params: BraidingParams) -> GradedEleme
     if params.field != field:
         raise FieldMismatch("element and braiding over different fields")
     add, mul = field._add, field._mul
-    q_to_i = {a: field.payload(getattr(params, f"q{a}{i}")) for a in (1, 2)}
+    if i == 1:
+        q_to_i = {1: params.q11.value, 2: params.q21.value}
+    else:
+        q_to_i = {1: params.q12.value, 2: params.q22.value}
     out: dict = {}
     for w, factor in x.terms.items():
         for t, letter in enumerate(w):
@@ -218,33 +221,3 @@ def ad_x1_pow(m: int, y: GradedElement, params: BraidingParams) -> GradedElement
     for _ in range(m):
         y = ad_x1(y, params)
     return y
-
-
-# -- Lyndon words and super-letters --------------------------------------------
-
-
-def is_lyndon(word: Word) -> bool:
-    """Strictly smaller than each proper suffix (prefixes compare smaller)."""
-    if not word:
-        return False
-    return all(word < word[t:] for t in range(1, len(word)))
-
-
-def shirshov_superletter(word: Word, params: BraidingParams) -> GradedElement:
-    """The iterated braided bracket [word] of a Lyndon word.
-
-    Decomposition w = uv with v the lexicographically smallest proper suffix
-    (equivalently the longest proper Lyndon suffix); then
-    [w] = [u][v] - chi(deg u, deg v) [v][u].
-    """
-    word = tuple(word)
-    if not is_lyndon(word):
-        raise NotLyndon(f"{word} is not a Lyndon word")
-    field = params.field
-    if len(word) == 1:
-        return GradedElement.generator(field, word[0])
-    v = min(word[t:] for t in range(1, len(word)))
-    u = word[: len(word) - len(v)]
-    bu = shirshov_superletter(u, params)
-    bv = shirshov_superletter(v, params)
-    return bu * bv - chi(multidegree(u), multidegree(v), params) * (bv * bu)

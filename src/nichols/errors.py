@@ -33,10 +33,6 @@ class NonHomogeneous(NicholsError, ValueError):
     """Operation requires a homogeneous element."""
 
 
-class NotLyndon(NicholsError, ValueError):
-    """Word is not a Lyndon word."""
-
-
 class HypothesisViolated(NicholsError, ValueError):
     """A nonvanishing hypothesis such as (m)_q^! b_m != 0 fails."""
 

@@ -4,10 +4,11 @@ numeric root-vector criterion.
 J is built strictly incrementally: j is admitted iff the sign equation
 q^(j(j-1)/2) (-r)^j s = -1 holds and the pairwise q-integer condition holds
 against every previously admitted member.  Classification into J1/J2 follows
-the characterization lemma; the raw construction, the lemma, and (in positive
-characteristic, when b_j != 0) the simplified divisibility form are all
+the characterization lemma; the raw construction and the lemma are
 evaluated independently, with disagreements recorded as anomalies rather
-than resolved silently.
+than resolved silently.  The lemma's second condition needs no separate
+divisibility form: on a raw member it already is that form (see
+``compute_J``).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class JClassification:
 def compute_J(m_max: int, params: BraidingParams) -> JClassification:
     """Classify J ∩ [0, m_max] with witnesses and cross-check anomalies.
 
-    Runs on payloads: the sign equation, b_j and (j)_q^! b_j are table reads,
+    Runs on payloads: the sign equation and (j)_q^! b_j are table reads,
     and with q^k r^2 listed once, each pair (n, j) makes q^(n+j-1) r^2, or
     q^((n+j-1)/2) r for odd j - n, by one product.  The raw definition sums
     that base's q-integer."""
@@ -91,7 +92,7 @@ def compute_J(m_max: int, params: BraidingParams) -> JClassification:
     for j in range(m_max + 1):
         first = table.sign[j] == minus_one
         raw_member = cond1 = first
-        witnesses, simplified = [], False
+        witnesses = []
         for n in (e.j for e in result.members):
             d = j - n
             base = mul(q_pow[n], q_r2[j - 1])  # q^(n+j-1) r^2
@@ -106,8 +107,13 @@ def compute_J(m_max: int, params: BraidingParams) -> JClassification:
                 realizes = half == minus_one and _divides(p, d)
             if realizes:  # the lemma's second condition
                 witnesses.append(n)
-            # the divisibility form of condition (2), valid once b_j != 0
-            simplified = simplified or (unit and _divides(p if p % 2 else 4, d))
+        # On a raw member, `realizes` already is the divisibility form
+        # "q^(n+j-1) r^2 = 1 and p' | d" (p' = p for odd p, 4 for p = 2),
+        # so that form needs no check of its own.  Let q^(n+j-1) r^2 = 1.
+        # For even d the raw condition (d/2)_1 = 0 says p | d/2, i.e.
+        # 2p | d.  For odd d, half = +-1; (d)_(-1) = 1 for odd d, so
+        # (d)_(-half) = 0 forces half = -1, and then (d)_1 = 0 says p | d
+        # (never, for p = 2).  Without q^(n+j-1) r^2 = 1 neither form holds.
         lemma_member = cond1 or bool(witnesses)
         if raw_member != lemma_member and table.hypothesis(j):
             result.anomalies.append(
@@ -132,13 +138,6 @@ def compute_J(m_max: int, params: BraidingParams) -> JClassification:
                 "classified J1 by fallback"
             )
             cls, witness = "J1", None
-
-        if p and not is_zero(table.b[j]) and simplified != bool(witnesses):
-            result.anomalies.append(
-                f"j={j}: condition (2) ({bool(witnesses)}) and its "
-                f"divisibility simplification ({simplified}) disagree "
-                "although b_j != 0"
-            )
 
         result.members.append(JEntry(j, cls, witness))
     return result

@@ -11,15 +11,15 @@ FieldElement view built on access.  What does not depend on the point
 (the basis, the rows each sub-basis word lands on, and each column's chain
 of sub-columns) is a plan built once per process per multidegree, at most
 120 of them; per point, ``symmetrizer`` (512 entries) only multiplies the
-running q-products into the sub-columns and sums them.  ``apply`` and
-``braiding_c`` read and build GradedElement payload terms directly; the
-tests keep a naive sum over all permutation operators T_sigma as an
-independent oracle for it.  An element is zero in the Nichols algebra iff
-its symmetrizer image vanishes, and the derivation recursion (zero iff d_1
-and d_2 both map to zero) provides the second, logically independent
-membership test.  Its verdicts live in one cache of 512 entries, keyed on
-params and the sorted terms scaled to a leading 1, shared by every element
-and level of a point.
+running q-products into the sub-columns and sums them.  ``apply`` reads
+and builds GradedElement payload terms directly; the tests keep a naive
+sum over all permutation operators T_sigma, built from the braiding c_i,
+as an independent oracle for it.  An element is zero in the Nichols
+algebra iff its symmetrizer image vanishes, and the derivation recursion
+(zero iff d_1 and d_2 both map to zero) provides the second, logically
+independent membership test.  Its verdicts live in one cache of 512
+entries, keyed on params and the sorted terms scaled to a leading 1,
+shared by every element and level of a point.
 
 On U_m no word is built: by the derivation criterion, applied through the
 coordinate formulas for d_1 and d_2, ker(pi) ∩ U_m is carried up from
@@ -28,9 +28,11 @@ K_m of payload rows on the coordinates in the basis
 (-q21)^i u_hat_i u_hat_{m-i}.  ``ker_cap_Um`` reads K_m in reduced form.
 ``verify_levels`` walks the levels of one parameter point once: it
 classifies J once, up to the last level, carries K_m and each kernel
-candidate by one ad x1 step from the level below, and reads a candidate's
-kernel membership as lying in span K_m and the kernel dimension as |K_m|;
-``verify_main`` is its one-level case.
+candidate as payload rows, and reads a candidate's kernel membership as
+lying in span K_m and the kernel dimension as |K_m|; ``verify_main`` is
+its one-level case.  Both walks take their steps from ``rootvec``: the
+d_1 preimage and the row of P_m for K_m, and P_j and ad x1 for the
+candidates.
 Words are capped at total degree DEGREE_CEILING; the CLI caps the level
 routes at LEVEL_CEILING.
 """
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, count, islice, takewhile
+from itertools import combinations, count, islice, takewhile
 from typing import Iterator
 
 from .braided import GradedElement, skew_derive
@@ -54,7 +56,7 @@ from .fields import Field, FieldElement
 from .jset import compute_J
 from .linalg import rank as matrix_rank, rref
 from .qcalc import BraidingParams
-from .rootvec import UhatBasisVector, ad_pow_coords, l_n, p_k
+from .rootvec import UhatBasisVector, _ad_x1_pow, _d1_preimage, _p_row, l_n
 
 # Longest word the symmetrizer routes build (dim, in_kernel, scan --check oracles).
 DEGREE_CEILING = 14
@@ -75,30 +77,6 @@ def words_of_multidegree(a: int, b: int) -> list:
         tuple(1 if i in ones else 2 for i in range(a + b))
         for ones in combinations(range(a + b), a)
     ]
-
-
-def _c_word(i: int, word: tuple, params: BraidingParams) -> tuple:
-    """c_i on a single word: ((..swapped..), scalar q_{l_i l_{i+1}})."""
-    if not 1 <= i <= len(word) - 1:
-        raise OutOfRange(f"position {i} not in 1..{len(word) - 1}")
-    a, b = word[i - 1], word[i]
-    swapped = word[: i - 1] + (b, a) + word[i + 1 :]
-    lookup = {
-        (1, 1): params.q11,
-        (1, 2): params.q12,
-        (2, 1): params.q21,
-        (2, 2): params.q22,
-    }
-    return swapped, lookup[(a, b)]
-
-
-def braiding_c(i: int, x: GradedElement, params: BraidingParams) -> GradedElement:
-    """The braiding operator c_i on an element of homogeneous word length."""
-    out = {}  # c_i permutes words, so no two terms land on one word
-    for w, c in x.terms.items():
-        swapped, scalar = _c_word(i, w, params)
-        out[swapped] = x.field._mul(c, x.field.payload(scalar))
-    return GradedElement.from_payloads(x.field, out)
 
 
 @dataclass(frozen=True)
@@ -248,32 +226,25 @@ def _kernels(params: BraidingParams) -> Iterator[list]:
 
     x is in ker(pi) iff d_1 x and d_2 x are, and d_2 x = z_m(lambda) u_hat_m
     with u_hat_m outside ker(pi) under the hypothesis.  So K_0 = [[1]] if
-    1 + s = 0 and [] otherwise, and K_m spans the lambda with D_m lambda in
-    span K_{m-1} and z_m(lambda) = lambda_0 + (-r)^m s lambda_m = 0, D_m the
-    d1 map mu_i = -q21 (lambda_{i+1} - q^i lambda_i).  D_m is onto with
-    kernel P_m, so P_m and the preimages of K_{m-1} with lambda_0 = 0
-    (lambda_{i+1} = q^i lambda_i - kappa_i / q21) span the first condition,
-    and one pivot cuts them by z_m.  The walk is formal: it runs through
-    levels where the hypothesis fails.  A yielded K is never modified.
+    1 + s = 0 and [] otherwise, and K_m spans the lambda with d1 lambda in
+    span K_{m-1} and z_m(lambda) = lambda_0 + (-r)^m s lambda_m = 0.  d1 is
+    onto U_{m-1} with kernel P_m, so P_m and the d1 preimages of K_{m-1}
+    (``rootvec._d1_preimage``, up to the unit -q21) span the first
+    condition, and one pivot cuts them by z_m.  The walk is formal: it runs
+    through levels where the hypothesis fails.  A yielded K is never
+    modified.
     """
     field = params.field
     add, mul, neg, is_zero = field._add, field._mul, field._neg, field._is_zero
-    zero, one = field._from_int(0), field._from_int(1)
-    table = params.scalars
-    shift = neg(field._inv(params.q21.value))  # -1 / q21
+    one = field._from_int(1)
+    minus_r = params.scalars.minus_r
     rs = params.s.value  # (-r)^m s
     basis = [[one]] if is_zero(add(one, rs)) else []
     for m in count(1):
         yield basis
-        q_pow = table.upto(m).q_pow
-        span = []
-        for kappa in basis:
-            lam = [zero]
-            for q_i, k in zip(q_pow, kappa):
-                lam.append(add(mul(q_i, lam[-1]), mul(k, shift)))
-            span.append(lam)
-        span.append(list(accumulate([one] + q_pow[:m], mul)))  # P_m
-        rs = mul(rs, table.minus_r)
+        span = [_d1_preimage(kappa, params) for kappa in basis]
+        span.append(_p_row(m, params))
+        rs = mul(rs, minus_r)
         z = [add(lam[0], mul(rs, lam[m])) for lam in span]
         pivot = next((i for i, c in enumerate(z) if not is_zero(c)), None)
         if pivot is not None:
@@ -332,9 +303,10 @@ def verify_levels(
     Yields a KernelReport per level, or None where (m)_q^! b_m = 0.  J is
     classified once, up to the last level: it is built one j at a time, so
     level m reads the members with j <= m.  K_m comes from the one
-    ``_kernels`` walk.  Each candidate enters at its own level, as P_j
-    (j in J1) or L_n (n in J2), and ``ad_pow_coords`` moves it up with the
-    levels, so at level m it is (ad x1)^(m-j)(P_j) or (ad x1)^(m-n)(L_n).
+    ``_kernels`` walk.  Each candidate is a payload row that enters at its
+    own level, as the row of P_j (j in J1) or as L_n (n in J2, solved once
+    by ``l_n``), and ``rootvec._ad_x1_pow`` moves the rows up with the
+    levels, so at level m they are (ad x1)^(m-j)(P_j) or (ad x1)^(m-n)(L_n).
     (m)_q^! b_m = 0 persists upwards, so skipped levels come last and need
     no candidate and no K_m.  Membership, independence and the dimension
     are read in coordinates: a candidate is in the kernel iff it lies in
@@ -344,36 +316,37 @@ def verify_levels(
     classification = compute_J(levels[-1], params)
     members = classification.members
     scalars = params.scalars
-    walked: list = []  # the candidate of members[i], at the last level reached
+    rows: list = []  # the candidate rows of members[:len(rows)], at level `top`
+    top = levels.start
     kernels = islice(_kernels(params), levels.start, levels.stop, levels.step)
     for m in levels:
         if not scalars.hypothesis(m):
             yield None
             continue
         kernel = next(kernels)
-        for entry in takewhile(lambda e: e.j <= m, members[len(walked):]):
+        rows = _ad_x1_pow(rows, top, m - top, params)
+        for entry in takewhile(lambda e: e.j <= m, members[len(rows):]):
             if entry.cls == "J1":
-                walked.append(p_k(entry.j, params))
+                row = _p_row(entry.j, params)
             else:
-                walked.append(l_n(entry.j, params, entry.witness, classification))
-        walked = [ad_pow_coords(m - v.m, v, params) for v in walked]
+                solved = l_n(entry.j, params, entry.witness, classification)
+                row = [field.payload(c) for c in solved.coords]
+            rows += _ad_x1_pow([row], entry.j, m - entry.j, params)
+        top = m
         candidates: list = []
-        rows: list = []
-        for entry, vec in zip(members, walked):
+        for entry, row in zip(members, rows):
             power = m - entry.j
             if entry.cls == "J1":
                 label = f"adP({power},{entry.j})"
             else:
                 label = f"L({entry.j})" if power == 0 else f"adL({power},{entry.j})"
-            coords = [field.payload(c) for c in vec.coords]
-            rows.append(coords)
-            in_span = matrix_rank(field, kernel + [coords]) == len(kernel)
+            in_span = matrix_rank(field, kernel + [row]) == len(kernel)
             candidates.append((label, in_span))
 
         independent = matrix_rank(field, rows) == len(rows)
         dim = len(kernel)
         matches = (
-            dim == len(walked) and all(ok for _, ok in candidates) and independent
+            dim == len(rows) and all(ok for _, ok in candidates) and independent
         )
         yield KernelReport(
             m=m,

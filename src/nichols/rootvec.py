@@ -2,15 +2,20 @@
 
 Everything here lives in the (m+1)-dimensional space U_m spanned by
 (-q21)^i u_hat_i u_hat_{m-i} (i = 0..m), with coordinates as the primary
-representation: the structural formulas for d1, d2 and ad x1, the ad-power
-closed form and the d1-solving recursion are all stated in this basis.  Word
-expansion and coordinate extraction provide the bridge to the free algebra.
+representation.  The steps on U_m are stated once, on payload rows: the
+row of P_m, the preimage under d1 with lambda_0 = 0, and ad x1.  P_k,
+(ad x1)^t, L_n and both walks of ``oracle`` (the kernel walk and the
+candidate walk) call them; FieldElements appear only at the
+``UhatBasisVector`` boundary.  The ad-power closed form is kept beside
+them, and word expansion and coordinate extraction provide the bridge to
+the free algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .braided import GradedElement
 from .errors import (
@@ -114,16 +119,73 @@ class UhatBasisVector:
         return [str(c) for c in self.coords]
 
 
+# -- the steps on U_m, on payload rows --------------------------------------------
+#
+# A row is the list of coordinate payloads of a vector of U_m.  These steps
+# check no hypothesis: the kernel walk runs them formally, through levels
+# where the u_hat basis is undefined.
+
+
+def _p_row(m: int, params: BraidingParams) -> list:
+    """P_m: lambda_i = q^(i(i-1)/2), the prefix products of q^0, q^1, ..."""
+    table = params.scalars.upto(m)
+    return list(accumulate([table.one] + table.q_pow[:m], params.field._mul))
+
+
+def _d1_preimage(w: list, params: BraidingParams) -> list:
+    """The lambda at level len(w) with lambda_0 = 0 and -q21^(-1) d1(lambda) = w.
+
+    d1 acts by mu_i = -q21 (lambda_(i+1) - q^i lambda_i), so
+    lambda_(i+1) = q^i lambda_i + w_i.  It gives
+    lambda_i = sum_(j<i) q^((i+j)(i-j-1)/2) w_j and
+    lambda_n = q^(n(n-1)/2) sum_i q^(-i(i+1)/2) w_i, so the preimage is
+    interior (lambda_n = 0 too) exactly when w is in the image of the
+    interior."""
+    add, mul = params.field._add, params.field._mul
+    lam = [params.field._from_int(0)]
+    for q_i, w_i in zip(params.scalars.upto(len(w)).q_pow, w):
+        lam.append(add(mul(q_i, lam[-1]), w_i))
+    return lam
+
+
+def _ad_x1_pow(rows: list, m: int, t: int, params: BraidingParams) -> list:
+    """(ad x1)^t of payload rows at level m, one level at a time.
+
+    ad x1 is a braided derivation with ad x1(u_hat_k) = c_k u_hat_(k+1),
+    c_k = (k+1)_q (1 - q^k r), so on the basis of U_m it acts by
+    lambda'_j = lambda_(j-1) c_(j-1) (-q21)^(-1) + lambda_j q^j q12 c_(m-j),
+    with c_k and q^j read off the point's scalar table.
+    """
+    if t == 0 or not rows:
+        return rows
+    field = params.field
+    add, mul = field._add, field._mul
+    table = params.scalars.upto(m + t)
+    c, zero = table.c, field._from_int(0)
+    shift = field._inv(field._neg(params.q21.value))
+    weights = [mul(q_j, params.q12.value) for q_j in table.q_pow[: m + t]]  # q^j q12
+    for k in range(m, m + t):
+        stepped = []
+        for lam in rows:
+            up = [mul(mul(x, c[j]), shift) for j, x in enumerate(lam)]  # into j + 1
+            stay = [mul(mul(x, weights[j]), c[k - j]) for j, x in enumerate(lam)]
+            stepped.append([add(a, b) for a, b in zip([zero] + up, stay + [zero])])
+        rows = stepped
+    return rows
+
+
+def _from_row(params: BraidingParams, row: list) -> UhatBasisVector:
+    field = params.field
+    return UhatBasisVector.from_coords(params, (FieldElement(field, x) for x in row))
+
+
 # -- the named elements --------------------------------------------------------
 
 
 def p_k(k: int, params: BraidingParams) -> UhatBasisVector:
     """P_k: coordinates q^(i(i-1)/2)."""
     _require_hypothesis(k, params, f"P_{k}")
-    q = params.q
-    return UhatBasisVector(
-        params, k, tuple(q ** (i * (i - 1) // 2) for i in range(k + 1))
-    )
+    return _from_row(params, _p_row(k, params))
 
 
 def s_kt(k: int, t: int, params: BraidingParams) -> UhatBasisVector:
@@ -162,68 +224,6 @@ def ad_p_closed_form(m: int, k: int, params: BraidingParams) -> UhatBasisVector:
         if scalar:
             acc = acc + s_kt(k + m, i, params).scale(scalar)
     return acc
-
-
-# -- derivations and the solving recursion in coordinates -----------------------
-
-
-def d1_on_um(v: UhatBasisVector) -> UhatBasisVector:
-    """d1 in coordinates: level m -> m-1, mu_i = -q21 (lambda_{i+1} - q^i lambda_i)."""
-    params = v.params
-    q, q21 = params.q, params.q21
-    lam = v.coords
-    coords = tuple(
-        -q21 * (lam[i + 1] - q**i * lam[i]) for i in range(v.m)
-    )
-    return UhatBasisVector(params, v.m - 1, coords)
-
-
-def d2_on_um(v: UhatBasisVector) -> FieldElement:
-    """The scalar z with d2(v) = z * u_hat_m: lambda_0 + (-r)^m s lambda_m."""
-    params = v.params
-    if v.m < 0:
-        return params.field.zero
-    r, s = params.r, params.s
-    return v.coords[0] + (-r) ** v.m * s * v.coords[-1]
-
-
-def solvability_scalar(w: UhatBasisVector) -> FieldElement:
-    """sum_i q^(-i(i+1)/2) mu_i — zero iff w is in the image of the interior."""
-    q = w.params.q
-    acc = w.params.field.zero
-    for i, mu in enumerate(w.coords):
-        acc = acc + q ** (-i * (i + 1) // 2) * mu
-    return acc
-
-
-def solve_d1(w: UhatBasisVector) -> UhatBasisVector:
-    """The unique interior v at level k = w.m + 1 with -q21^(-1) d1(v) = w.
-
-    lambda_i = sum_{j<i} q^((i+j)(i-j-1)/2) mu_j; requires the solvability
-    condition sum q^(-i(i+1)/2) mu_i = 0, which also forces lambda_k = 0.
-    """
-    params = w.params
-    k = w.m + 1
-    _require_hypothesis(k, params, f"solve_d1 at level {k}")
-    if solvability_scalar(w):
-        raise SolvabilityViolated(
-            "sum q^(-i(i+1)/2) mu_i != 0; no interior preimage exists"
-        )
-    q = params.q
-    mu = w.coords
-    lam = []
-    for i in range(k + 1):
-        acc = params.field.zero
-        for j in range(i):
-            acc = acc + q ** ((i + j) * (i - j - 1) // 2) * mu[j]
-        lam.append(acc)
-    v = UhatBasisVector(params, k, tuple(lam))
-    if lam[0] or lam[k]:
-        raise AssertionError("interior condition lambda_0 = lambda_k = 0 failed")
-    back = d1_on_um(v).scale(-params.q21.inv())
-    if back != w:
-        raise AssertionError("solve_d1 postcondition -q21^(-1) d1(v) = w failed")
-    return v
 
 
 # -- coordinate extraction -------------------------------------------------------
@@ -268,30 +268,16 @@ def uhat_coords(x: GradedElement, m: int, params: BraidingParams) -> UhatBasisVe
 def ad_pow_coords(
     t: int, v: UhatBasisVector, params: BraidingParams
 ) -> UhatBasisVector:
-    """(ad x1)^t of a coordinate vector, one level at a time.
+    """(ad x1)^t of a coordinate vector, one level at a time (``_ad_x1_pow``).
 
-    ad x1 is a braided derivation with ad x1(u_hat_k) = c_k u_hat_(k+1),
-    c_k = (k+1)_q (1 - q^k r), so on the basis of U_m it acts by
-    lambda'_j = lambda_(j-1) c_(j-1) (-q21)^(-1) + lambda_j q^j q12 c_(m-j).
-    The steps run on payloads, with c_k and q^j read off the point's scalar
-    table; only the input and the result are FieldElements.  Requires
+    Only the input and the result are FieldElements.  Requires
     (m+t)_q^! b_(m+t) != 0, which covers every intermediate level.
     """
     if t == 0:
         return v
     _require_hypothesis(v.m + t, params, f"(ad x1)^{t} into level {v.m + t}")
-    field = params.field
-    add, mul = field._add, field._mul
-    table = params.scalars.upto(v.m + t)
-    c, zero = table.c, field._from_int(0)
-    shift = field._inv(field._neg(params.q21.value))
-    weights = [mul(q_j, params.q12.value) for q_j in table.q_pow[: v.m + t]]  # q^j q12
-    lam = [field.payload(x) for x in v.coords]
-    for m in range(v.m, v.m + t):
-        up = [mul(mul(x, c[j]), shift) for j, x in enumerate(lam)]  # into j + 1
-        stay = [mul(mul(x, weights[j]), c[m - j]) for j, x in enumerate(lam)]
-        lam = [add(a, b) for a, b in zip([zero] + up, stay + [zero])]
-    return UhatBasisVector(params, v.m + t, tuple(FieldElement(field, x) for x in lam))
+    row = [params.field.payload(x) for x in v.coords]
+    return _from_row(params, _ad_x1_pow([row], v.m, t, params)[0])
 
 
 # -- L_n --------------------------------------------------------------------------
@@ -306,9 +292,10 @@ def l_n(
     satisfying q^(n+j_n-1) r^2 = 1, validated against ``classification``:
     J classified up to any bound >= n, or classified here up to n when it
     is None, so a caller that already holds J passes it.
-    ``ad_pow_coords`` walks the right-hand side up from P_(j_n).
-    d2(L_n) = 0 always holds for interior vectors; kernel membership is
-    left to the oracles (see oracle.in_kernel).
+    The right-hand side is walked up from P_(j_n) on payloads, and L_n is
+    its ``_d1_preimage``, which is interior (d2(L_n) = 0 with it) exactly
+    when the system is solvable.  Kernel membership is left to the oracles
+    (see oracle.in_kernel).
     """
     _require_hypothesis(n, params, f"L_{n}")
     if classification is None:
@@ -321,7 +308,10 @@ def l_n(
     if params.q ** (n + j_n - 1) * params.r**2 != params.field.one:
         raise NotInJ2(f"q^({n}+{j_n}-1) r^2 != 1")
 
-    v = solve_d1(ad_pow_coords(n - j_n - 1, p_k(j_n, params), params))
-    if d2_on_um(v):
-        raise AssertionError("d2(L_n) != 0")
-    return v
+    (rhs,) = _ad_x1_pow([_p_row(j_n, params)], j_n, n - j_n - 1, params)
+    lam = _d1_preimage(rhs, params)
+    if not params.field._is_zero(lam[n]):
+        raise SolvabilityViolated(
+            "sum q^(-i(i+1)/2) mu_i != 0; no interior preimage exists"
+        )
+    return _from_row(params, lam)

@@ -9,12 +9,11 @@ from nichols.braided import (
     ad_x1,
     ad_x1_pow,
     chi,
-    is_lyndon,
     multidegree,
-    shirshov_superletter,
     skew_derive,
 )
-from nichols.errors import NonHomogeneous, NotLyndon
+from nichols.errors import NonHomogeneous
+from word_oracles import NotLyndon, is_lyndon, shirshov_superletter
 
 
 def test_multidegree():

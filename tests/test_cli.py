@@ -529,6 +529,21 @@ def test_verify_golden_past_the_benchmark_depth(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # 14 L_n are solved and walked up across the F_9 points
+    (["scan", "--field", "ext:Fp:3:2,1,1", "--max", "10", "--check", "main"],
+     "43a83a6975835f49a6b99056888558557b5822a8d75878a3d3b09e5c2e7a0862"),
+    (["verify", "--field", "Q", "--q=2/3", "--r=-5/7", "--s=11/13", "--max", "40"],
+     "89d6e0c4721bcbe7afc0a5e97a1408e314c5033eab6e6f2fb67aa7ab02d84b38"),
+], ids=["scan-F9-main", "verify-Q-40"])
+def test_level_walk_golden(capsys, argv, digest):
+    # digests taken before the candidates were carried as payload rows
+    rc = run_command([*argv, "--format", "json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("field, max_m, digest", [
     ("Fp:5", "6", "214261c8c49762b89e60a0f0f8fa026af07960800d4ce48c6ea9d67197a4cd0d"),
     ("ext:Fp:3:2,1,1", "2",

@@ -208,6 +208,34 @@ def test_compute_J_matches_the_closed_formulas(make_params, spec, points, bound)
     assert j2 or field.characteristic == 0
 
 
+@pytest.mark.parametrize("spec", ["Fp:2", "Fp:3", "Fp:5", "ext:Fp:2:1,1,1", "ext:Fp:3:1,0,1"],
+                         ids=["Fp:2", "Fp:3", "Fp:5", "F4", "F9"])
+def test_members_with_a_unit_pair_satisfy_the_divisibility_form(make_params, spec):
+    # members n < j with q^(n+j-1) r^2 = 1 have p' | j - n (p' = p for odd
+    # p, 4 for p = 2), and q^((n+j-1)/2) r = -1 when j - n is odd: why
+    # compute_J checks no divisibility form of its own
+    field = parse_field_spec(spec)
+    p_char = field.characteristic
+    p_prime = p_char if p_char % 2 else 4
+    one = field.one
+    units = [str(u) for u in field.units()]
+    pairs = odd_pairs = 0
+    for q, r, s in ((q, r, s) for q in units for r in units for s in units):
+        params = make_params(field, q, r, s)
+        js = compute_J(12, params).j_set()
+        for j in js:
+            for n in (n for n in js if n < j):
+                if params.q ** (n + j - 1) * params.r**2 != one:
+                    continue
+                pairs += 1
+                assert (j - n) % p_prime == 0, (q, r, s, n, j)
+                if (j - n) % 2:
+                    odd_pairs += 1
+                    assert params.q ** ((n + j - 1) // 2) * params.r == -one
+    assert pairs
+    assert odd_pairs or p_char == 2
+
+
 def test_characteristic_zero_has_no_j2(QQ, make_params):
     # over Q the pairing condition can only be met trivially, so every
     # member is J1 -- including at s = -1 and rs = 1 edge cases

@@ -12,7 +12,6 @@ from nichols.errors import (
 from nichols import oracle
 from nichols.fields import parse_field_spec
 from nichols.oracle import (
-    braiding_c,
     in_kernel,
     in_kernel_by_derivations,
     ker_cap_Um,
@@ -24,7 +23,7 @@ from nichols.oracle import (
 )
 from nichols.qcalc import BraidingParams, first_equation, qfact_b
 from nichols.rootvec import UhatBasisVector, p_k, u_k
-from word_oracles import _phi, _phis, composite, mat_vec, naive_symmetrizer
+from word_oracles import _phi, _phis, braiding_c, composite, mat_vec, naive_symmetrizer
 
 
 def test_words_of_multidegree():
@@ -333,9 +332,10 @@ def test_verify_main_flags_a_non_kernel_candidate(f9_params, monkeypatch):
     p = f9_params
     field = p.field
     first = UhatBasisVector(p, 3, (field.one,) + (field.zero,) * 3)
-    walk = oracle.ad_pow_coords  # P_0 is the one candidate that starts at level 0
-    monkeypatch.setattr(oracle, "ad_pow_coords",
-                        lambda t, v, params: first if v.m == 0 else walk(t, v, params))
+    row = [field.payload(c) for c in first.coords]
+    walk = oracle._ad_x1_pow  # P_0 is the one candidate that starts at level 0
+    monkeypatch.setattr(oracle, "_ad_x1_pow",
+                        lambda rows, m, t, params: [row] if m == 0 else walk(rows, m, t, params))
     report = verify_main(3, p)
     assert not in_kernel(first.to_words(), p)
     assert report.candidates[0] == ("adP(3,0)", False)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from nichols.braided import GradedElement, ad_x1_pow, shirshov_superletter, skew_derive
+from nichols.braided import GradedElement, ad_x1_pow, skew_derive
 from nichols.errors import HypothesisViolated, NotInJ2, OutOfRange, SolvabilityViolated
-from nichols.fields import parse_field_spec
+from nichols.fields import FieldElement, parse_field_spec
 from nichols.linalg import solve
 from nichols.oracle import in_kernel
 from nichols.qcalc import BraidingParams, first_equation, qfact_b
@@ -12,17 +12,20 @@ from nichols.rootvec import (
     UhatBasisVector,
     ad_p_closed_form,
     ad_pow_coords,
-    d1_on_um,
-    d2_on_um,
     l_n,
     p_k,
     s_kt,
-    solvability_scalar,
-    solve_d1,
     u_hat_k,
     u_k,
     uhat_coords,
     uhat_pair_words,
+)
+from word_oracles import (
+    d1_on_um,
+    d2_on_um,
+    shirshov_superletter,
+    solvability_scalar,
+    solve_d1,
 )
 
 
@@ -260,6 +263,37 @@ def test_ad_pow_coords_matches_words(point, t, rng):
             lifted = ad_pow_coords(t, v, p)
             assert lifted.m == m + t
             assert lifted.to_words() == ad_x1_pow(t, v.to_words(), p)
+
+
+@pytest.mark.parametrize("point", sorted(AD_POW_POINTS))
+def test_payload_preimage_matches_the_closed_forms(point, rng):
+    # rootvec._d1_preimage against solve_d1 and solvability_scalar: its
+    # lambda_k is q^(k(k-1)/2) times the solvability scalar, and on a
+    # solvable w it is solve_d1's interior preimage
+    from nichols.rootvec import _d1_preimage
+
+    spec, entries = AD_POW_POINTS[point]
+    field = parse_field_spec(spec)
+    p = BraidingParams(*(field.parse(e) for e in entries))
+    assert p.q21 != field.one
+    solved = 0
+    for k in range(1, 6):
+        for _ in range(4):
+            w = UhatBasisVector.from_coords(p, [field.random_element(rng) for _ in range(k)])
+            lam = _d1_preimage([field.payload(c) for c in w.coords], p)
+            v = UhatBasisVector.from_coords(p, [FieldElement(field, x) for x in lam])
+            assert v.m == k and not v.coords[0]
+            assert d1_on_um(v).scale(-p.q21.inv()) == w
+            scalar = solvability_scalar(w)
+            assert v.coords[k] == p.q ** (k * (k - 1) // 2) * scalar
+            # move w into the image of the interior through its last coordinate
+            last = w.coords[-1] - p.q ** (k * (k - 1) // 2) * scalar
+            w = UhatBasisVector.from_coords(p, w.coords[:-1] + (last,))
+            assert not solvability_scalar(w)
+            lam = _d1_preimage([field.payload(c) for c in w.coords], p)
+            assert tuple(FieldElement(field, x) for x in lam) == solve_d1(w).coords
+            solved += 1
+    assert solved == 20
 
 
 def test_ad_pow_coords_requires_target_level(char3_params):

@@ -1,25 +1,28 @@
 """Independent routes kept as test oracles for src/: the composite matrix
 C_m for the coordinate kernel, the square matrix Phi_m whose kernel the
-kernel walk carries, the naive sum over S_n for the recursive symmetrizer,
-the classification of J on FieldElements by the closed formulas, and the
-integer polynomials Q2^{k,m} whose vanishing at a point the J2 membership
-condition restates."""
+kernel walk carries, the braiding c_i and the naive sum over S_n for the
+recursive symmetrizer, the classification of J on FieldElements by the
+closed formulas, the FieldElement closed forms of d1, d2 and the d1
+preimage on U_m that the payload steps of ``rootvec`` are held to, the
+super-letters of Lyndon words, and the integer polynomials Q2^{k,m} whose
+vanishing at a point the J2 membership condition restates."""
 
 from functools import lru_cache
 from itertools import accumulate, count, islice
 from typing import Iterator
 
-from nichols.errors import InternalInexactDivision
+from nichols.braided import GradedElement, chi, multidegree
+from nichols.errors import (
+    InternalInexactDivision,
+    NicholsError,
+    OutOfRange,
+    SolvabilityViolated,
+)
 from nichols.fields import FieldElement
 from nichols.jset import JClassification, JEntry, _divides
-from nichols.oracle import (
-    SymmetrizerMatrix,
-    _c_word,
-    symmetrizer,
-    words_of_multidegree,
-)
+from nichols.oracle import SymmetrizerMatrix, symmetrizer, words_of_multidegree
 from nichols.qcalc import BraidingParams, first_equation, j_condition
-from nichols.rootvec import uhat_pair_words
+from nichols.rootvec import UhatBasisVector, _require_hypothesis, uhat_pair_words
 
 
 def composite(m: int, params: BraidingParams) -> list:
@@ -80,6 +83,30 @@ def _phis(params: BraidingParams) -> Iterator[list]:
 def _phi(m: int, params: BraidingParams) -> list:
     """Phi_m, the m-th item of ``_phis``."""
     return next(islice(_phis(params), m, None))
+
+
+def _c_word(i: int, word: tuple, params: BraidingParams) -> tuple:
+    """c_i on a single word: ((..swapped..), scalar q_{l_i l_{i+1}})."""
+    if not 1 <= i <= len(word) - 1:
+        raise OutOfRange(f"position {i} not in 1..{len(word) - 1}")
+    a, b = word[i - 1], word[i]
+    swapped = word[: i - 1] + (b, a) + word[i + 1 :]
+    lookup = {
+        (1, 1): params.q11,
+        (1, 2): params.q12,
+        (2, 1): params.q21,
+        (2, 2): params.q22,
+    }
+    return swapped, lookup[(a, b)]
+
+
+def braiding_c(i: int, x: GradedElement, params: BraidingParams) -> GradedElement:
+    """The braiding operator c_i on an element of homogeneous word length."""
+    out = {}  # c_i permutes words, so no two terms land on one word
+    for w, c in x.terms.items():
+        swapped, scalar = _c_word(i, w, params)
+        out[swapped] = x.field._mul(c, x.field.payload(scalar))
+    return GradedElement.from_payloads(x.field, out)
 
 
 def naive_symmetrizer(md: tuple, params: BraidingParams) -> SymmetrizerMatrix:
@@ -209,6 +236,102 @@ def compute_J_by_elements(m_max: int, params: BraidingParams) -> JClassification
         result.members.append(JEntry(j, cls, witness))
         admitted.append(j)
     return result
+
+
+# -- d1, d2 and the d1 preimage on U_m, by the closed forms ------------------
+
+
+def d1_on_um(v: UhatBasisVector) -> UhatBasisVector:
+    """d1 in coordinates: level m -> m-1, mu_i = -q21 (lambda_{i+1} - q^i lambda_i)."""
+    params = v.params
+    q, q21 = params.q, params.q21
+    lam = v.coords
+    coords = tuple(
+        -q21 * (lam[i + 1] - q**i * lam[i]) for i in range(v.m)
+    )
+    return UhatBasisVector(params, v.m - 1, coords)
+
+
+def d2_on_um(v: UhatBasisVector) -> FieldElement:
+    """The scalar z with d2(v) = z * u_hat_m: lambda_0 + (-r)^m s lambda_m."""
+    params = v.params
+    if v.m < 0:
+        return params.field.zero
+    r, s = params.r, params.s
+    return v.coords[0] + (-r) ** v.m * s * v.coords[-1]
+
+
+def solvability_scalar(w: UhatBasisVector) -> FieldElement:
+    """sum_i q^(-i(i+1)/2) mu_i — zero iff w is in the image of the interior."""
+    q = w.params.q
+    acc = w.params.field.zero
+    for i, mu in enumerate(w.coords):
+        acc = acc + q ** (-i * (i + 1) // 2) * mu
+    return acc
+
+
+def solve_d1(w: UhatBasisVector) -> UhatBasisVector:
+    """The unique interior v at level k = w.m + 1 with -q21^(-1) d1(v) = w.
+
+    lambda_i = sum_{j<i} q^((i+j)(i-j-1)/2) mu_j; requires the solvability
+    condition sum q^(-i(i+1)/2) mu_i = 0, which also forces lambda_k = 0.
+    """
+    params = w.params
+    k = w.m + 1
+    _require_hypothesis(k, params, f"solve_d1 at level {k}")
+    if solvability_scalar(w):
+        raise SolvabilityViolated(
+            "sum q^(-i(i+1)/2) mu_i != 0; no interior preimage exists"
+        )
+    q = params.q
+    mu = w.coords
+    lam = []
+    for i in range(k + 1):
+        acc = params.field.zero
+        for j in range(i):
+            acc = acc + q ** ((i + j) * (i - j - 1) // 2) * mu[j]
+        lam.append(acc)
+    v = UhatBasisVector(params, k, tuple(lam))
+    if lam[0] or lam[k]:
+        raise AssertionError("interior condition lambda_0 = lambda_k = 0 failed")
+    back = d1_on_um(v).scale(-params.q21.inv())
+    if back != w:
+        raise AssertionError("solve_d1 postcondition -q21^(-1) d1(v) = w failed")
+    return v
+
+
+# -- Lyndon words and super-letters ------------------------------------------
+
+
+class NotLyndon(NicholsError, ValueError):
+    """Word is not a Lyndon word."""
+
+
+def is_lyndon(word: tuple) -> bool:
+    """Strictly smaller than each proper suffix (prefixes compare smaller)."""
+    if not word:
+        return False
+    return all(word < word[t:] for t in range(1, len(word)))
+
+
+def shirshov_superletter(word: tuple, params: BraidingParams) -> GradedElement:
+    """The iterated braided bracket [word] of a Lyndon word.
+
+    Decomposition w = uv with v the lexicographically smallest proper suffix
+    (equivalently the longest proper Lyndon suffix); then
+    [w] = [u][v] - chi(deg u, deg v) [v][u].
+    """
+    word = tuple(word)
+    if not is_lyndon(word):
+        raise NotLyndon(f"{word} is not a Lyndon word")
+    field = params.field
+    if len(word) == 1:
+        return GradedElement.generator(field, word[0])
+    v = min(word[t:] for t in range(1, len(word)))
+    u = word[: len(word) - len(v)]
+    bu = shirshov_superletter(u, params)
+    bv = shirshov_superletter(v, params)
+    return bu * bv - chi(multidegree(u), multidegree(v), params) * (bv * bu)
 
 
 # -- Q2^{k,m}: exact bivariate integer polynomials ---------------------------
