@@ -119,11 +119,9 @@ class UhatBasisVector:
         return [str(c) for c in self.coords]
 
 
-# -- the steps on U_m, on payload rows --------------------------------------------
-#
-# A row is the list of coordinate payloads of a vector of U_m.  These steps
-# check no hypothesis: the kernel walk runs them formally, through levels
-# where the u_hat basis is undefined.
+# -- the steps on U_m, on payload rows ------------------------------------------
+# They check no hypothesis: the kernel walk runs them through levels where the
+# u_hat basis is undefined.
 
 
 def _p_row(m: int, params: BraidingParams) -> list:
@@ -311,7 +309,5 @@ def l_n(
     (rhs,) = _ad_x1_pow([_p_row(j_n, params)], j_n, n - j_n - 1, params)
     lam = _d1_preimage(rhs, params)
     if not params.field._is_zero(lam[n]):
-        raise SolvabilityViolated(
-            "sum q^(-i(i+1)/2) mu_i != 0; no interior preimage exists"
-        )
+        raise SolvabilityViolated(f"lambda_{n} != 0; no interior preimage exists")
     return _from_row(params, lam)
