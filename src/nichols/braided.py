@@ -23,7 +23,7 @@ ALPHA2 = (0, 1)
 
 def multidegree(word: Word) -> tuple:
     """(number of 1s, number of 2s)."""
-    ones = sum(1 for letter in word if letter == 1)
+    ones = word.count(1)
     return (ones, len(word) - ones)
 
 
@@ -69,7 +69,8 @@ class GradedElement:
     def from_word(
         cls, field: Field, word: Iterable, coeff: FieldElement | None = None
     ) -> "GradedElement":
-        return cls(field, {tuple(word): coeff if coeff is not None else field.one})
+        c = field._from_int(1) if coeff is None else field.payload(coeff)
+        return cls.from_payloads(field, {tuple(word): c})
 
     @classmethod
     def generator(cls, field: Field, letter: int) -> "GradedElement":

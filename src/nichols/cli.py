@@ -29,7 +29,7 @@ from .oracle import (
     verify_levels,
 )
 from .qcalc import BraidingParams
-from .rootvec import p_k, uhat_pair_words
+from .rootvec import _p_row, _row_words, uhat_pair_words
 
 SCHEMA_PREFIX = "nichols"
 SCHEMA_VERSION = "v1"
@@ -300,7 +300,7 @@ def _scan_point(task: tuple) -> dict:
                 row["skipped"] += 1
                 continue
             elements = [uhat_pair_words(i, m, params) for i in range(m + 1)]
-            elements.append(p_k(m, params).to_words())
+            elements.append(_row_words(_p_row(m, params), m, params))
             for idx, el in enumerate(elements):
                 row["checks"] += 1
                 if in_kernel(el, params) != in_kernel_by_derivations(el, params):

@@ -295,6 +295,18 @@ class KernelReport:
         }
 
 
+def _in_span(field: Field, reduced: tuple, row: list) -> bool:
+    """Whether row lies in the span of the rows of ``rref``'s (rows, pivots).
+
+    A reduced row is 1 at its own pivot and 0 at the others, so a row in
+    their span is their sum weighted by its own pivot entries."""
+    add, mul = field._add, field._mul
+    combo = [field._from_int(0)] * len(row)
+    for basis_row, pivot in zip(*reduced):
+        combo = [add(a, mul(row[pivot], b)) for a, b in zip(combo, basis_row)]
+    return combo == row
+
+
 def verify_levels(
     levels: range, params: BraidingParams
 ) -> Iterator[KernelReport | None]:
@@ -310,7 +322,8 @@ def verify_levels(
     (m)_q^! b_m = 0 persists upwards, so skipped levels come last and need
     no candidate and no K_m.  Membership, independence and the dimension
     are read in coordinates: a candidate is in the kernel iff it lies in
-    span K_m, and dim(ker pi ∩ U_m) = |K_m|.
+    span K_m, tested against one reduction of K_m per level, and
+    dim(ker pi ∩ U_m) = |K_m|.
     """
     field = params.field
     classification = compute_J(levels[-1], params)
@@ -333,6 +346,8 @@ def verify_levels(
                 row = [field.payload(c) for c in solved.coords]
             rows += _ad_x1_pow([row], entry.j, m - entry.j, params)
         top = m
+        # one reduction of K_m serves every candidate of the level
+        reduced = rref(field, kernel) if rows else ([], [])
         candidates: list = []
         for entry, row in zip(members, rows):
             power = m - entry.j
@@ -340,8 +355,7 @@ def verify_levels(
                 label = f"adP({power},{entry.j})"
             else:
                 label = f"L({entry.j})" if power == 0 else f"adL({power},{entry.j})"
-            in_span = matrix_rank(field, kernel + [row]) == len(kernel)
-            candidates.append((label, in_span))
+            candidates.append((label, _in_span(field, reduced, row)))
 
         independent = matrix_rank(field, rows) == len(rows)
         dim = len(kernel)

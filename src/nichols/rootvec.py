@@ -2,19 +2,23 @@
 
 Everything here lives in the (m+1)-dimensional space U_m spanned by
 (-q21)^i u_hat_i u_hat_{m-i} (i = 0..m), with coordinates as the primary
-representation.  The steps on U_m are stated once, on payload rows: the
-row of P_m, the preimage under d1 with lambda_0 = 0, and ad x1.  P_k,
-(ad x1)^t, L_n and both walks of ``oracle`` (the kernel walk and the
-candidate walk) call them; FieldElements appear only at the
-``UhatBasisVector`` boundary.  The ad-power closed form is kept beside
-them, and word expansion and coordinate extraction provide the bridge to
-the free algebra.
+representation.  The elements are built on payloads: u_k as the row of
+its coefficients on x1^(k-b) x2 x1^b, from row_(k-1) by one shifted
+subtraction; u_hat_k as that row over (k)_q^! b_k; each basis pair as the
+products of two such rows, one word per pair of entries; and a vector's
+words as one payload sum of the pairs.  The steps on U_m are stated once,
+on payload rows: the row of P_m, the preimage under d1 with
+lambda_0 = 0, and ad x1.  P_k, (ad x1)^t, L_n and both walks of
+``oracle`` (the kernel walk and the candidate walk) call them.  On these
+routes FieldElements appear only at the ``UhatBasisVector`` boundary; the
+closed forms S(k,t) and (ad x1)^m(P_k) and the coordinate extraction,
+which no hot loop runs, keep FieldElement arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 
 from .braided import GradedElement
@@ -29,15 +33,27 @@ from .jset import JClassification, compute_J
 from .qcalc import BraidingParams, beta_coeff, lambda_coeff, q_binom, q_int
 
 
+def _word(a: int, b: int) -> tuple:
+    """x1^a x2 x1^b."""
+    return (1,) * a + (2,) + (1,) * b
+
+
 @lru_cache(maxsize=512)
 def u_k(k: int, params: BraidingParams) -> GradedElement:
-    """u_0 = x2, u_k = x1 u_{k-1} - q^(k-1) q12 u_{k-1} x1."""
+    """u_0 = x2, u_k = x1 u_(k-1) - q^(k-1) q12 u_(k-1) x1, built as the row
+    of payloads row_k[b] on x1^(k-b) x2 x1^b: row_0 = [1] and
+    row_k[b] = row_(k-1)[b] - q^(k-1) q12 row_(k-1)[b-1]."""
     field = params.field
     if k == 0:
         return GradedElement.generator(field, 2)
-    prev = u_k(k - 1, params)
-    x1 = GradedElement.generator(field, 1)
-    return x1 * prev - (params.q ** (k - 1) * params.q12) * (prev * x1)
+    add, mul, zero = field._add, field._mul, field._from_int(0)
+    terms = u_k(k - 1, params).terms
+    prev = [terms.get(_word(k - 1 - b, b), zero) for b in range(k)]
+    weight = field._neg(mul(params.scalars.upto(k - 1).q_pow[k - 1], params.q12.value))
+    row = [add(a, mul(weight, b)) for a, b in zip(prev + [zero], [zero] + prev)]
+    return GradedElement.from_payloads(
+        field, {_word(k - b, b): c for b, c in enumerate(row)}
+    )
 
 
 @lru_cache(maxsize=512)
@@ -47,14 +63,39 @@ def u_hat_k(k: int, params: BraidingParams) -> GradedElement:
     norm = params.scalars.upto(k).qfact_b[k]
     if field._is_zero(norm):
         return GradedElement.zero(field)
-    return u_k(k, params).scale(FieldElement(field, field._inv(norm)))
+    inv, mul = field._inv(norm), field._mul
+    return GradedElement.from_payloads(
+        field, {w: mul(inv, c) for w, c in u_k(k, params).terms.items()}
+    )
 
 
 @lru_cache(maxsize=512)
 def uhat_pair_words(i: int, m: int, params: BraidingParams) -> GradedElement:
-    """(-q21)^i u_hat_i u_hat_{m-i} expanded into words."""
-    sign = (-params.q21) ** i
-    return (u_hat_k(i, params) * u_hat_k(m - i, params)).scale(sign)
+    """(-q21)^i u_hat_i u_hat_(m-i) expanded into words: x1^(i-b) x2
+    x1^(b+m-i-b') x2 x1^(b') carries (-q21)^i u_hat_i[b] u_hat_(m-i)[b'], and
+    distinct (b, b') give distinct words, so no two products meet."""
+    field = params.field
+    mul = field._mul
+    sign = reduce(mul, [field._neg(params.q21.value)] * i, field._from_int(1))
+    right = u_hat_k(m - i, params).terms.items()
+    return GradedElement.from_payloads(field, {
+        w1 + w2: mul(mul(sign, c1), c2)
+        for w1, c1 in u_hat_k(i, params).terms.items() for w2, c2 in right
+    })
+
+
+def _row_words(row: list, m: int, params: BraidingParams) -> GradedElement:
+    """sum_i row[i] (-q21)^i u_hat_i u_hat_(m-i) for a payload row at level m."""
+    field = params.field
+    add, mul = field._add, field._mul
+    out: dict = {}
+    for i, lam in enumerate(row):
+        if field._is_zero(lam):
+            continue
+        for w, c in uhat_pair_words(i, m, params).terms.items():
+            c = mul(lam, c)
+            out[w] = add(out[w], c) if w in out else c
+    return GradedElement.from_payloads(field, out)
 
 
 def _require_hypothesis(m: int, params: BraidingParams, what: str) -> None:
@@ -109,11 +150,8 @@ class UhatBasisVector:
         )
 
     def to_words(self) -> GradedElement:
-        acc = GradedElement.zero(self.params.field)
-        for i, c in enumerate(self.coords):
-            if c:
-                acc = acc + uhat_pair_words(i, self.m, self.params).scale(c)
-        return acc
+        field = self.params.field
+        return _row_words([field.payload(c) for c in self.coords], self.m, self.params)
 
     def to_json(self) -> list:
         return [str(c) for c in self.coords]
@@ -237,13 +275,9 @@ def uhat_coords(x: GradedElement, m: int, params: BraidingParams) -> UhatBasisVe
     """
     _require_hypothesis(m, params, "coordinate extraction")
     field = params.field
-
-    def lead_word(i: int) -> tuple:
-        return (1,) * i + (2,) + (1,) * (m - i) + (2,)
-
     # c[j][i]: coefficient of x1^i x2 x1^(j-i) in u_j
     coeff_in_u = [
-        [u_k(j, params).coeff((1,) * i + (2,) + (1,) * (j - i)) for i in range(j + 1)]
+        [u_k(j, params).coeff(_word(i, j - i)) for i in range(j + 1)]
         for j in range(m + 1)
     ]
     qfact_b = params.scalars.upto(m).qfact_b
@@ -253,7 +287,7 @@ def uhat_coords(x: GradedElement, m: int, params: BraidingParams) -> UhatBasisVe
     ]
     coords = [field.zero] * (m + 1)
     for i in range(m, -1, -1):
-        total = x.coeff(lead_word(i))
+        total = x.coeff(_word(i, m - i) + (2,))  # the leading word of pair i
         for j in range(i + 1, m + 1):
             total = total - coords[j] * (-params.q21) ** j * norms[j] * coeff_in_u[j][i]
         coords[i] = total / ((-params.q21) ** i * norms[i])

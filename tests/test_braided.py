@@ -1,5 +1,7 @@
 """Graded elements of the free algebra, skew derivations, and superletters."""
 
+from itertools import product
+
 import pytest
 
 from nichols.braided import (
@@ -19,6 +21,15 @@ from word_oracles import NotLyndon, is_lyndon, shirshov_superletter
 def test_multidegree():
     assert multidegree((1, 2, 1, 1)) == (3, 1)
     assert multidegree(()) == (0, 0)
+
+
+def test_multidegree_counts_letters():
+    # every word of length <= 8 against the letter-count definition
+    for n in range(9):
+        for word in product((1, 2), repeat=n):
+            ones = sum(1 for letter in word if letter == 1)
+            twos = sum(1 for letter in word if letter == 2)
+            assert multidegree(word) == (ones, twos)
 
 
 def test_chi_bicharacter(generic_q_params, rng):

@@ -560,6 +560,29 @@ def test_scan_oracles_golden(capsys, field, max_m, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_scan_oracles_fieldelement_budget(capsys, monkeypatch):
+    # the element builders run on payloads: this scan created 16 129
+    # FieldElements while u_k and the u_hat pairs multiplied FieldElements
+    for cached in (rootvec.u_k, rootvec.u_hat_k, rootvec.uhat_pair_words):
+        cached.cache_clear()
+    created = []
+    init = vars(fields.FieldElement)["__init__"]
+
+    def counting(obj, field, value):
+        created.append(None)
+        init(obj, field, value)
+
+    monkeypatch.setattr(fields.FieldElement, "__init__", counting)
+    rc = run_command(["scan", "--field", "ext:Fp:3:2,1,1", "--max", "2", "--check",
+                      "oracles", "--format", "json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert len(created) <= 4000
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4e5b9dce12092e6a877b2bb01121fdd041ed28a68c66e5a32a204b15de70d954"
+    )
+
+
 def test_verify_past_the_word_ceiling(capsys, monkeypatch):
     # level 13 has words of length 15 > DEGREE_CEILING; verify builds none
     monkeypatch.setattr(oracle, "symmetrizer", lambda md, p: pytest.fail("symmetrizer"))

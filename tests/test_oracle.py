@@ -9,7 +9,7 @@ from nichols.errors import (
     NonHomogeneous,
     OutOfRange,
 )
-from nichols import oracle
+from nichols import linalg, oracle
 from nichols.fields import parse_field_spec
 from nichols.oracle import (
     in_kernel,
@@ -340,6 +340,27 @@ def test_verify_main_flags_a_non_kernel_candidate(f9_params, monkeypatch):
     assert not in_kernel(first.to_words(), p)
     assert report.candidates[0] == ("adP(3,0)", False)
     assert not report.matches_theorem
+
+
+def test_verify_levels_reduces_each_kernel_once_per_level(monkeypatch):
+    # one rref of K_m serves every candidate of level m, and one rank tells
+    # independence: 18 eliminations for nine levels, where a rank of
+    # K_m + [v] per candidate took 22
+    calls = []
+    rref = linalg.rref
+
+    def counting(field, matrix):
+        calls.append(len(matrix))
+        return rref(field, matrix)
+
+    monkeypatch.setattr(linalg, "rref", counting)  # rank reduces through it
+    monkeypatch.setattr(oracle, "rref", counting)
+    field = parse_field_spec("ext:Fp:5:2,0,1")
+    p = BraidingParams.from_qrs(field.parse("4+t"), field.parse("4+2*t"), field.parse("4"))
+    reports = list(verify_levels(range(9), p))
+    assert all(rep.matches_theorem for rep in reports)
+    assert [len(rep.candidates) for rep in reports] == [1] * 5 + [2] * 4
+    assert len(calls) == 18
 
 
 def test_verify_levels_matches_each_level_alone(QQ, F5, f9_params, char3_params,

@@ -26,6 +26,10 @@ from word_oracles import (
     shirshov_superletter,
     solvability_scalar,
     solve_d1,
+    to_words_by_elements,
+    u_hat_k_by_elements,
+    u_k_by_brackets,
+    uhat_pair_by_elements,
 )
 
 
@@ -343,6 +347,41 @@ def test_uhat_pair_words_shape(generic_q_params):
     x = uhat_pair_words(1, 2, p)
     assert x.degree() == (2, 2)
     assert x == (u_hat_k(1, p) * u_hat_k(1, p)).scale(-p.q21)
+
+
+# braiding matrices (q11, q12, q21, q22) with q21 != 1; over Fp:3, q = 1
+# makes (3)_q^! = 0, so u_hat_3 and every u_hat_k above it vanish
+BUILDER_POINTS = {
+    "Fp:3": ("Fp:3", ("1", "1", "2", "2")),
+    "Fp:5": ("Fp:5", ("3", "2", "4", "1")),
+    "F9": ("ext:Fp:3:1,0,1", ("t+1", "2", "t", "2*t+1")),
+    "Q": ("Q", ("2", "3", "5", "7")),
+    "Q(sqrt2)": ("ext:Q:-2,0,1", ("t", "1+t", "-1", "3")),
+}
+
+
+@pytest.mark.parametrize("point", sorted(BUILDER_POINTS))
+def test_element_builders_match_the_element_products(point, rng):
+    # the payload rows of u_k, u_hat_k, the pairs and to_words against the
+    # bracket recursion and the products of elements, for k, m <= 8
+    spec, entries = BUILDER_POINTS[point]
+    field = parse_field_spec(spec)
+    p = BraidingParams(*(field.parse(e) for e in entries))
+    assert p.q21 != field.one
+    for k in range(9):
+        assert u_k(k, p) == u_k_by_brackets(k, p)
+        assert u_hat_k(k, p) == u_hat_k_by_elements(k, p)
+    assert u_hat_k(3, p).is_zero() == (point == "Fp:3")
+    levels = 0
+    for m in range(9):
+        for i in range(m + 1):
+            assert uhat_pair_words(i, m, p) == uhat_pair_by_elements(i, m, p)
+        if qfact_b(m, p):
+            coords = [field.random_element(rng) for _ in range(m + 1)]
+            v = UhatBasisVector.from_coords(p, coords)
+            assert v.to_words() == to_words_by_elements(v)
+            levels += 1
+    assert levels >= 3
 
 
 def test_ad_x1_injective_on_um(generic_q_params, F5, make_params):

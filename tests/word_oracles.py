@@ -4,6 +4,8 @@ kernel walk carries, the braiding c_i and the naive sum over S_n for the
 recursive symmetrizer, the classification of J on FieldElements by the
 closed formulas, the FieldElement closed forms of d1, d2 and the d1
 preimage on U_m that the payload steps of ``rootvec`` are held to, the
+bracket recursion for u_k and the element products
+(-q21)^i u_hat_i u_hat_(m-i) that its payload builders are held to, the
 super-letters of Lyndon words, and the integer polynomials Q2^{k,m} whose
 vanishing at a point the J2 membership condition restates."""
 
@@ -21,7 +23,7 @@ from nichols.errors import (
 from nichols.fields import FieldElement
 from nichols.jset import JClassification, JEntry, _divides
 from nichols.oracle import SymmetrizerMatrix, symmetrizer, words_of_multidegree
-from nichols.qcalc import BraidingParams, first_equation, j_condition
+from nichols.qcalc import BraidingParams, b_k, first_equation, j_condition, q_fact
 from nichols.rootvec import UhatBasisVector, _require_hypothesis, uhat_pair_words
 
 
@@ -298,6 +300,41 @@ def solve_d1(w: UhatBasisVector) -> UhatBasisVector:
     if back != w:
         raise AssertionError("solve_d1 postcondition -q21^(-1) d1(v) = w failed")
     return v
+
+
+# -- the root vectors u_k and the u_hat pairs, on FieldElements ---------------
+
+
+def u_k_by_brackets(k: int, params: BraidingParams) -> GradedElement:
+    """u_0 = x2, u_k = x1 u_(k-1) - q^(k-1) q12 u_(k-1) x1, as element products."""
+    field = params.field
+    if k == 0:
+        return GradedElement.generator(field, 2)
+    prev = u_k_by_brackets(k - 1, params)
+    x1 = GradedElement.generator(field, 1)
+    return x1 * prev - (params.q ** (k - 1) * params.q12) * (prev * x1)
+
+
+def u_hat_k_by_elements(k: int, params: BraidingParams) -> GradedElement:
+    """u_k / ((k)_q^! b_k), or zero when that vanishes, by the closed formulas."""
+    norm = q_fact(k, params.q) * b_k(k, params)
+    if not norm:
+        return GradedElement.zero(params.field)
+    return u_k_by_brackets(k, params).scale(norm.inv())
+
+
+def uhat_pair_by_elements(i: int, m: int, params: BraidingParams) -> GradedElement:
+    """(-q21)^i u_hat_i u_hat_(m-i) as a product of elements."""
+    product = u_hat_k_by_elements(i, params) * u_hat_k_by_elements(m - i, params)
+    return product.scale((-params.q21) ** i)
+
+
+def to_words_by_elements(v: UhatBasisVector) -> GradedElement:
+    """sum_i lambda_i (-q21)^i u_hat_i u_hat_(m-i) as a sum of scaled elements."""
+    acc = GradedElement.zero(v.params.field)
+    for i, c in enumerate(v.coords):
+        acc = acc + uhat_pair_by_elements(i, v.m, v.params).scale(c)
+    return acc
 
 
 # -- Lyndon words and super-letters ------------------------------------------
