@@ -296,9 +296,9 @@ class KernelReport:
 
 
 def _in_span(field: Field, reduced: tuple, row: list) -> bool:
-    """Whether row lies in the span of the rows of ``rref``'s (rows, pivots).
+    """Whether row lies in the span of ``reduced``, an ``rref`` result.
 
-    A reduced row is 1 at its own pivot and 0 at the others, so a row in
+    Each reduced row is 1 at its own pivot and 0 at the others, so a row in
     their span is their sum weighted by its own pivot entries."""
     add, mul = field._add, field._mul
     combo = [field._from_int(0)] * len(row)
