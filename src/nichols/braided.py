@@ -184,29 +184,32 @@ class GradedElement:
 
 
 def skew_derive(i: int, x: GradedElement, params: BraidingParams) -> GradedElement:
-    """d_i, extended from d_i(x_j) = delta_ij by the twisted Leibniz rule.
+    """d_i, extended from d_i(x_j) = delta_ij by the twisted Leibniz rule."""
+    if params.field != x.field:
+        raise FieldMismatch("element and braiding over different fields")
+    return GradedElement.from_payloads(x.field, dict(_derive(i, x.terms.items(), params)))
+
+
+def _derive(i: int, items, params: BraidingParams) -> list:
+    """The nonzero (word, payload) pairs of d_i applied to the (word, payload) items.
 
     On a word it removes one occurrence of the letter i at a time, weighted
     by chi(deg of the prefix, alpha_i): the product of q_{letter, i} over
     the letters of the prefix, built up on payloads as the prefix grows.
     """
-    field = x.field
-    if params.field != field:
-        raise FieldMismatch("element and braiding over different fields")
-    add, mul = field._add, field._mul
-    if i == 1:
-        q_to_i = {1: params.q11.value, 2: params.q21.value}
-    else:
-        q_to_i = {1: params.q12.value, 2: params.q22.value}
+    field = params.field
+    add, mul, is_zero = field._add, field._mul, field._is_zero
+    q1i, q2i = (params.q11, params.q21) if i == 1 else (params.q12, params.q22)
+    q_to_i = {1: q1i.value, 2: q2i.value}
     out: dict = {}
-    for w, factor in x.terms.items():
+    for w, factor in items:
         for t, letter in enumerate(w):
             if letter == i:
                 reduced = w[:t] + w[t + 1 :]
                 prev = out.get(reduced)
                 out[reduced] = factor if prev is None else add(prev, factor)
             factor = mul(factor, q_to_i[letter])
-    return GradedElement.from_payloads(field, out)
+    return [(w, c) for w, c in out.items() if not is_zero(c)]
 
 
 def ad_x1(y: GradedElement, params: BraidingParams) -> GradedElement:

@@ -15,6 +15,7 @@ import json
 import os
 import shlex
 import sys
+from functools import lru_cache
 from multiprocessing import get_context
 
 from .errors import HypothesisViolated, NicholsError, UsageError
@@ -273,6 +274,20 @@ def _cmd_table1(args) -> int:
 # -- scan -------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _level_elements(m: int, params: BraidingParams) -> tuple | None:
+    """The elements ``scan --check oracles`` tests at level m: the m + 1 pairs
+    (-q21)^i u_hat_i u_hat_(m-i) and the words of P_m; None where
+    (m)_q^! b_m = 0.  No builder reads q22 (see ``rootvec``), so the scan
+    builds them at s = 1, and the points of one (q, r), which come in a run
+    with s innermost (also in each chunk of a ``--jobs`` pool), share them."""
+    if not params.scalars.hypothesis(m):
+        return None
+    elements = [uhat_pair_words(i, m, params) for i in range(m + 1)]
+    elements.append(_row_words(_p_row(m, params), m, params))
+    return tuple(elements)
+
+
 def _scan_point(task: tuple) -> dict:
     """Sweep worker: run one (q, r, s) triple; returns a summary row."""
     _, q, r, s, max_m, check = task
@@ -295,12 +310,12 @@ def _scan_point(task: tuple) -> dict:
             if not rep.matches_theorem:
                 row["violations"].append({"m": m, "report": rep.to_json()})
     elif check == "oracles":
+        shared = BraidingParams(q, r, params.q21, params.q21)  # (q, r, 1): q21 = 1
         for m in range(max_m + 1):
-            if not params.scalars.hypothesis(m):
+            elements = _level_elements(m, shared)
+            if elements is None:
                 row["skipped"] += 1
                 continue
-            elements = [uhat_pair_words(i, m, params) for i in range(m + 1)]
-            elements.append(_row_words(_p_row(m, params), m, params))
             for idx, el in enumerate(elements):
                 row["checks"] += 1
                 if in_kernel(el, params) != in_kernel_by_derivations(el, params):

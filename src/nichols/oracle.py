@@ -11,15 +11,17 @@ FieldElement view built on access.  What does not depend on the point
 (the basis, the rows each sub-basis word lands on, and each column's chain
 of sub-columns) is a plan built once per process per multidegree, at most
 120 of them; per point, ``symmetrizer`` (512 entries) only multiplies the
-running q-products into the sub-columns and sums them.  ``apply`` reads
-and builds GradedElement payload terms directly; the tests keep a naive
-sum over all permutation operators T_sigma, built from the braiding c_i,
-as an independent oracle for it.  An element is zero in the Nichols
+running q-products into the sub-columns and sums them.  S(x) is formed
+from the payload rows, one product per row: ``apply`` takes them all, and
+``in_kernel`` stops at the first nonzero one.  The tests keep a naive sum
+over all permutation operators T_sigma, built from the braiding c_i, as an
+independent oracle for the build.  An element is zero in the Nichols
 algebra iff its symmetrizer image vanishes, and the derivation recursion
 (zero iff d_1 and d_2 both map to zero) provides the second, logically
-independent membership test.  Its verdicts live in one cache of 512
-entries, keyed on params and the sorted terms scaled to a leading 1,
-shared by every element and level of a point.
+independent membership test.  It derives payload terms through
+``braided._derive``, with no element per node, and its verdicts live in
+one cache of 512 entries, keyed on params and the sorted terms scaled to a
+leading 1, shared by every element and level of a point.
 
 On U_m no word is built: by the derivation criterion, applied through the
 coordinate formulas for d_1 and d_2, ker(pi) ∩ U_m is carried up from
@@ -44,7 +46,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, count, islice, takewhile
 from typing import Iterator
 
-from .braided import GradedElement, skew_derive
+from .braided import GradedElement, _derive
 from .errors import (
     DegreeCeilingExceeded,
     FieldMismatch,
@@ -86,35 +88,42 @@ class SymmetrizerMatrix:
     basis: tuple  # words in lexicographic order
     columns: tuple  # payloads; columns[j][i] = coefficient of basis[i] in S(basis[j])
 
-    @cached_property
+    @property
     def index(self) -> dict:
-        return {w: i for i, w in enumerate(self.basis)}
+        return _plan(*self.multidegree)[1]
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Payload rows, the transpose of ``columns``."""
+        return tuple(zip(*self.columns))
 
     @property
     def matrix(self) -> tuple:
         """FieldElement rows: matrix[i][j] = coefficient of basis[i] in S(basis[j])."""
         f = self.field
-        return tuple(
-            tuple(FieldElement(f, col[i]) for col in self.columns)
-            for i in range(len(self.basis))
-        )
+        return tuple(tuple(FieldElement(f, c) for c in row) for row in self.rows)
 
-    def apply(self, x: GradedElement) -> GradedElement:
-        """S(x) as the sum of c_w * column_w over the terms of x."""
+    def _products(self, x: GradedElement) -> Iterator:
+        """row_i . x for each row in order: the coefficients of S(x)."""
         field = self.field
         if x.field != field:
             raise FieldMismatch("element and symmetrizer over different fields")
-        add, mul = field._add, field._mul
-        acc = [field._from_int(0)] * len(self.basis)
-        for w, c in x.terms.items():
-            col = self.columns[self.index[w]]
-            acc = [add(a, mul(c, e)) for a, e in zip(acc, col)]
-        return GradedElement.from_payloads(field, dict(zip(self.basis, acc)))
+        add, mul, zero = field._add, field._mul, field._from_int(0)
+        terms = [(self.index[w], c) for w, c in x.terms.items()]
+        for row in self.rows:
+            acc = zero
+            for j, c in terms:
+                acc = add(acc, mul(row[j], c))
+            yield acc
+
+    def apply(self, x: GradedElement) -> GradedElement:
+        """S(x), one row product per basis word."""
+        return GradedElement.from_payloads(self.field, dict(zip(self.basis, self._products(x))))
 
 
 @lru_cache(maxsize=128)  # 120 multidegrees lie under DEGREE_CEILING
 def _plan(a: int, b: int) -> tuple:
-    """The point-free part of the symmetrizer build: (basis, lifts, chains).
+    """The point-free symmetrizer build: (basis, index, lifts, chains).
 
     lifts lists (last letter, sub-multidegree, the rows of this basis that
     the sub-basis words land on with the letter appended).
@@ -127,9 +136,8 @@ def _plan(a: int, b: int) -> tuple:
     lifts, sub_index = [], {}
     for last, sub_md in ((1, (a - 1, b)), (2, (a, b - 1))):
         if min(sub_md) >= 0:
-            sub_basis = _plan(*sub_md)[0]
+            sub_basis, sub_index[last] = _plan(*sub_md)[:2]
             lifts.append((last, sub_md, tuple(index[u + (last,)] for u in sub_basis)))
-            sub_index[last] = {u: k for k, u in enumerate(sub_basis)}
     chains = []
     for w in basis:
         chain = [(0, w[-1], sub_index[w[-1]][w[:-1]])] if w else []
@@ -137,13 +145,13 @@ def _plan(a: int, b: int) -> tuple:
             moved = w[t - 1]
             chain.append((w[t], moved, sub_index[moved][w[: t - 1] + w[t:]]))
         chains.append(tuple(chain))
-    return basis, tuple(lifts), tuple(chains)
+    return basis, index, tuple(lifts), tuple(chains)
 
 
 @lru_cache(maxsize=512)
 def symmetrizer(md: tuple, params: BraidingParams) -> SymmetrizerMatrix:
     """The quantum symmetrizer restricted to one multidegree component."""
-    basis, plan_lifts, chains = _plan(*md)
+    basis, _, plan_lifts, chains = _plan(*md)
     field = params.field
     one, zero = field._from_int(1), field._from_int(0)
     if sum(md) <= 1:
@@ -179,11 +187,12 @@ def nichols_dim(md: tuple, params: BraidingParams) -> int:
 
 
 def in_kernel(x: GradedElement, params: BraidingParams) -> bool:
-    """Symmetrizer membership test: x maps to zero in the Nichols algebra."""
+    """Symmetrizer membership test: x maps to zero in the Nichols algebra.
+    The row products of S(x) are formed in order; the first nonzero decides."""
     if x.is_zero():
         return True
     deg = x.degree()  # raises NonHomogeneous when mixed
-    return symmetrizer(deg, params).apply(x).is_zero()
+    return all(map(params.field._is_zero, symmetrizer(deg, params)._products(x)))
 
 
 def in_kernel_by_derivations(x: GradedElement, params: BraidingParams) -> bool:
@@ -196,27 +205,28 @@ def in_kernel_by_derivations(x: GradedElement, params: BraidingParams) -> bool:
         raise NonHomogeneous("membership test requires a homogeneous element")
     if x.field != params.field:  # the verdict cache is keyed on payloads
         raise FieldMismatch("element and braiding over different fields")
-    return _derivations_vanish(_unit_key(x), params)
+    return _derivations_vanish(_unit_key(x.field, x.terms.items()), params)
 
 
-def _unit_key(y: GradedElement) -> tuple:
-    """y's sorted terms, scaled so that the first coefficient is 1."""
-    terms = y.key()
+def _unit_key(field: Field, items) -> tuple:
+    """The (word, payload) items sorted by word, scaled to a leading 1."""
+    terms = sorted(items)
     if not terms:
-        return terms
-    mul, inv = y.field._mul, y.field._inv(terms[0][1])
+        return ()
+    mul, inv = field._mul, field._inv(terms[0][1])
     return tuple([(w, mul(inv, c)) for w, c in terms])
 
 
 @lru_cache(maxsize=512)
 def _derivations_vanish(terms: tuple, params: BraidingParams) -> bool:
     """The verdict on a unit key: ker(pi) is a subspace, so one verdict
-    serves every nonzero multiple, across elements and levels."""
+    serves every nonzero multiple, across elements and levels.  The
+    recursion derives the key's terms directly, with no element per node."""
     if not terms or len(terms[0][0]) <= 1:
         return not terms  # zero is in ker(pi); a nonzero element of degree <= 1 is not
-    y = GradedElement.from_payloads(params.field, dict(terms))
+    field = params.field
     return all(
-        _derivations_vanish(_unit_key(skew_derive(i, y, params)), params)
+        _derivations_vanish(_unit_key(field, _derive(i, terms, params)), params)
         for i in (1, 2)
     )
 
@@ -324,6 +334,11 @@ def verify_levels(
     are read in coordinates: a candidate is in the kernel iff it lies in
     span K_m, tested against one reduction of K_m per level, and
     dim(ker pi ∩ U_m) = |K_m|.
+
+    The rows are ranked only at levels where a candidate enters: between
+    them, the rows move by ad x1 alone, which is injective on U_m.  In the
+    free algebra, x1 y - c y x1 = 0 forces y = 0 when every word of y holds
+    x2 (take the word with the most leading x1's), so ``independent`` carries.
     """
     field = params.field
     classification = compute_J(levels[-1], params)
@@ -331,6 +346,7 @@ def verify_levels(
     scalars = params.scalars
     rows: list = []  # the candidate rows of members[:len(rows)], at level `top`
     top = levels.start
+    independent = True
     kernels = islice(_kernels(params), levels.start, levels.stop, levels.step)
     for m in levels:
         if not scalars.hypothesis(m):
@@ -338,6 +354,7 @@ def verify_levels(
             continue
         kernel = next(kernels)
         rows = _ad_x1_pow(rows, top, m - top, params)
+        carried = len(rows)
         for entry in takewhile(lambda e: e.j <= m, members[len(rows):]):
             if entry.cls == "J1":
                 row = _p_row(entry.j, params)
@@ -357,7 +374,8 @@ def verify_levels(
                 label = f"L({entry.j})" if power == 0 else f"adL({power},{entry.j})"
             candidates.append((label, _in_span(field, reduced, row)))
 
-        independent = matrix_rank(field, rows) == len(rows)
+        if len(rows) > carried:
+            independent = matrix_rank(field, rows) == len(rows)
         dim = len(kernel)
         matches = (
             dim == len(rows) and all(ok for _, ok in candidates) and independent

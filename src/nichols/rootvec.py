@@ -6,8 +6,11 @@ representation.  The elements are built on payloads: u_k as the row of
 its coefficients on x1^(k-b) x2 x1^b, from row_(k-1) by one shifted
 subtraction; u_hat_k as that row over (k)_q^! b_k; each basis pair as the
 products of two such rows, one word per pair of entries; and a vector's
-words as one payload sum of the pairs.  The steps on U_m are stated once,
-on payload rows: the row of P_m, the preimage under d1 with
+words as one payload sum of the pairs.  These builders, like the
+hypothesis (m)_q^! b_m, read q11, q12, q21 and the s-free columns q_pow
+and qfact_b, never q22, so ``scan --check oracles`` builds each level's
+elements once per (q, r) and shares them across s.  The steps on U_m are
+stated once, on payload rows: the row of P_m, the preimage under d1 with
 lambda_0 = 0, and ad x1.  P_k, (ad x1)^t, L_n and both walks of
 ``oracle`` (the kernel walk and the candidate walk) call them.  On these
 routes FieldElements appear only at the ``UhatBasisVector`` boundary; the

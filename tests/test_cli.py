@@ -563,7 +563,8 @@ def test_scan_oracles_golden(capsys, field, max_m, digest):
 def test_scan_oracles_fieldelement_budget(capsys, monkeypatch):
     # the element builders run on payloads: this scan created 16 129
     # FieldElements while u_k and the u_hat pairs multiplied FieldElements
-    for cached in (rootvec.u_k, rootvec.u_hat_k, rootvec.uhat_pair_words):
+    for cached in (rootvec.u_k, rootvec.u_hat_k, rootvec.uhat_pair_words,
+                   cli._level_elements):
         cached.cache_clear()
     created = []
     init = vars(fields.FieldElement)["__init__"]
@@ -578,6 +579,21 @@ def test_scan_oracles_fieldelement_budget(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 0
     assert len(created) <= 4000
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4e5b9dce12092e6a877b2bb01121fdd041ed28a68c66e5a32a204b15de70d954"
+    )
+
+
+def test_scan_oracles_builds_each_level_once_per_q_r(capsys):
+    # the 64 (q, r) of F_9 build at most the 6 pairs of levels 0..2 each,
+    # shared by their 8 values of s; a build per point ran the body 2440 times
+    for cached in (rootvec.uhat_pair_words, cli._level_elements):
+        cached.cache_clear()
+    rc = run_command(["scan", "--field", "ext:Fp:3:2,1,1", "--max", "2", "--check",
+                      "oracles", "--format", "json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert rootvec.uhat_pair_words.cache_info().misses <= 64 * 6
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "4e5b9dce12092e6a877b2bb01121fdd041ed28a68c66e5a32a204b15de70d954"
     )

@@ -11,6 +11,7 @@ from nichols.errors import (
 )
 from nichols import linalg, oracle
 from nichols.fields import parse_field_spec
+from nichols.jset import compute_J
 from nichols.oracle import (
     in_kernel,
     in_kernel_by_derivations,
@@ -22,8 +23,16 @@ from nichols.oracle import (
     words_of_multidegree,
 )
 from nichols.qcalc import BraidingParams, first_equation, qfact_b
-from nichols.rootvec import UhatBasisVector, p_k, u_k
-from word_oracles import _phi, _phis, braiding_c, composite, mat_vec, naive_symmetrizer
+from nichols.rootvec import UhatBasisVector, ad_pow_coords, l_n, p_k, u_k
+from word_oracles import (
+    _phi,
+    _phis,
+    braiding_c,
+    composite,
+    derivations_vanish_by_elements,
+    mat_vec,
+    naive_symmetrizer,
+)
 
 
 def test_words_of_multidegree():
@@ -144,6 +153,8 @@ def test_membership_rejects_mismatched_fields(generic_q_params, F5):
     with pytest.raises(FieldMismatch):
         in_kernel(x, generic_q_params)
     with pytest.raises(FieldMismatch):
+        symmetrizer((1, 1), generic_q_params).apply(x)
+    with pytest.raises(FieldMismatch):
         in_kernel_by_derivations(x, generic_q_params)
 
 
@@ -194,6 +205,65 @@ def test_oracles_agree_on_randoms(F7, make_params, rng):
         for word in words_of_multidegree(a, b):
             x = x + GradedElement.from_word(F7, word, F7.random_element(rng))
         assert in_kernel(x, p) == in_kernel_by_derivations(x, p)
+
+
+def _random_homogeneous(field, rng, count):
+    """Random nonzero homogeneous elements of total degree 1..5."""
+    out = []
+    while len(out) < count:
+        a, b = rng.randrange(0, 4), rng.randrange(0, 3)
+        if a + b == 0:
+            continue
+        terms = {w: field.random_element(rng) for w in words_of_multidegree(a, b)
+                 if rng.random() < 0.6}
+        x = GradedElement(field, terms)
+        if not x.is_zero():
+            out.append(x)
+    return out
+
+
+def _kernel_elements(field, p):
+    """Elements of ker(pi): a basis of ker(pi) ∩ U_m for m <= 3, and x2^2 at s = -1."""
+    out = [GradedElement.from_word(field, (2, 2))] if p.s == -field.one else []
+    for m in range(4):
+        if qfact_b(m, p):
+            out += [v.to_words() for v in ker_cap_Um(m, p)[1]]
+    return out
+
+
+@pytest.fixture
+def membership_points(F7, f9_params, char3_params, QQ, make_params, extension_points):
+    return [make_params(F7, 2, 3, 6), f9_params, char3_params,
+            make_params(QQ, 2, 3, -1), *extension_points]
+
+
+def test_in_kernel_matches_the_applied_symmetrizer(membership_points, rng):
+    # the row products stop at the first nonzero entry; S(x) from apply is
+    # the full product, and the two verdicts agree on and off the kernel
+    found = 0
+    for p in membership_points:
+        field = p.field
+        kernel = _kernel_elements(field, p)
+        found += len(kernel)
+        for x in kernel:
+            assert in_kernel(x, p)
+            assert symmetrizer(x.degree(), p).apply(x).is_zero()
+        for x in _random_homogeneous(field, rng, 12):
+            assert in_kernel(x, p) == symmetrizer(x.degree(), p).apply(x).is_zero()
+    assert found >= 4
+
+
+def test_derivation_verdicts_match_the_element_recursion(membership_points, rng):
+    # the verdict cache derives payload terms; the oracle derives elements
+    # through skew_derive with no shared verdicts
+    for p in membership_points:
+        field = p.field
+        oracle._derivations_vanish.cache_clear()
+        for x in _kernel_elements(field, p) + _random_homogeneous(field, rng, 12):
+            expected = derivations_vanish_by_elements(x, p)
+            key = oracle._unit_key(field, x.terms.items())
+            assert oracle._derivations_vanish(key, p) == expected
+            assert in_kernel_by_derivations(x, p) == expected
 
 
 def test_ker_cap_um_dimensions(f9_params, generic_q_params):
@@ -343,9 +413,10 @@ def test_verify_main_flags_a_non_kernel_candidate(f9_params, monkeypatch):
 
 
 def test_verify_levels_reduces_each_kernel_once_per_level(monkeypatch):
-    # one rref of K_m serves every candidate of level m, and one rank tells
-    # independence: 18 eliminations for nine levels, where a rank of
-    # K_m + [v] per candidate took 22
+    # one rref of K_m serves every candidate of level m, and the rows are
+    # ranked only where a candidate enters (levels 0 and 5): 11 eliminations
+    # for nine levels, where a rank per level took 18 and a rank of
+    # K_m + [v] per candidate 22
     calls = []
     rref = linalg.rref
 
@@ -360,16 +431,19 @@ def test_verify_levels_reduces_each_kernel_once_per_level(monkeypatch):
     reports = list(verify_levels(range(9), p))
     assert all(rep.matches_theorem for rep in reports)
     assert [len(rep.candidates) for rep in reports] == [1] * 5 + [2] * 4
-    assert len(calls) == 18
+    assert len(calls) == 11
+
+
+def _walk_points(QQ, F5, f9_params, char3_params, make_params):
+    points = [(f9_params, 8), (char3_params, 8), (make_params(QQ, 2, 3, -1), 10)]
+    return points + [(make_params(F5, q, r, -1), 8) for q in (1, 2) for r in (1, 3, 4)]
 
 
 def test_verify_levels_matches_each_level_alone(QQ, F5, f9_params, char3_params,
                                                make_params):
     # one walk over 0..M, with J classified up to M and Phi grown level by
     # level, reports what each level checked alone (J up to m, Phi_m) does
-    points = [(f9_params, 8), (char3_params, 8), (make_params(QQ, 2, 3, -1), 10)]
-    points += [(make_params(F5, q, r, -1), 8) for q in (1, 2) for r in (1, 3, 4)]
-    for p, bound in points:
+    for p, bound in _walk_points(QQ, F5, f9_params, char3_params, make_params):
         reports = list(verify_levels(range(bound + 1), p))
         assert len(reports) == bound + 1
         for m, rep in enumerate(reports):
@@ -380,6 +454,42 @@ def test_verify_levels_matches_each_level_alone(QQ, F5, f9_params, char3_params,
             assert rep.to_json() == verify_main(m, p).to_json()
         tail = list(verify_levels(range(2, bound + 1), p))
         assert [r and r.to_json() for r in tail] == [r and r.to_json() for r in reports[2:]]
+
+
+def test_verify_levels_carries_independence(QQ, F5, f9_params, char3_params,
+                                           make_params):
+    # the carried flag equals a fresh rank of the candidates at every level,
+    # each walked up from its own level by ad_pow_coords
+    f25 = parse_field_spec("ext:Fp:5:2,0,1")
+    j2_point = make_params(f25, "4+t", "4+2*t", "4")
+    points = _walk_points(QQ, F5, f9_params, char3_params, make_params) + [(j2_point, 9)]
+    for p, bound in points:
+        field = p.field
+        members = compute_J(bound, p).members
+        for m, rep in enumerate(verify_levels(range(bound + 1), p)):
+            if rep is None:
+                continue
+            rows = []
+            for entry in (e for e in members if e.j <= m):
+                if entry.cls == "J1":
+                    start = p_k(entry.j, p)
+                else:
+                    start = l_n(entry.j, p, entry.witness)
+                rows.append([field.payload(c)
+                             for c in ad_pow_coords(m - entry.j, start, p).coords])
+            assert rep.independent == (linalg.rank(field, rows) == len(rows))
+
+
+def test_verify_levels_carries_dependence(make_params, monkeypatch):
+    # L_5 replaced by (ad x1)^5 P_0: the rows turn dependent where it enters
+    # and stay so as ad x1 carries them up
+    f25 = parse_field_spec("ext:Fp:5:2,0,1")
+    p = make_params(f25, "4+t", "4+2*t", "4")
+    monkeypatch.setattr(oracle, "l_n", lambda n, params, j_n, classification:
+                        ad_pow_coords(n, p_k(0, params), params))
+    reports = list(verify_levels(range(9), p))
+    assert [len(rep.candidates) for rep in reports] == [1] * 5 + [2] * 4
+    assert [rep.independent for rep in reports] == [True] * 5 + [False] * 4
 
 
 def test_verify_levels_stops_the_walk_at_the_first_skipped_level(QQ, make_params,

@@ -1,6 +1,9 @@
 """Root vectors u_k, the elements P_k / S(k,t) / L_n, and d_1-solving in U_m."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nichols.braided import GradedElement, ad_x1_pow, skew_derive
 from nichols.errors import HypothesisViolated, NotInJ2, OutOfRange, SolvabilityViolated
@@ -10,6 +13,8 @@ from nichols.oracle import in_kernel
 from nichols.qcalc import BraidingParams, first_equation, qfact_b
 from nichols.rootvec import (
     UhatBasisVector,
+    _p_row,
+    _row_words,
     ad_p_closed_form,
     ad_pow_coords,
     l_n,
@@ -440,3 +445,30 @@ def test_solvability_tracks_q2(F5, F7, F9):
                             elif n not in j2:
                                 assert scalar
     assert solvable_hits >= 5
+
+
+BUILDER_FIELDS = {spec: parse_field_spec(spec)
+                  for spec in ("Fp:3", "Fp:5", "ext:Fp:3:1,0,1", "Q", "ext:Q:-2,0,1")}
+
+
+def _units(field):
+    if field.order is not None:
+        return st.sampled_from(list(field.units()))
+    base = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    payload = st.tuples(*[base] * field.degree) if hasattr(field, "base") else base
+    return payload.map(lambda v: FieldElement(field, v)).filter(bool)
+
+
+@pytest.mark.parametrize("spec", list(BUILDER_FIELDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_level_builders_ignore_q22(spec, data):
+    # scan --check oracles builds each level's elements once per (q, r), at s = 1
+    field = BUILDER_FIELDS[spec]
+    q, r, s = (data.draw(_units(field)) for _ in range(3))
+    m = data.draw(st.integers(0, 6))
+    p, base = BraidingParams.from_qrs(q, r, s), BraidingParams.from_qrs(q, r, field.one)
+    assert p.scalars.hypothesis(m) == base.scalars.hypothesis(m)
+    for i in range(m + 1):
+        assert uhat_pair_words(i, m, p) == uhat_pair_words(i, m, base)
+    assert _row_words(_p_row(m, p), m, p) == _row_words(_p_row(m, base), m, base)

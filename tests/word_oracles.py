@@ -6,14 +6,15 @@ closed formulas, the FieldElement closed forms of d1, d2 and the d1
 preimage on U_m that the payload steps of ``rootvec`` are held to, the
 bracket recursion for u_k and the element products
 (-q21)^i u_hat_i u_hat_(m-i) that its payload builders are held to, the
-super-letters of Lyndon words, and the integer polynomials Q2^{k,m} whose
+skew-derivation recursion on elements that the payload verdicts of
+``oracle`` are held to, the super-letters of Lyndon words, and the integer polynomials Q2^{k,m} whose
 vanishing at a point the J2 membership condition restates."""
 
 from functools import lru_cache
 from itertools import accumulate, count, islice
 from typing import Iterator
 
-from nichols.braided import GradedElement, chi, multidegree
+from nichols.braided import GradedElement, chi, multidegree, skew_derive
 from nichols.errors import (
     InternalInexactDivision,
     NicholsError,
@@ -335,6 +336,18 @@ def to_words_by_elements(v: UhatBasisVector) -> GradedElement:
     for i, c in enumerate(v.coords):
         acc = acc + uhat_pair_by_elements(i, v.m, v.params).scale(c)
     return acc
+
+
+def derivations_vanish_by_elements(x: GradedElement, params: BraidingParams) -> bool:
+    """x in ker(pi) by the derivation recursion on elements, through the
+    public ``skew_derive``, with no shared verdicts."""
+    if x.is_zero():
+        return True
+    if len(next(iter(x.terms))) <= 1:
+        return False
+    return all(
+        derivations_vanish_by_elements(skew_derive(i, x, params), params) for i in (1, 2)
+    )
 
 
 # -- Lyndon words and super-letters ------------------------------------------
