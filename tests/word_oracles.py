@@ -7,8 +7,9 @@ preimage on U_m that the payload steps of ``rootvec`` are held to, the
 bracket recursion for u_k and the element products
 (-q21)^i u_hat_i u_hat_(m-i) that its payload builders are held to, the
 skew-derivation recursion on elements that the payload verdicts of
-``oracle`` are held to, the super-letters of Lyndon words, and the integer polynomials Q2^{k,m} whose
-vanishing at a point the J2 membership condition restates."""
+``oracle`` are held to, the super-letters of Lyndon words, and the
+integer polynomials Q2^{k,m} whose vanishing at a point the J2
+membership condition restates."""
 
 from functools import lru_cache
 from itertools import accumulate, count, islice
