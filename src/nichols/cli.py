@@ -16,7 +16,6 @@ import os
 import shlex
 import sys
 from functools import lru_cache
-from multiprocessing import get_context
 
 from .errors import HypothesisViolated, NicholsError, UsageError
 from .fields import Field, parse_field_spec
@@ -124,9 +123,9 @@ def _params_from_args(field: Field, args) -> BraidingParams:
     raise UsageError("provide --q --r --s or all of --q11..--q22")
 
 
-def _params_json(field: Field, params: BraidingParams) -> dict:
+def _params_json(params: BraidingParams) -> dict:
     return {
-        "field": field.spec,
+        "field": params.field.spec,
         "q11": str(params.q11),
         "q12": str(params.q12),
         "q21": str(params.q21),
@@ -145,50 +144,7 @@ def _emit(args, data: dict, text_lines: list) -> None:
             print(line)
 
 
-# -- subcommand drivers ---------------------------------------------------------
-
-
-def _cmd_jset(args) -> int:
-    _check_level("--max", args.max, LEVEL_CEILING)
-    field = parse_field_spec(args.field)
-    params = _params_from_args(field, args)
-    cls = compute_J(args.max, params)
-    data = {"schema": _schema("jset"), "params": _params_json(field, params)}
-    data.update(cls.to_json())
-    lines = [
-        f"J ∩ [0,{args.max}] = {cls.j_set()}",
-        f"J1 = {cls.j1()}",
-        f"J2 = {[(e.j, e.witness) for e in cls.members if e.cls == 'J2']}",
-    ]
-    lines += [f"anomaly: {a}" for a in cls.anomalies]
-    _emit(args, data, lines)
-    return 0
-
-
-def _cmd_multiplicity(args) -> int:
-    _check_level("--max", args.max, LEVEL_CEILING)
-    field = parse_field_spec(args.field)
-    params = _params_from_args(field, args)
-    classification = compute_J(args.max, params)
-    rows = []
-    lines = [f"{'m':>3} {'m_prime':>8} {'|J∩[0,m]|':>10} {'multiplicity':>13}"]
-    for m in range(args.max + 1):
-        if not params.scalars.hypothesis(m):
-            rows.append({"m": m, "skipped": f"({m})_q^! b_{m} = 0"})
-            lines.append(f"{m:>3} {'—':>8} {'—':>10} {'skipped':>13}")
-            continue
-        count = classification.count_upto(m)
-        mp = m_prime(m, params)
-        mult = multiplicity(m, params, classification)
-        rows.append({"m": m, "m_prime": mp, "j_count": count, "multiplicity": mult})
-        lines.append(f"{m:>3} {mp:>8} {count:>10} {mult:>13}")
-    data = {
-        "schema": _schema("multiplicity"),
-        "params": _params_json(field, params),
-        "rows": rows,
-    }
-    _emit(args, data, lines)
-    return 0
+# -- point commands: each returns (body, text lines, exit status) to _run -------
 
 
 def _check_level(flag: str, m: int, ceiling: int) -> None:
@@ -196,21 +152,47 @@ def _check_level(flag: str, m: int, ceiling: int) -> None:
         raise UsageError(f"{flag} {m} exceeds the level ceiling {ceiling}")
 
 
-def _cmd_verify(args) -> int:
-    if args.m is not None:
-        _check_level("--m", args.m, LEVEL_CEILING)
-    else:
-        _check_level("--max", args.max, LEVEL_CEILING)
-    field = parse_field_spec(args.field)
-    params = _params_from_args(field, args)
+def _skipped(m: int) -> dict:
+    return {"m": m, "skipped": f"({m})_q^! b_{m} = 0"}
+
+
+def _cmd_jset(args, params: BraidingParams) -> tuple:
+    cls = compute_J(args.max, params)
+    lines = [
+        f"J ∩ [0,{args.max}] = {cls.j_set()}",
+        f"J1 = {cls.j1()}",
+        f"J2 = {[(e.j, e.witness) for e in cls.members if e.cls == 'J2']}",
+    ]
+    lines += [f"anomaly: {a}" for a in cls.anomalies]
+    return cls.to_json(), lines, 0
+
+
+def _cmd_multiplicity(args, params: BraidingParams) -> tuple:
+    classification = compute_J(args.max, params)
+    rows = []
+    lines = [f"{'m':>3} {'m_prime':>8} {'|J∩[0,m]|':>10} {'multiplicity':>13}"]
+    for m in range(args.max + 1):
+        if not params.scalars.hypothesis(m):
+            rows.append(_skipped(m))
+            lines.append(f"{m:>3} {'—':>8} {'—':>10} {'skipped':>13}")
+            continue
+        count = classification.count_upto(m)
+        mp = m_prime(m, params)
+        mult = multiplicity(m, params, classification)
+        rows.append({"m": m, "m_prime": mp, "j_count": count, "multiplicity": mult})
+        lines.append(f"{m:>3} {mp:>8} {count:>10} {mult:>13}")
+    return {"rows": rows}, lines, 0
+
+
+def _cmd_verify(args, params: BraidingParams) -> tuple:
     levels = range(args.m, args.m + 1) if args.m is not None else range(args.max + 1)
     reports = []
     lines = []
     failed = False
     for m, rep in zip(levels, verify_levels(levels, params)):
         if rep is None:
-            reports.append({"m": m, "skipped": f"({m})_q^! b_{m} = 0"})
-            lines.append(f"m={m}: skipped (({m})_q^! b_{m} = 0)")
+            reports.append(_skipped(m))
+            lines.append(f"m={m}: skipped ({reports[-1]['skipped']})")
             continue
         reports.append(rep.to_json())
         verdict = "ok" if rep.matches_theorem else "MISMATCH"
@@ -220,36 +202,19 @@ def _cmd_verify(args) -> int:
         )
         if not rep.matches_theorem:
             failed = True
-    data = {
-        "schema": _schema("verify"),
-        "params": _params_json(field, params),
-        "reports": reports,
-    }
-    _emit(args, data, lines)
-    return 1 if failed else 0
+    return {"reports": reports}, lines, 1 if failed else 0
 
 
-def _cmd_dim(args) -> int:
-    field = parse_field_spec(args.field)
-    params = _params_from_args(field, args)
+def _cmd_dim(args, params: BraidingParams) -> tuple:
     try:
         a, b = (int(part) for part in args.deg.split(","))
     except ValueError:
         raise UsageError("--deg expects two integers: a,b") from None
     value = nichols_dim((a, b), params)
-    data = {
-        "schema": _schema("dim"),
-        "params": _params_json(field, params),
-        "deg": [a, b],
-        "dim": value,
-    }
-    _emit(args, data, [f"dim B(V)_({a},{b}) = {value}"])
-    return 0
+    return {"deg": [a, b], "dim": value}, [f"dim B(V)_({a},{b}) = {value}"], 0
 
 
-def _cmd_table1(args) -> int:
-    field = parse_field_spec(args.field)
-    params = _params_from_args(field, args)
+def _cmd_table1(args, params: BraidingParams) -> tuple:
     targets = [args.m] if args.m is not None else [1, 2, 3, 4, 6]
     rows = []
     lines = []
@@ -262,13 +227,7 @@ def _cmd_table1(args) -> int:
             continue
         rows.append({"m": m, "non_root": verdict})
         lines.append(f"m={m}: {'non-root' if verdict else 'root'}")
-    data = {
-        "schema": _schema("table1"),
-        "params": _params_json(field, params),
-        "rows": rows,
-    }
-    _emit(args, data, lines)
-    return 0
+    return {"rows": rows}, lines, 0
 
 
 # -- scan -------------------------------------------------------------------------
@@ -290,7 +249,7 @@ def _level_elements(m: int, params: BraidingParams) -> tuple | None:
 
 def _scan_point(task: tuple) -> dict:
     """Sweep worker: run one (q, r, s) triple; returns a summary row."""
-    _, q, r, s, max_m, check = task
+    q, r, s, max_m, check = task
     params = BraidingParams.from_qrs(q, r, s)
     row = {
         "q": str(q),
@@ -358,12 +317,14 @@ def _cmd_scan(args) -> int:
         )
     units = list(field.units())
     tasks = [
-        (field, q, r, s, args.max, args.check)
+        (q, r, s, args.max, args.check)
         for q in units
         for r in units
         for s in units
     ]
     if args.jobs > 1:
+        from multiprocessing import get_context
+
         with get_context("fork").Pool(args.jobs) as pool:
             rows = pool.map(_scan_point, tasks)
     else:
@@ -405,7 +366,6 @@ _DISPATCH = {
     "verify": _cmd_verify,
     "dim": _cmd_dim,
     "table1": _cmd_table1,
-    "scan": _cmd_scan,
 }
 
 
@@ -469,7 +429,17 @@ def _run(argv: list, in_config: bool) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
-        return _DISPATCH[args.command](args)
+        if args.command == "scan":
+            return _cmd_scan(args)
+        if args.command == "verify" and args.m is not None:
+            _check_level("--m", args.m, LEVEL_CEILING)
+        elif args.command in ("jset", "multiplicity", "verify"):
+            _check_level("--max", args.max, LEVEL_CEILING)
+        params = _params_from_args(parse_field_spec(args.field), args)
+        body, lines, status = _DISPATCH[args.command](args, params)
+        _emit(args, {"schema": _schema(args.command), "params": _params_json(params),
+                     **body}, lines)
+        return status
     except NicholsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ payload with its field at the API boundary, and ``Field.payload`` unwraps
 one after checking its field.  An extension multiplies by convolving
 coefficients, folding t^d..t^(2d-2) back through reduction rows computed
 once, and normalising each coefficient once; it inverts a by solving the
-d x d base-field system a*x = 1 with ``linalg.rref``.  A finite extension
+d x d base-field system a*x = 1 with ``linalg.solve``.  A finite extension
 of order at most TABLE_ORDER (F_4 up to F_49, so every field a scan admits)
 lists its elements once when it is built and fills lookup tables from
 those two routes; its ``_add``/``_neg``/``_mul``/``_inv``/``_from_int`` then
@@ -42,7 +42,7 @@ from .errors import (
     NonPrimeCharacteristic,
     ReduciblePolynomial,
 )
-from .linalg import rref
+from .linalg import solve
 
 # Largest admissible characteristic.  Primality is tested by trial division
 # up to sqrt(p), about 5 * 10^5 steps at the bound (well under a second).
@@ -625,10 +625,10 @@ class ExtensionField(Field):
         cols = [a]
         for _ in range(d - 1):
             cols.append(self._mul(cols[-1], self._t))
-        reduced, pivots = rref(self.base, list(zip(*cols, self._from_int(1))))
-        if d in pivots:  # a*t^j spans less than the field only when a = 0
+        x = solve(self.base, list(zip(*cols)), self._from_int(1))
+        if x is None:  # a*t^j spans less than the field only when a = 0
             raise DivisionByZero("inverse of zero")
-        return tuple(row[d] for row in reduced)
+        return tuple(x)
 
     def _from_int(self, n):
         return self._pad((self.base._from_int(n),))

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -301,12 +305,23 @@ def test_scan_jobs_determinism(capsys, monkeypatch, check):
 def test_scan_jobs_out_of_range_rejected(capsys, monkeypatch, jobs):
     # the refusal comes before any pool exists: a pool here fails the test
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "get_context", lambda method: pytest.fail("pool started"))
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: pytest.fail("pool started"))
     rc = run_command(["scan", "--field", "Fp:3", "--max", "1", "--jobs", jobs])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
     assert "--jobs must be between 1 and 2" in captured.err
+
+
+def test_import_leaves_multiprocessing_out():
+    # only scan --jobs > 1 needs a pool, so importing the CLI loads none
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import nichols.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("modulus", [
@@ -358,7 +373,7 @@ def test_scan_point_budget_refused_before_units(capsys, monkeypatch):
 def test_scan_point_budget_admits_shipped_sweeps(capsys, monkeypatch, spec, points):
     # each point is stubbed out: only the guard and the task list are under test
     monkeypatch.setattr(cli, "_scan_point", lambda task: {
-        "q": task[1], "r": task[2], "s": task[3], "checks": 0, "skipped": 0,
+        "q": task[0], "r": task[1], "s": task[2], "checks": 0, "skipped": 0,
         "violations": [],
     })
     rc, data = run_json(capsys, ["scan", "--field", spec, "--max", "1",

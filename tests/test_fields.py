@@ -270,6 +270,7 @@ def test_tables_match_polynomial_route_exhaustively(spec):
 
 
 @pytest.mark.parametrize("spec, square", [
+    ("ext:Fp:101:2,0,1", "99"),
     ("ext:Fp:999999999989:2,0,1", "999999999987"),
     ("ext:Q:-2,0,1", "2"),
 ])

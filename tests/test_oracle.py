@@ -1,6 +1,11 @@
 """Quantum symmetrizer oracle and the kernel reports it produces."""
 
+from fractions import Fraction
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nichols.braided import GradedElement
 from nichols.errors import (
@@ -10,7 +15,7 @@ from nichols.errors import (
     OutOfRange,
 )
 from nichols import linalg, oracle
-from nichols.fields import parse_field_spec
+from nichols.fields import FieldElement, parse_field_spec
 from nichols.jset import compute_J
 from nichols.oracle import (
     in_kernel,
@@ -417,6 +422,9 @@ def test_verify_levels_reduces_each_kernel_once_per_level(monkeypatch):
     # ranked only where a candidate enters (levels 0 and 5): 11 eliminations
     # for nine levels, where a rank per level took 18 and a rank of
     # K_m + [v] per candidate 22
+    # the field is built first: filling its inverse table solves through rref
+    field = parse_field_spec("ext:Fp:5:2,0,1")
+    p = BraidingParams.from_qrs(field.parse("4+t"), field.parse("4+2*t"), field.parse("4"))
     calls = []
     rref = linalg.rref
 
@@ -426,8 +434,6 @@ def test_verify_levels_reduces_each_kernel_once_per_level(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", counting)  # rank reduces through it
     monkeypatch.setattr(oracle, "rref", counting)
-    field = parse_field_spec("ext:Fp:5:2,0,1")
-    p = BraidingParams.from_qrs(field.parse("4+t"), field.parse("4+2*t"), field.parse("4"))
     reports = list(verify_levels(range(9), p))
     assert all(rep.matches_theorem for rep in reports)
     assert [len(rep.candidates) for rep in reports] == [1] * 5 + [2] * 4
@@ -588,3 +594,89 @@ def test_kernel_dim_counts_defects_at_m6(F7, QQ, make_params):
         if dim:
             nontrivial += 1
     assert checked >= 30 and nontrivial >= 10
+
+
+def _hold_dim_m2_to_J(params, top: int) -> tuple:
+    """Check dim B(V)_(m,2) = C(m+2, 2) - sum over j in J, j <= m, of (m - j + 1)
+    at every m <= top with (m)_q^! b_m != 0; returns the number of levels
+    checked and whether J2 has a member among them.
+
+    This is a third oracle: it holds the multiplicities that J gives to a
+    symmetrizer rank, with no U_m in between.  The argument: Kharchenko's
+    PBW theorem holds over any field (Algebra and Logic 38, 1999).  Under
+    the hypothesis at m, x1^e != 0 for e <= m, and for each k <= m there is
+    a nonzero root vector y_k of degree k*alpha1 + alpha2.  A PBW monomial
+    of degree (m, 2) is x1^(m-k) times one of three kinds of degree (k, 2):
+      - a root vector of degree k*alpha1 + 2*alpha2, of which there are
+        mult = m'(k) - |J ∩ [0, k]| (the paper's corollary);
+      - a product y_i y_l with i > l and i + l = k, of which there are
+        ceil(k/2);
+      - y_(k/2)^2 for even k, unless y_(k/2) has height 2, that is unless
+        q^(k^2/4) r^(k/2) s = -1.
+    m'(k) is ceil(k/2), plus 1 for even k exactly when
+    q^(k^2/4) r^(k/2) s = -1, so m' gains the 1 that the square loses.
+    Each k therefore contributes k + 1 - |J ∩ [0, k]| monomials, and the sum
+    over k <= m is C(m+2, 2) - sum over j in J, j <= m, of (m - j + 1).
+    The hypothesis persists downwards, so the levels checked are 0..m.
+    """
+    checked = 0
+    while checked <= top and params.scalars.hypothesis(checked):
+        checked += 1
+    if not checked:
+        return 0, False
+    classification = compute_J(checked - 1, params)
+    for m in range(checked):
+        expected = comb(m + 2, 2) - sum(m - j + 1 for j in classification.j_set()
+                                        if j <= m)
+        assert nichols_dim((m, 2), params) == expected, (params, m)
+    return checked, bool(classification.j2())
+
+
+def test_dim_m2_matches_J_on_every_f9_point(F9):
+    # F_9 has live J2 members for m <= 6 (F_7 has none), so a J that drops
+    # them fails here
+    units = list(F9.units())
+    levels = j2_points = 0
+    for q in units:
+        for r in units:
+            for s in units:
+                n, has_j2 = _hold_dim_m2_to_J(BraidingParams.from_qrs(q, r, s), 6)
+                levels += n
+                j2_points += has_j2
+    assert (levels, j2_points) == (1832, 14)
+
+
+@pytest.mark.parametrize("spec, q, r, s, top", [
+    ("Q", "2", "3", "-1", 8),  # J = {0}
+    ("Q", "2", "3", "1/3", 8),  # J = {1}
+    ("Q", "2", "3", "-1/18", 8),  # J = {2}
+    ("ext:Q:-2,0,1", "1+t", "3", "-1", 6),  # J = {0}
+    ("ext:Fp:5:2,0,1", "4+t", "4+2*t", "4", 8),  # J = {0, 5}, 5 in J2
+])
+def test_dim_m2_matches_J_at_points(make_params, spec, q, r, s, top):
+    params = make_params(parse_field_spec(spec), q, r, s)
+    assert _hold_dim_m2_to_J(params, top)[0] == top + 1
+    assert compute_J(top, params).j_set()
+
+
+DIM_FIELDS = {spec: parse_field_spec(spec) for spec in
+              ("Fp:3", "Fp:5", "ext:Fp:3:1,0,1", "ext:Fp:5:2,0,1", "Q", "ext:Q:-2,0,1")}
+
+
+def _unit_strategy(field):
+    if field.order is not None:
+        return st.sampled_from(list(field.units()))
+    base = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    payload = st.tuples(*[base] * field.degree) if hasattr(field, "base") else base
+    return payload.map(lambda v: FieldElement(field, v)).filter(bool)
+
+
+@pytest.mark.parametrize("spec", list(DIM_FIELDS))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_dim_m2_matches_J_at_random_points(spec, data):
+    # m <= 8 costs 2-3 s per point over Q(sqrt 2), so it stops at 6 there
+    field = DIM_FIELDS[spec]
+    q, r, s = (data.draw(_unit_strategy(field)) for _ in range(3))
+    top = data.draw(st.integers(0, 6 if spec.startswith("ext:Q:") else 8))
+    _hold_dim_m2_to_J(BraidingParams.from_qrs(q, r, s), top)
