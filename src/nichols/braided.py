@@ -174,11 +174,6 @@ class GradedElement:
         render = self.field._render
         return {"terms": [{"word": list(w), "coeff": render(c)} for w, c in self.key()]}
 
-    @classmethod
-    def from_json(cls, field: Field, data: dict) -> "GradedElement":
-        terms = {tuple(t["word"]): field.parse(t["coeff"]) for t in data["terms"]}
-        return cls(field, terms)
-
 
 # -- skew derivations and the adjoint action ----------------------------------
 

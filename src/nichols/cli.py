@@ -395,16 +395,24 @@ def _attach_dash_values(argv: list) -> list:
 
 
 def _run_config(path: str) -> int:
-    status = 0
     try:
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                status = max(status, _run(shlex.split(line), in_config=True))
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
     except OSError as exc:
         raise UsageError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+    status = 0
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            argv = shlex.split(line)
+        except ValueError as exc:
+            status = max(status, _report(UsageError(f"{path}:{number}: {exc}")))
+            continue
+        status = max(status, _run(argv, in_config=True))
     return status
 
 
@@ -441,8 +449,12 @@ def _run(argv: list, in_config: bool) -> int:
                      **body}, lines)
         return status
     except NicholsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _report(exc)
+
+
+def _report(exc: NicholsError) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def main() -> None:

@@ -25,10 +25,6 @@ class FieldMismatch(NicholsError, ValueError):
     """Operands belong to different fields."""
 
 
-class InternalInexactDivision(NicholsError, ArithmeticError):
-    """A polynomial division expected to be exact was not (an internal bug)."""
-
-
 class NonHomogeneous(NicholsError, ValueError):
     """Operation requires a homogeneous element."""
 

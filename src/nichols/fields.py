@@ -21,9 +21,11 @@ rebuilt from it.  Field specs follow the grammar
 where the c_i are the coefficients of the modulus f = sum c_i t^i; a prime
 may not exceed PRIME_BOUND, and over Q the monic f cleared to integers may
 have no coefficient above Q_MODULUS_HEIGHT in absolute value.  Element
-literals are ``a/b`` (rationals), ``k`` (prime fields) and sums of terms
-``c``, ``c*t``, ``t^e``, ``c*t^e`` (extensions) with e <= EXPONENT_BOUND.
-No numeral in a spec or a literal may exceed LITERAL_LENGTH characters.
+literals are ``a/b`` with b nonzero (rationals), ``k`` (prime fields) and
+sums of terms ``c``, ``c*t``, ``t^e``, ``c*t^e`` (extensions) with
+e <= EXPONENT_BOUND.  No numeral in a spec or a literal may exceed
+LITERAL_LENGTH characters.  Any other spec or literal raises a
+:class:`NicholsError` (mostly ``MalformedSpec``), never a bare Python error.
 Irreducibility over F_p is a gcd with t^(p^k) - t, not a search over roots.
 """
 
@@ -247,9 +249,6 @@ class Field:
             raise FieldMismatch(f"{x!r} is not an element of {self.spec}")
         return x.value
 
-    def render(self, x: FieldElement) -> str:
-        return self._render(x.value)
-
     def elements(self) -> Iterator[FieldElement]:
         """All elements, for finite fields only."""
         if self.order is None:
@@ -261,12 +260,6 @@ class Field:
         for x in self.elements():
             if x:
                 yield x
-
-    def random_nonzero(self, rng) -> FieldElement:
-        while True:
-            x = self.random_element(rng)
-            if x:
-                return x
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.spec == other.spec
@@ -311,10 +304,12 @@ class RationalField(Field):
     def _parse(self, text):
         if not re.fullmatch(r"[+-]?\d+(?:/\d+)?", text):
             raise MalformedSpec(f"bad rational literal: {text!r}")
-        return Fraction(_numeral(text))
-
-    def random_element(self, rng):
-        return FieldElement(self, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        try:
+            return Fraction(_numeral(text))
+        except ZeroDivisionError:
+            raise MalformedSpec(
+                f"zero denominator in rational literal: {text!r}"
+            ) from None
 
 
 class PrimeField(Field):
@@ -358,9 +353,6 @@ class PrimeField(Field):
 
     def _iter_payloads(self):
         return iter(range(self.p))
-
-    def random_element(self, rng):
-        return FieldElement(self, rng.randrange(self.p))
 
 
 # -- polynomial helpers over a base field, on coefficient tuples of payloads --
@@ -687,10 +679,6 @@ class ExtensionField(Field):
             raise MalformedSpec(f"{self.spec} is infinite; cannot enumerate")
 
         return itertools.product(range(self.base.p), repeat=self.degree)
-
-    def random_element(self, rng) -> FieldElement:
-        cs = tuple(self.base.random_element(rng).value for _ in range(self.degree))
-        return FieldElement(self, cs)
 
     def gen(self) -> FieldElement:
         """The class of t."""

@@ -6,22 +6,23 @@ theorem.
 The symmetrizer S_n is built by the factorization
 S_n = (S_{n-1} ⊗ id)(id + c_{n-1} + c_{n-1}c_{n-2} + ... + c_{n-1}...c_1),
 restricted to one multidegree component, on field payloads: a
-:class:`SymmetrizerMatrix` holds payload columns, and its ``matrix`` is a
-FieldElement view built on access.  What does not depend on the point
-(the basis, the rows each sub-basis word lands on, and each column's chain
-of sub-columns) is a plan built once per process per multidegree, at most
-120 of them; per point, ``symmetrizer`` (512 entries) only multiplies the
-running q-products into the sub-columns and sums them.  S(x) is formed
-from the payload rows, one product per row: ``apply`` takes them all, and
-``in_kernel`` stops at the first nonzero one.  The tests keep a naive sum
-over all permutation operators T_sigma, built from the braiding c_i, as an
-independent oracle for the build.  An element is zero in the Nichols
-algebra iff its symmetrizer image vanishes, and the derivation recursion
-(zero iff d_1 and d_2 both map to zero) provides the second, logically
-independent membership test.  It derives payload terms through
-``braided._derive``, with no element per node, and its verdicts live in
-one cache of 512 entries, keyed on params and the sorted terms scaled to a
-leading 1, shared by every element and level of a point.
+:class:`SymmetrizerMatrix` holds payload columns and, from first use,
+their payload rows; it has no FieldElement view.  What does not depend on
+the point (the basis, the rows each sub-basis word lands on, and each
+column's chain of sub-columns) is a plan built once per process per
+multidegree, at most 120 of them; per point, ``symmetrizer`` (512
+entries) only multiplies the running q-products into the sub-columns and
+sums them.  S(x) is formed from the payload rows, one product per row:
+``apply`` takes them all, and ``in_kernel`` stops at the first nonzero
+one.  The tests keep a naive sum over all permutation operators T_sigma,
+built from the braiding c_i, as an independent oracle for the build.  An
+element is zero in the Nichols algebra iff its symmetrizer image vanishes,
+and the derivation recursion (zero iff d_1 and d_2 both map to zero)
+provides the second, logically independent membership test.  It derives
+payload terms through ``braided._derive``, with no element per node, and
+its verdicts live in one cache of 512 entries, keyed on params and the
+sorted terms scaled to a leading 1, shared by every element and level of a
+point.
 
 On U_m no word is built: by the derivation criterion, applied through the
 coordinate formulas for d_1 and d_2, ker(pi) ∩ U_m is carried up from
@@ -96,12 +97,6 @@ class SymmetrizerMatrix:
     def rows(self) -> tuple:
         """Payload rows, the transpose of ``columns``."""
         return tuple(zip(*self.columns))
-
-    @property
-    def matrix(self) -> tuple:
-        """FieldElement rows: matrix[i][j] = coefficient of basis[i] in S(basis[j])."""
-        f = self.field
-        return tuple(tuple(FieldElement(f, c) for c in row) for row in self.rows)
 
     def _products(self, x: GradedElement) -> Iterator:
         """row_i . x for each row in order: the coefficients of S(x)."""

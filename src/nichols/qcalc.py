@@ -1,13 +1,15 @@
 """q-deformed combinatorics and the scalar quantities of the theory.
 
-Provides (n)_q, (n)_q^!, Gaussian binomials via the Pascal recursion (total
-in positive characteristic), the products b_k, lambda_{(n,k)}, beta_{(i,m',k)},
-and the scalar membership conditions used to build the index set J.
+Each point's level routes read one :class:`ScalarTable` of payload prefix
+columns (q^k, (k)_q, (k)_q^!, b_k, (k)_q^! b_k, the sign-equation term and
+the ad x1 weights), extended on demand by one step per entry.
 
-The scalars the level routes read at every k are prefix products, so each
-point keeps them in one :class:`ScalarTable` of payload columns, extended
-on demand by one step per entry; the closed formulas below are the
-definitions the tests hold the table to.
+The closed formulas below are the paper's: (n)_q, Gaussian binomials via
+the Pascal recursion (total in positive characteristic), and the products
+lambda_{(n,k)} and beta_{(i,m',k)} that ``rootvec.ad_p_closed_form``
+evaluates.  The FieldElement definitions of (n)_q^!, b_k, the sign equation
+and the pairwise J condition, which the table and ``jset.compute_J`` are
+held to, are kept in the tests.
 """
 
 from __future__ import annotations
@@ -140,14 +142,6 @@ def q_int(n: int, q: FieldElement) -> FieldElement:
     return acc
 
 
-def q_fact(n: int, q: FieldElement) -> FieldElement:
-    """(n)_q^! = prod_{k<=n} (k)_q."""
-    acc = q.field.one
-    for k in range(1, n + 1):
-        acc = acc * q_int(k, q)
-    return acc
-
-
 def q_binom(n: int, k: int, q: FieldElement) -> FieldElement:
     """Gaussian binomial by the Pascal recursion; 0 outside 0 <= k <= n.
 
@@ -165,17 +159,6 @@ def q_binom(n: int, k: int, q: FieldElement) -> FieldElement:
         new.append(field.one)
         row = new
     return row[k]
-
-
-def b_k(k: int, params: BraidingParams) -> FieldElement:
-    """prod_{j=0}^{k-1} (1 - q^j r)."""
-    q, r = params.q, params.r
-    acc = params.field.one
-    power = params.field.one
-    for _ in range(k):
-        acc = acc * (1 - power * r)
-        power = power * q
-    return acc
 
 
 @lru_cache(maxsize=512)
@@ -201,30 +184,3 @@ def beta_coeff(i: int, m_prime: int, k: int, params: BraidingParams) -> FieldEle
     for j in range(1, i + 1):
         acc = acc * (q ** (m_prime + 2 * k - j) * r - r_inv)
     return acc
-
-
-# -- membership conditions for the index set J -------------------------------
-
-
-def first_equation(j: int, params: BraidingParams) -> bool:
-    """Whether q^(j(j-1)/2) (-r)^j s = -1 (also the P_j-vanishing criterion)."""
-    q, r, s = params.q, params.r, params.s
-    lhs = q ** (j * (j - 1) // 2) * (-r) ** j * s
-    return lhs == -params.field.one
-
-
-def j_condition(j: int, n: int, params: BraidingParams) -> bool:
-    """The pairwise admission condition against an earlier member n < j.
-
-    ((j-n)/2)_{q^(n+j-1) r^2} = 0 for even j-n;
-    (j-n)_{-q^((n+j-1)/2) r} = 0 for odd j-n (then n+j-1 is even).
-    """
-    if n >= j:
-        raise ValueError("requires n < j")
-    q, r = params.q, params.r
-    d = j - n
-    if d % 2 == 0:
-        base = q ** (n + j - 1) * r * r
-        return not q_int(d // 2, base)
-    base = -(q ** ((n + j - 1) // 2) * r)
-    return not q_int(d, base)

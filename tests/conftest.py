@@ -1,9 +1,33 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from nichols.fields import parse_field_spec
+from nichols.braided import GradedElement
+from nichols.fields import ExtensionField, FieldElement, parse_field_spec
 from nichols.qcalc import BraidingParams
+
+
+def _random_payload(field, rng):
+    if isinstance(field, ExtensionField):
+        return tuple(_random_payload(field.base, rng) for _ in range(field.degree))
+    if field.order is None:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return rng.randrange(field.p)
+
+
+def random_element(field, rng, nonzero=False) -> FieldElement:
+    """A random element drawn from ``rng``; redrawn until nonzero if asked."""
+    while True:
+        x = FieldElement(field, _random_payload(field, rng))
+        if x or not nonzero:
+            return x
+
+
+def element_from_json(field, data: dict) -> GradedElement:
+    """The inverse of ``GradedElement.to_json``."""
+    terms = {tuple(t["word"]): field.parse(t["coeff"]) for t in data["terms"]}
+    return GradedElement(field, terms)
 
 
 @pytest.fixture

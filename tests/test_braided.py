@@ -15,6 +15,7 @@ from nichols.braided import (
     skew_derive,
 )
 from nichols.errors import NonHomogeneous
+from conftest import element_from_json, random_element
 from word_oracles import NotLyndon, is_lyndon, shirshov_superletter
 
 
@@ -51,7 +52,7 @@ def _random_element(field, rng, nwords=3, maxlen=4):
     x = GradedElement.zero(field)
     for _ in range(nwords):
         word = tuple(rng.choice((1, 2)) for _ in range(rng.randrange(maxlen + 1)))
-        x = x + GradedElement.from_word(field, word, field.random_nonzero(rng))
+        x = x + GradedElement.from_word(field, word, random_element(field, rng, nonzero=True))
     return x
 
 
@@ -189,7 +190,7 @@ def test_json_round_trip(F9, rng):
         for term in data["terms"]:
             assert set(term.keys()) == {"word", "coeff"}
             assert isinstance(term["coeff"], str)
-        assert GradedElement.from_json(F9, data) == x
+        assert element_from_json(F9, data) == x
 
 
 def test_equality_requires_same_field(QQ, F5):

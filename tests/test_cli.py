@@ -203,6 +203,48 @@ def test_config_missing_file(capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_config_unclosed_quote_reported_for_its_line(tmp_path, capsys):
+    # shlex raises ValueError on an unclosed quote; it is one bad line, not a bad run
+    cfg = tmp_path / "runs.cfg"
+    cfg.write_text(
+        "jset --field Fp:3 --q 1 --r 2 --s 2 --max 3 --format json\n"
+        'jset --field "Fp:3 --q 1\n'
+        "jset --field Fp:3 --q 1 --r 2 --s 2 --max 2 --format json\n"
+    )
+    rc = run_command(["--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert [json.loads(line)["bound"] for line in captured.out.splitlines()] == [3, 2]
+    assert captured.err == f"error: {cfg}:2: No closing quotation\n"
+
+
+def test_config_not_utf8_refused(tmp_path, capsys):
+    cfg = tmp_path / "runs.cfg"
+    cfg.write_bytes(b"jset --field Fp:3 --q \xff --r 2 --s 2 --max 3\n")
+    rc = run_command(["--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--field", "Q", "--q", "1/0", "--r", "3", "--s", "5", "--m", "1"],
+    ["jset", "--field", "ext:Q:1/0,0,1", "--q", "1", "--r", "1", "--s", "1", "--max", "1"],
+    ["jset", "--field", "ext:Q:-2,0,1", "--q", "1/0*t", "--r", "1", "--s", "1",
+     "--max", "1"],
+    ["jset", "--field", "Q", "--q", "1", "--r", "1/00", "--s", "1", "--max", "1"],
+])
+def test_zero_denominator_refused(argv, capsys):
+    # exit status 1 means a verification failure, so bad input must not reach it
+    rc = run_command(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: zero denominator")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_config_with_subcommand_rejected(tmp_path, capsys):
     cfg = tmp_path / "runs.cfg"
     cfg.write_text("jset --field Fp:3 --q 1 --r 2 --s 2 --max 3\n")
@@ -516,17 +558,24 @@ def test_verify_classifies_J_once_with_a_J2_member(capsys, monkeypatch):
 
 
 def test_scan_main_reads_the_scalar_table(capsys, monkeypatch):
-    # (k)_q^!, b_k and the sign equation come from each point's table, not
-    # from the closed formulas
-    closed = {
-        name: _count_calls(monkeypatch, name, qcalc, jset, rootvec, oracle, cli)
-        for name in ("q_fact", "b_k", "first_equation")
-    }
+    # (k)_q^!, b_k and the sign equation come from each point's table; their
+    # closed formulas are kept in the tests only
+    closed = ("q_fact", "b_k", "first_equation", "j_condition")
+    for module in (qcalc, jset, rootvec, oracle, cli):
+        assert [name for name in closed if hasattr(module, name)] == []
+    reads = []
+    upto = qcalc.ScalarTable.upto
+
+    def counting(table, n):
+        reads.append(n)
+        return upto(table, n)
+
+    monkeypatch.setattr(qcalc.ScalarTable, "upto", counting)
     rc, data = run_json(capsys, ["scan", "--field", "ext:Fp:3:2,1,1", "--max", "2",
                                  "--check", "main", "--format", "json"])
     assert rc == 0
     assert data["points"] == 512 and data["checks"] > 0
-    assert closed == {"q_fact": [], "b_k": [], "first_equation": []}
+    assert reads
 
 
 def test_verify_golden_past_the_benchmark_depth(capsys):

@@ -6,12 +6,13 @@ import pickle
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nichols.errors import (
     DivisionByZero,
     FieldMismatch,
     MalformedSpec,
+    NicholsError,
     NonPrimeCharacteristic,
     ReduciblePolynomial,
 )
@@ -25,6 +26,7 @@ from nichols.fields import (
     _poly_mul,
     parse_field_spec,
 )
+from conftest import random_element
 
 
 def test_rational_literals(QQ):
@@ -47,9 +49,9 @@ def test_spec_round_trip(spec):
 def test_field_axioms_on_samples(QQ, F7, F9, rng):
     for field in (QQ, F7, F9):
         for _ in range(25):
-            a = field.random_element(rng)
-            b = field.random_element(rng)
-            c = field.random_element(rng)
+            a = random_element(field, rng)
+            b = random_element(field, rng)
+            c = random_element(field, rng)
             assert a + b == b + a
             assert (a + b) + c == a + (b + c)
             assert a * (b + c) == a * b + a * c
@@ -167,6 +169,36 @@ def test_malformed_specs_rejected():
             parse_field_spec(bad)
 
 
+# the examples: Fraction raises a bare ZeroDivisionError on a zero denominator
+@pytest.mark.parametrize("spec", ["Q", "Fp:5", "ext:Fp:3:1,0,1", "ext:Q:-2,0,1",
+                                  "ext:Fp:101:2,0,1"])
+@settings(max_examples=200, deadline=None)
+@given(text=st.text("0123456789/+-*t^ ", max_size=12))
+@example(text="1/0")
+@example(text="1/00")
+@example(text="1/0*t")
+def test_element_literal_is_a_value_or_a_nichols_error(spec, text):
+    field = parse_field_spec(spec)
+    try:
+        x = field.parse(text)
+    except NicholsError:
+        return
+    assert x.field == field
+
+
+@pytest.mark.parametrize("prefix", ["", "Fp:", "ext:Fp:", "ext:Fp:3:", "ext:Q:"])
+@settings(max_examples=200, deadline=None)
+@given(body=st.text("0123456789/+-*t^ ,:QFpext", max_size=12))
+@example(body="1/0,0,1")
+@example(body="2,1/00,1")
+def test_spec_body_is_a_field_or_a_nichols_error(prefix, body):
+    try:
+        field = parse_field_spec(prefix + body)
+    except NicholsError:
+        return
+    assert parse_field_spec(field.spec) == field
+
+
 def test_nonprime_characteristic_rejected():
     with pytest.raises(NonPrimeCharacteristic):
         parse_field_spec("Fp:6")
@@ -185,7 +217,7 @@ def test_prime_bound():
 def test_render_parse_round_trip(F9, QQ, rng):
     for field in (F9, QQ):
         for _ in range(20):
-            x = field.random_element(rng)
+            x = random_element(field, rng)
             assert field.parse(str(x)) == x
 
 
@@ -280,7 +312,7 @@ def test_untabulated_extensions_multiply_by_convolution(spec, square, rng):
     t = field.gen()
     assert t * t == field.parse(square)
     for _ in range(20):
-        a, b = field.random_element(rng), field.random_element(rng)
+        a, b = random_element(field, rng), random_element(field, rng)
         assert field._mul(a.value, b.value) == field._reduce(
             _poly_mul(field.base, a.value, b.value)
         )

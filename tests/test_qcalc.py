@@ -1,5 +1,6 @@
-"""Quantum integers, the b_k products, the per-point scalar table, and the
-Q2 Laurent polynomial."""
+"""Quantum integers, the per-point scalar table against the closed
+definitions of (k)_q^!, b_k and the sign equation, and the Q2 Laurent
+polynomial."""
 
 import importlib
 import pickle
@@ -11,21 +12,9 @@ import pytest
 import nichols
 from nichols.fields import FieldElement, parse_field_spec
 from nichols.oracle import LEVEL_CEILING
-
-from nichols.errors import InternalInexactDivision
-from nichols.qcalc import (
-    BraidingParams,
-    b_k,
-    beta_coeff,
-    first_equation,
-    j_condition,
-    lambda_coeff,
-    q_binom,
-    q_fact,
-    q_int,
-    qfact_b,
-)
-from word_oracles import q2_eval, q2_poly
+from nichols.qcalc import BraidingParams, beta_coeff, lambda_coeff, q_binom, q_int, qfact_b
+from conftest import random_element
+from word_oracles import b_k, first_equation, j_condition, q2_eval, q2_poly, q_fact
 
 
 def test_q_int_at_two(QQ):
@@ -176,7 +165,7 @@ def test_q_int_telescopes(QQ, F7, rng):
     # (n)_q (q - 1) = q^n - 1
     for field in (QQ, F7):
         for _ in range(10):
-            q = field.random_nonzero(rng)
+            q = random_element(field, rng, nonzero=True)
             for n in range(8):
                 assert q_int(n, q) * (q - field.one) == q**n - field.one
 
@@ -184,7 +173,7 @@ def test_q_int_telescopes(QQ, F7, rng):
 def test_q_binom_times_factorials(QQ, rng):
     # (n choose k)_q (k)_q^! (n-k)_q^! = (n)_q^! away from factorial zeros
     for _ in range(10):
-        q = QQ.random_nonzero(rng)
+        q = random_element(QQ, rng, nonzero=True)
         for n in range(7):
             if not q_fact(n, q):
                 continue
@@ -199,9 +188,9 @@ def test_q2_eval_division_identity(QQ, F5, F7, rng):
     for field in (QQ, F5, F7):
         for _ in range(8):
             p = BraidingParams.from_qrs(
-                field.random_nonzero(rng),
-                field.random_nonzero(rng),
-                field.random_nonzero(rng),
+                random_element(field, rng, nonzero=True),
+                random_element(field, rng, nonzero=True),
+                random_element(field, rng, nonzero=True),
             )
             q, r = p.q, p.r
             one = field.one

@@ -10,7 +10,7 @@ from nichols.errors import HypothesisViolated, NotInJ2, OutOfRange, SolvabilityV
 from nichols.fields import FieldElement, parse_field_spec
 from nichols.linalg import solve
 from nichols.oracle import in_kernel
-from nichols.qcalc import BraidingParams, first_equation, qfact_b
+from nichols.qcalc import BraidingParams, qfact_b
 from nichols.rootvec import (
     UhatBasisVector,
     _p_row,
@@ -25,9 +25,11 @@ from nichols.rootvec import (
     uhat_coords,
     uhat_pair_words,
 )
+from conftest import random_element
 from word_oracles import (
     d1_on_um,
     d2_on_um,
+    first_equation,
     shirshov_superletter,
     solvability_scalar,
     solve_d1,
@@ -139,7 +141,7 @@ def test_coordinate_derivations_match_word_level(generic_q_params, F7, F9, rng):
         field = p.field
         for m in range(1, 5):
             v = UhatBasisVector.from_coords(
-                p, tuple(field.random_element(rng) for _ in range(m + 1))
+                p, tuple(random_element(field, rng) for _ in range(m + 1))
             )
             word_form = v.to_words()
             d1 = skew_derive(1, word_form, p)
@@ -154,7 +156,7 @@ def test_solve_d1_round_trip(generic_q_params, rng):
     field = p.field
     for m in range(1, 5):
         # an interior element (zero first and last coordinate) of U_m
-        coords = [field.zero] + [field.random_element(rng) for _ in range(m - 1)] + [field.zero]
+        coords = [field.zero] + [random_element(field, rng) for _ in range(m - 1)] + [field.zero]
         v = UhatBasisVector.from_coords(p, tuple(coords))
         w = d1_on_um(v).scale(-p.q21.inv())
         assert not solvability_scalar(w)
@@ -175,7 +177,7 @@ def test_uhat_coords_round_trip(generic_q_params, rng):
     field = p.field
     for m in range(4):
         v = UhatBasisVector.from_coords(
-            p, tuple(field.random_element(rng) for _ in range(m + 1))
+            p, tuple(random_element(field, rng) for _ in range(m + 1))
         )
         x = v.to_words()
         back = uhat_coords(x, m, p)
@@ -208,9 +210,9 @@ def test_closed_form_matches_word_level(m, k, generic_q_params):
 def test_closed_form_random_fields(F5, F7, make_params, rng):
     for field in (F5, F7):
         for _ in range(10):
-            qv = field.random_nonzero(rng)
-            rv = field.random_nonzero(rng)
-            sv = field.random_nonzero(rng)
+            qv = random_element(field, rng, nonzero=True)
+            rv = random_element(field, rng, nonzero=True)
+            sv = random_element(field, rng, nonzero=True)
             p = make_params(field, str(qv), str(rv), str(sv))
             for m, k in ((1, 0), (2, 1), (1, 2)):
                 if not (qfact_b(k, p) and qfact_b(k + m, p)):
@@ -267,7 +269,7 @@ def test_ad_pow_coords_matches_words(point, t, rng):
         assert qfact_b(m + t, p)
         for _ in range(3):
             v = UhatBasisVector.from_coords(
-                p, tuple(field.random_element(rng) for _ in range(m + 1))
+                p, tuple(random_element(field, rng) for _ in range(m + 1))
             )
             lifted = ad_pow_coords(t, v, p)
             assert lifted.m == m + t
@@ -288,7 +290,7 @@ def test_payload_preimage_matches_the_closed_forms(point, rng):
     solved = 0
     for k in range(1, 6):
         for _ in range(4):
-            w = UhatBasisVector.from_coords(p, [field.random_element(rng) for _ in range(k)])
+            w = UhatBasisVector.from_coords(p, [random_element(field, rng) for _ in range(k)])
             lam = _d1_preimage([field.payload(c) for c in w.coords], p)
             v = UhatBasisVector.from_coords(p, [FieldElement(field, x) for x in lam])
             assert v.m == k and not v.coords[0]
@@ -382,7 +384,7 @@ def test_element_builders_match_the_element_products(point, rng):
         for i in range(m + 1):
             assert uhat_pair_words(i, m, p) == uhat_pair_by_elements(i, m, p)
         if qfact_b(m, p):
-            coords = [field.random_element(rng) for _ in range(m + 1)]
+            coords = [random_element(field, rng) for _ in range(m + 1)]
             v = UhatBasisVector.from_coords(p, coords)
             assert v.to_words() == to_words_by_elements(v)
             levels += 1

@@ -1,10 +1,12 @@
 """Independent routes kept as test oracles for src/: the composite matrix
 C_m for the coordinate kernel, the square matrix Phi_m whose kernel the
 kernel walk carries, the braiding c_i and the naive sum over S_n for the
-recursive symmetrizer, the classification of J on FieldElements by the
-closed formulas, the FieldElement closed forms of d1, d2 and the d1
-preimage on U_m that the payload steps of ``rootvec`` are held to, the
-bracket recursion for u_k and the element products
+recursive symmetrizer with the FieldElement view of its matrix, the
+definitions of (n)_q^!, b_k, the sign equation and the pairwise J
+condition that the scalar table is held to, the classification of J on
+FieldElements by those closed formulas, the FieldElement closed forms of
+d1, d2 and the d1 preimage on U_m that the payload steps of ``rootvec``
+are held to, the bracket recursion for u_k and the element products
 (-q21)^i u_hat_i u_hat_(m-i) that its payload builders are held to, the
 skew-derivation recursion on elements that the payload verdicts of
 ``oracle`` are held to, the super-letters of Lyndon words, and the
@@ -16,16 +18,11 @@ from itertools import accumulate, count, islice
 from typing import Iterator
 
 from nichols.braided import GradedElement, chi, multidegree, skew_derive
-from nichols.errors import (
-    InternalInexactDivision,
-    NicholsError,
-    OutOfRange,
-    SolvabilityViolated,
-)
+from nichols.errors import NicholsError, OutOfRange, SolvabilityViolated
 from nichols.fields import FieldElement
 from nichols.jset import JClassification, JEntry, _divides
 from nichols.oracle import SymmetrizerMatrix, symmetrizer, words_of_multidegree
-from nichols.qcalc import BraidingParams, b_k, first_equation, j_condition, q_fact
+from nichols.qcalc import BraidingParams, q_int
 from nichols.rootvec import UhatBasisVector, _require_hypothesis, uhat_pair_words
 
 
@@ -87,6 +84,11 @@ def _phis(params: BraidingParams) -> Iterator[list]:
 def _phi(m: int, params: BraidingParams) -> list:
     """Phi_m, the m-th item of ``_phis``."""
     return next(islice(_phis(params), m, None))
+
+
+def sym_matrix(sym: SymmetrizerMatrix) -> tuple:
+    """FieldElement rows: [i][j] = coefficient of basis[i] in S(basis[j])."""
+    return tuple(tuple(FieldElement(sym.field, c) for c in row) for row in sym.rows)
 
 
 def _c_word(i: int, word: tuple, params: BraidingParams) -> tuple:
@@ -161,6 +163,52 @@ def naive_symmetrizer(md: tuple, params: BraidingParams) -> SymmetrizerMatrix:
         tuple(basis),
         tuple(tuple(e.value for e in col.values()) for col in columns.values()),
     )
+
+
+# -- the scalar definitions, by the closed formulas --------------------------
+
+
+def q_fact(n: int, q: FieldElement) -> FieldElement:
+    """(n)_q^! = prod_{k<=n} (k)_q."""
+    acc = q.field.one
+    for k in range(1, n + 1):
+        acc = acc * q_int(k, q)
+    return acc
+
+
+def b_k(k: int, params: BraidingParams) -> FieldElement:
+    """prod_{j=0}^{k-1} (1 - q^j r)."""
+    q, r = params.q, params.r
+    acc = params.field.one
+    power = params.field.one
+    for _ in range(k):
+        acc = acc * (1 - power * r)
+        power = power * q
+    return acc
+
+
+def first_equation(j: int, params: BraidingParams) -> bool:
+    """Whether q^(j(j-1)/2) (-r)^j s = -1 (also the P_j-vanishing criterion)."""
+    q, r, s = params.q, params.r, params.s
+    lhs = q ** (j * (j - 1) // 2) * (-r) ** j * s
+    return lhs == -params.field.one
+
+
+def j_condition(j: int, n: int, params: BraidingParams) -> bool:
+    """The pairwise admission condition against an earlier member n < j.
+
+    ((j-n)/2)_{q^(n+j-1) r^2} = 0 for even j-n;
+    (j-n)_{-q^((n+j-1)/2) r} = 0 for odd j-n (then n+j-1 is even).
+    """
+    if n >= j:
+        raise ValueError("requires n < j")
+    q, r = params.q, params.r
+    d = j - n
+    if d % 2 == 0:
+        base = q ** (n + j - 1) * r * r
+        return not q_int(d // 2, base)
+    base = -(q ** ((n + j - 1) // 2) * r)
+    return not q_int(d, base)
 
 
 def _condition2_witnesses(j: int, admitted: list, params: BraidingParams) -> list:
@@ -391,6 +439,10 @@ def shirshov_superletter(word: tuple, params: BraidingParams) -> GradedElement:
 # During division by q^(2k+m) r^2 - 1 the q-exponents may go negative
 # (division happens over Z[q, q^-1][r]); the quotient must come out in
 # Z[q, r] and leave zero remainder, which is asserted.
+
+
+class InternalInexactDivision(NicholsError, ArithmeticError):
+    """A polynomial division expected to be exact was not."""
 
 
 def _qr_add_term(poly: dict, key: tuple, c: int) -> None:
