@@ -15,7 +15,6 @@ import json
 import os
 import shlex
 import sys
-from functools import lru_cache
 
 from .errors import HypothesisViolated, NicholsError, UsageError
 from .fields import Field, parse_field_spec
@@ -29,7 +28,7 @@ from .oracle import (
     verify_levels,
 )
 from .qcalc import BraidingParams
-from .rootvec import _p_row, _row_words, uhat_pair_words
+from .rootvec import level_elements
 
 SCHEMA_PREFIX = "nichols"
 SCHEMA_VERSION = "v1"
@@ -233,71 +232,65 @@ def _cmd_table1(args, params: BraidingParams) -> tuple:
 # -- scan -------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _level_elements(m: int, params: BraidingParams) -> tuple | None:
-    """The elements ``scan --check oracles`` tests at level m: the m + 1 pairs
-    (-q21)^i u_hat_i u_hat_(m-i) and the words of P_m; None where
-    (m)_q^! b_m = 0.  No builder reads q22 (see ``rootvec``), so the scan
-    builds them at s = 1, and the points of one (q, r), which come in a run
-    with s innermost (also in each chunk of a ``--jobs`` pool), share them."""
-    if not params.scalars.hypothesis(m):
-        return None
-    elements = [uhat_pair_words(i, m, params) for i in range(m + 1)]
-    elements.append(_row_words(_p_row(m, params), m, params))
-    return tuple(elements)
-
-
-def _scan_point(task: tuple) -> dict:
-    """Sweep worker: run one (q, r, s) triple; returns a summary row."""
-    q, r, s, max_m, check = task
-    params = BraidingParams.from_qrs(q, r, s)
-    row = {
-        "q": str(q),
-        "r": str(r),
-        "s": str(s),
-        "checks": 0,
-        "skipped": 0,
-        "violations": [],
-    }
-    if check == "main":
-        levels = range(max_m + 1)
-        for m, rep in zip(levels, verify_levels(levels, params)):
-            if rep is None:
-                row["skipped"] += 1
-                continue
-            row["checks"] += 1
-            if not rep.matches_theorem:
-                row["violations"].append({"m": m, "report": rep.to_json()})
-    elif check == "oracles":
-        shared = BraidingParams(q, r, params.q21, params.q21)  # (q, r, 1): q21 = 1
-        for m in range(max_m + 1):
-            elements = _level_elements(m, shared)
-            if elements is None:
-                row["skipped"] += 1
-                continue
-            for idx, el in enumerate(elements):
+def _scan_pair(task: tuple) -> list:
+    """Sweep worker: run the points (q, r, s) of one (q, r), s in unit order;
+    returns one summary row per point."""
+    q, r, units, max_m, check = task
+    rows = []
+    elements = None
+    for s in units:
+        params = BraidingParams.from_qrs(q, r, s)
+        row = {
+            "q": str(q),
+            "r": str(r),
+            "s": str(s),
+            "checks": 0,
+            "skipped": 0,
+            "violations": [],
+        }
+        if check == "main":
+            levels = range(max_m + 1)
+            for m, rep in zip(levels, verify_levels(levels, params)):
+                if rep is None:
+                    row["skipped"] += 1
+                    continue
                 row["checks"] += 1
-                if in_kernel(el, params) != in_kernel_by_derivations(el, params):
-                    row["violations"].append({"m": m, "element": idx})
-    else:  # table1
-        targets = [m for m in (1, 2, 3, 4, 6) if m <= max_m]
-        classification = compute_J(targets[-1], params) if targets else None
-        for m in targets:
-            try:
-                table_says_nonroot = non_root_table_check(m, params)
-                mult = multiplicity(m, params, classification)
-            except HypothesisViolated:
-                row["skipped"] += 1
-                continue
-            row["checks"] += 1
-            if (mult == 0) != table_says_nonroot:
-                row["violations"].append(
-                    {"m": m, "multiplicity": mult, "table": table_says_nonroot}
-                )
-    return row
+                if not rep.matches_theorem:
+                    row["violations"].append({"m": m, "report": rep.to_json()})
+        elif check == "oracles":
+            if elements is None:  # no element reads q22: the first s builds them for all
+                elements = [level_elements(m, params) for m in range(max_m + 1)]
+            for m, level in enumerate(elements):
+                if level is None:
+                    row["skipped"] += 1
+                    continue
+                for idx, el in enumerate(level):
+                    row["checks"] += 1
+                    if in_kernel(el, params) != in_kernel_by_derivations(el, params):
+                        row["violations"].append({"m": m, "element": idx})
+        else:  # table1
+            targets = [m for m in (1, 2, 3, 4, 6) if m <= max_m]
+            classification = compute_J(targets[-1], params) if targets else None
+            for m in targets:
+                try:
+                    table_says_nonroot = non_root_table_check(m, params)
+                    mult = multiplicity(m, params, classification)
+                except HypothesisViolated:
+                    row["skipped"] += 1
+                    continue
+                row["checks"] += 1
+                if (mult == 0) != table_says_nonroot:
+                    row["violations"].append(
+                        {"m": m, "multiplicity": mult, "table": table_says_nonroot}
+                    )
+        rows.append(row)
+    return rows
 
 
 def _cmd_scan(args) -> int:
+    """Sweep every (q, r, s) unit triple.  A task is one (q, r) pair, whose
+    worker runs its s in unit order, so the rows, flattened, come in the
+    order q, r, s with s innermost, serially and under ``--jobs N`` alike."""
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise UsageError(f"--jobs must be between 1 and {cpus} (the CPU count)")
@@ -316,19 +309,15 @@ def _cmd_scan(args) -> int:
             f"above the budget of {SCAN_POINT_BUDGET}"
         )
     units = list(field.units())
-    tasks = [
-        (q, r, s, args.max, args.check)
-        for q in units
-        for r in units
-        for s in units
-    ]
+    tasks = [(q, r, units, args.max, args.check) for q in units for r in units]
     if args.jobs > 1:
         from multiprocessing import get_context
 
         with get_context("fork").Pool(args.jobs) as pool:
-            rows = pool.map(_scan_point, tasks)
+            per_pair = pool.map(_scan_pair, tasks)
     else:
-        rows = [_scan_point(t) for t in tasks]
+        per_pair = map(_scan_pair, tasks)
+    rows = [row for pair_rows in per_pair for row in pair_rows]
 
     total_checks = sum(r["checks"] for r in rows)
     total_skipped = sum(r["skipped"] for r in rows)
@@ -343,7 +332,7 @@ def _cmd_scan(args) -> int:
         "field": field.spec,
         "check": args.check,
         "max_m": args.max,
-        "points": len(tasks),
+        "points": points,
         "checks": total_checks,
         "skipped": total_skipped,
         "violations": violations,
@@ -351,7 +340,7 @@ def _cmd_scan(args) -> int:
     }
     lines = [
         f"scan {field.spec} check={args.check} max_m={args.max}: "
-        f"points={len(tasks)} checks={total_checks} skipped={total_skipped} "
+        f"points={points} checks={total_checks} skipped={total_skipped} "
         f"violations={violations}"
     ]
     for d in details:

@@ -9,7 +9,9 @@ payload with its field at the API boundary, and ``Field.payload`` unwraps
 one after checking its field.  An extension multiplies by convolving
 coefficients, folding t^d..t^(2d-2) back through reduction rows computed
 once, and normalising each coefficient once; it inverts a by solving the
-d x d base-field system a*x = 1 with ``linalg.solve``.  A finite extension
+d x d base-field system a*x = 1 with ``linalg.solve``.  That ``_mul`` is its
+one product: it builds the reduction rows, the powers of t in literals and
+t^(p^k) in the irreducibility test.  A finite extension
 of order at most TABLE_ORDER (F_4 up to F_49, so every field a scan admits)
 lists its elements once when it is built and fills lookup tables from
 those two routes; its ``_add``/``_neg``/``_mul``/``_inv``/``_from_int`` then
@@ -365,27 +367,6 @@ def _poly_trim(base: Field, cs):
     return tuple(cs)
 
 
-def _poly_add(base: Field, a, b):
-    n = max(len(a), len(b))
-    z = base._from_int(0)
-    out = [
-        base._add(a[i] if i < len(a) else z, b[i] if i < len(b) else z)
-        for i in range(n)
-    ]
-    return _poly_trim(base, out)
-
-
-def _poly_mul(base: Field, a, b):
-    if not a or not b:
-        return ()
-    z = base._from_int(0)
-    out = [z] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = base._add(out[i + j], base._mul(ca, cb))
-    return _poly_trim(base, out)
-
-
 def _poly_divmod(base: Field, a, b):
     """Quotient and remainder of a by b (b nonzero)."""
     a = list(a)
@@ -470,28 +451,29 @@ def _quartic_splits_into_quadratics(ints: list[int]) -> bool:
 Q_MODULUS_HEIGHT = 1000
 
 
-def _check_irreducible(base: Field, mod) -> None:
-    """Raise ReduciblePolynomial unless the monic modulus is irreducible.
+def _check_irreducible(field: "ExtensionField") -> None:
+    """Raise ReduciblePolynomial unless the field's monic modulus f is
+    irreducible.
 
     A reducible f of degree d <= 4 has a factor of degree at most d // 2,
     and every such degree divides d // 2.  Over F_p, t^(p^k) - t is the
     product of the monic irreducibles of degree dividing k, so f is
     irreducible iff gcd(f, t^(p^k) - t) = 1 for k = d // 2; t^(p^k) mod f
-    takes O(k log p) products.  Over Q, a rational-root test plus divisor
-    search on the integer-cleared coefficients, refused with MalformedSpec
-    above Q_MODULUS_HEIGHT before any search starts.
+    takes O(k log p) products ``field._mul``.  Over Q, a rational-root test
+    plus divisor search on the integer-cleared coefficients, refused with
+    MalformedSpec above Q_MODULUS_HEIGHT before any search starts.
     """
-    d = len(mod) - 1
+    base, mod, d = field.base, field.modulus, field.degree
     if isinstance(base, PrimeField):
-        one = base._from_int(1)
-        power, square = (one,), (base._from_int(0), one)
+        mul = field._mul
+        power, square = field._from_int(1), field._t
         e = base.p ** (d // 2)
         while e:
             if e & 1:
-                power = _poly_divmod(base, _poly_mul(base, power, square), mod)[1]
-            square = _poly_divmod(base, _poly_mul(base, square, square), mod)[1]
+                power = mul(power, square)
+            square = mul(square, square)
             e >>= 1
-        a, b = mod, _poly_add(base, power, (base._from_int(0), base._neg(one)))
+        a, b = mod, _poly_trim(base, field._add(power, field._neg(field._t)))
         while b:
             a, b = b, _poly_divmod(base, a, b)[1]
         if len(a) > 1:
@@ -509,8 +491,8 @@ def _check_irreducible(base: Field, mod) -> None:
             raise ReduciblePolynomial("quadratic factor over Q")
 
 
-# Largest e in a literal term t^e: the term is reduced mod f from a list of
-# length e + 1, which at the bound takes well under a second even over Q.
+# Largest e in a literal term t^e: the term takes e products by t, which at
+# the bound take well under a second even over Q.
 EXPONENT_BOUND = 1000
 # Largest finite extension whose arithmetic is tabulated: q^2 = 2401 entries
 # per binary table at F_49, built in milliseconds.
@@ -532,18 +514,18 @@ class ExtensionField(Field):
             raise MalformedSpec(f"extension degree {deg} outside 2..4")
         lead_inv = base._inv(mod[-1])
         mod = tuple(base._mul(c, lead_inv) for c in mod)
-        _check_irreducible(base, mod)
         self.base = base
         self.modulus = mod
         self.degree = deg
         self._p = getattr(base, "p", None)
         self._zero = base._from_int(0)
-        one = base._from_int(1)
-        self._t = self._pad((self._zero, one))
-        # reduction rows: t^d, ..., t^(2d-2) mod f
-        self._rows = tuple(
-            self._reduce((self._zero,) * k + (one,)) for k in range(deg, 2 * deg - 1)
-        )
+        self._t = self._pad((self._zero, base._from_int(1)))
+        # reduction rows t^d, ..., t^(2d-2) mod f: t^d = -(f_0 + ... + f_(d-1) t^(d-1)),
+        # then t^(k+1) = t^k * t, which folds only through the rows before it
+        self._rows = (tuple(base._neg(c) for c in mod[:-1]),)
+        for _ in range(deg, 2 * deg - 2):
+            self._rows += (self._mul(self._rows[-1], self._t),)
+        _check_irreducible(self)
         self.characteristic = base.characteristic
         self.order = None if base.order is None else base.order**deg
         base_tag = "Q" if isinstance(base, RationalField) else f"Fp:{base.p}"
@@ -580,10 +562,6 @@ class ExtensionField(Field):
     def _pad(self, cs):
         z = self.base._from_int(0)
         return tuple(list(cs) + [z] * (self.degree - len(cs)))
-
-    def _reduce(self, cs):
-        _, rem = _poly_divmod(self.base, _poly_trim(self.base, cs), self.modulus)
-        return self._pad(rem)
 
     def _canon(self, cs):
         """Canonical payload from raw base sums: % p over F_p, as is over Q."""
@@ -642,16 +620,12 @@ class ExtensionField(Field):
         return "+".join(parts) if parts else "0"
 
     def _parse(self, text):
-        z = self.base._from_int(0)
-        acc = [z] * self.degree
+        acc = self._from_int(0)
         for term in text.replace(" ", "").split("+"):
             if not term:
                 raise MalformedSpec(f"bad extension literal: {text!r}")
             if "t" not in term:
-                acc = list(
-                    _poly_add(self.base, self._pad(acc), (self.base._parse(term),))
-                )
-                acc = list(self._pad(acc))
+                acc = self._add(acc, self._pad((self.base._parse(term),)))
                 continue
             neg = False
             if term.startswith("-t"):
@@ -667,12 +641,11 @@ class ExtensionField(Field):
                 if m.group("coeff")
                 else self.base._from_int(1)
             )
-            if neg:
-                coeff = self.base._neg(coeff)
-            mono = [z] * exp + [coeff]
-            summed = _poly_add(self.base, tuple(acc), tuple(mono))
-            acc = list(self._pad(self._reduce(summed)))
-        return tuple(acc)
+            mono = self._pad((coeff,))
+            for _ in range(exp):
+                mono = self._mul(mono, self._t)
+            acc = self._add(acc, self._neg(mono) if neg else mono)
+        return acc
 
     def _iter_payloads(self):
         if self.base.order is None:

@@ -52,7 +52,6 @@ from .errors import (
     DegreeCeilingExceeded,
     FieldMismatch,
     HypothesisViolated,
-    NonHomogeneous,
     OutOfRange,
 )
 from .fields import Field, FieldElement
@@ -181,12 +180,28 @@ def nichols_dim(md: tuple, params: BraidingParams) -> int:
     return matrix_rank(params.field, symmetrizer(tuple(md), params).columns)
 
 
+def _member_degree(x: GradedElement, params: BraidingParams) -> tuple | None:
+    """The multidegree of x (None for zero), after the checks both membership
+    tests make, in this order: x is over the braiding's field, homogeneous,
+    and of total degree at most DEGREE_CEILING."""
+    if x.field != params.field:
+        raise FieldMismatch("element and braiding over different fields")
+    if x.is_zero():
+        return None
+    deg = x.degree()  # raises NonHomogeneous when mixed
+    if sum(deg) > DEGREE_CEILING:
+        raise DegreeCeilingExceeded(
+            f"total degree {sum(deg)} exceeds the ceiling {DEGREE_CEILING}"
+        )
+    return deg
+
+
 def in_kernel(x: GradedElement, params: BraidingParams) -> bool:
     """Symmetrizer membership test: x maps to zero in the Nichols algebra.
     The row products of S(x) are formed in order; the first nonzero decides."""
-    if x.is_zero():
+    deg = _member_degree(x, params)
+    if deg is None:
         return True
-    deg = x.degree()  # raises NonHomogeneous when mixed
     return all(map(params.field._is_zero, symmetrizer(deg, params)._products(x)))
 
 
@@ -194,12 +209,9 @@ def in_kernel_by_derivations(x: GradedElement, params: BraidingParams) -> bool:
     """Derivation recursion: zero iff d_1 and d_2 images are both zero.
 
     Base case: elements of total degree <= 1 are in the kernel iff zero.
-    Verdicts are shared through ``_derivations_vanish``.
+    Verdicts are shared through ``_derivations_vanish``, keyed on payloads.
     """
-    if not x.is_zero() and not x.is_homogeneous():
-        raise NonHomogeneous("membership test requires a homogeneous element")
-    if x.field != params.field:  # the verdict cache is keyed on payloads
-        raise FieldMismatch("element and braiding over different fields")
+    _member_degree(x, params)
     return _derivations_vanish(_unit_key(x.field, x.terms.items()), params)
 
 

@@ -8,8 +8,10 @@ subtraction; u_hat_k as that row over (k)_q^! b_k; each basis pair as the
 products of two such rows, one word per pair of entries; and a vector's
 words as one payload sum of the pairs.  These builders, like the
 hypothesis (m)_q^! b_m, read q11, q12, q21 and the s-free columns q_pow
-and qfact_b, never q22, so ``scan --check oracles`` builds each level's
-elements once per (q, r) and shares them across s.  The steps on U_m are
+and qfact_b, never q22: ``level_elements``, the elements ``scan --check
+oracles`` tests at one level, serve every s of a (q, r), and the scan
+builds them once per pair.  u_k is rebuilt from row_0 on each call; u_hat_k
+and the pairs, which the scan reads again, are cached.  The steps on U_m are
 stated once, on payload rows: the row of P_m, the preimage under d1 with
 lambda_0 = 0, and ad x1.  P_k, (ad x1)^t, L_n and both walks of
 ``oracle`` (the kernel walk and the candidate walk) call them.  On these
@@ -41,19 +43,16 @@ def _word(a: int, b: int) -> tuple:
     return (1,) * a + (2,) + (1,) * b
 
 
-@lru_cache(maxsize=512)
 def u_k(k: int, params: BraidingParams) -> GradedElement:
     """u_0 = x2, u_k = x1 u_(k-1) - q^(k-1) q12 u_(k-1) x1, built as the row
     of payloads row_k[b] on x1^(k-b) x2 x1^b: row_0 = [1] and
     row_k[b] = row_(k-1)[b] - q^(k-1) q12 row_(k-1)[b-1]."""
     field = params.field
-    if k == 0:
-        return GradedElement.generator(field, 2)
     add, mul, zero = field._add, field._mul, field._from_int(0)
-    terms = u_k(k - 1, params).terms
-    prev = [terms.get(_word(k - 1 - b, b), zero) for b in range(k)]
-    weight = field._neg(mul(params.scalars.upto(k - 1).q_pow[k - 1], params.q12.value))
-    row = [add(a, mul(weight, b)) for a, b in zip(prev + [zero], [zero] + prev)]
+    row = [field._from_int(1)]
+    for q_j in params.scalars.upto(k).q_pow[:k]:
+        weight = field._neg(mul(q_j, params.q12.value))
+        row = [add(a, mul(weight, b)) for a, b in zip(row + [zero], [zero] + row)]
     return GradedElement.from_payloads(
         field, {_word(k - b, b): c for b, c in enumerate(row)}
     )
@@ -99,6 +98,17 @@ def _row_words(row: list, m: int, params: BraidingParams) -> GradedElement:
             c = mul(lam, c)
             out[w] = add(out[w], c) if w in out else c
     return GradedElement.from_payloads(field, out)
+
+
+def level_elements(m: int, params: BraidingParams) -> tuple | None:
+    """The elements ``scan --check oracles`` tests at level m: the m + 1 pairs
+    (-q21)^i u_hat_i u_hat_(m-i) and the words of P_m; None where
+    (m)_q^! b_m = 0.  None of them reads q22."""
+    if not params.scalars.hypothesis(m):
+        return None
+    elements = [uhat_pair_words(i, m, params) for i in range(m + 1)]
+    elements.append(_row_words(_p_row(m, params), m, params))
+    return tuple(elements)
 
 
 def _require_hypothesis(m: int, params: BraidingParams, what: str) -> None:

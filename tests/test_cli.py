@@ -413,15 +413,23 @@ def test_scan_point_budget_refused_before_units(capsys, monkeypatch):
 
 @pytest.mark.parametrize("spec, points", [("Fp:17", 4096), ("ext:Fp:2:1,1,0,0,1", 3375)])
 def test_scan_point_budget_admits_shipped_sweeps(capsys, monkeypatch, spec, points):
-    # each point is stubbed out: only the guard and the task list are under test
-    monkeypatch.setattr(cli, "_scan_point", lambda task: {
-        "q": task[0], "r": task[1], "s": task[2], "checks": 0, "skipped": 0,
-        "violations": [],
-    })
+    # each pair is stubbed out: only the guard and the task list are under test
+    tasks = []
+
+    def stub(task):
+        tasks.append(task)
+        q, r, units = task[:3]
+        return [{"q": q, "r": r, "s": s, "checks": 0, "skipped": 0, "violations": []}
+                for s in units]
+
+    monkeypatch.setattr(cli, "_scan_pair", stub)
     rc, data = run_json(capsys, ["scan", "--field", spec, "--max", "1",
                                  "--check", "table1", "--format", "json"])
     assert rc == 0
     assert data["points"] == points
+    # one task per (q, r) pair: (order - 1)^2 of them
+    units = round(points ** (1 / 3))
+    assert len(tasks) == units * units
 
 
 @pytest.mark.parametrize("argv, flag, ceiling", [
@@ -444,7 +452,7 @@ def test_level_ceiling_refused_before_any_level(capsys, monkeypatch, argv, flag,
     monkeypatch.setattr(cli, "verify_levels", lambda levels, p: pytest.fail("verify_levels"))
     monkeypatch.setattr(cli, "compute_J", lambda m, p: pytest.fail("compute_J"))
     monkeypatch.setattr(oracle, "symmetrizer", lambda md, p: pytest.fail("symmetrizer"))
-    monkeypatch.setattr(cli, "_scan_point", lambda task: pytest.fail("_scan_point"))
+    monkeypatch.setattr(cli, "_scan_pair", lambda task: pytest.fail("_scan_pair"))
     rc = run_command(argv)
     captured = capsys.readouterr()
     assert rc == 2
@@ -627,8 +635,7 @@ def test_scan_oracles_golden(capsys, field, max_m, digest):
 def test_scan_oracles_fieldelement_budget(capsys, monkeypatch):
     # the element builders run on payloads: this scan created 16 129
     # FieldElements while u_k and the u_hat pairs multiplied FieldElements
-    for cached in (rootvec.u_k, rootvec.u_hat_k, rootvec.uhat_pair_words,
-                   cli._level_elements):
+    for cached in (rootvec.u_hat_k, rootvec.uhat_pair_words):
         cached.cache_clear()
     created = []
     init = vars(fields.FieldElement)["__init__"]
@@ -651,8 +658,7 @@ def test_scan_oracles_fieldelement_budget(capsys, monkeypatch):
 def test_scan_oracles_builds_each_level_once_per_q_r(capsys):
     # the 64 (q, r) of F_9 build at most the 6 pairs of levels 0..2 each,
     # shared by their 8 values of s; a build per point ran the body 2440 times
-    for cached in (rootvec.uhat_pair_words, cli._level_elements):
-        cached.cache_clear()
+    rootvec.uhat_pair_words.cache_clear()
     rc = run_command(["scan", "--field", "ext:Fp:3:2,1,1", "--max", "2", "--check",
                       "oracles", "--format", "json"])
     out = capsys.readouterr().out
@@ -661,6 +667,29 @@ def test_scan_oracles_builds_each_level_once_per_q_r(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "4e5b9dce12092e6a877b2bb01121fdd041ed28a68c66e5a32a204b15de70d954"
     )
+
+
+@pytest.mark.parametrize("spec, built", [("Fp:7", 108), ("Fp:3", 12)])
+def test_scan_jobs_builds_each_level_once(capsys, monkeypatch, tmp_path, spec, built):
+    # a task is one (q, r) pair, so forked workers build each (q, r, m) once:
+    # 36 or 4 pairs times the levels 0..2.  With one task per point and a
+    # cache per worker, chunks that split a (q, r) built 120 sets for Fp:7
+    # and up to 21 for Fp:3, as the pool scheduled them.
+    log = tmp_path / "built.txt"
+
+    def logged(m, params):
+        with open(log, "a") as handle:
+            handle.write(f"{params.q} {params.r} {m}\n")
+        return rootvec.level_elements(m, params)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "level_elements", logged)
+    rc = run_command(["scan", "--field", spec, "--max", "2", "--check", "oracles",
+                      "--jobs", "2", "--format", "json"])
+    capsys.readouterr()
+    assert rc == 0
+    lines = log.read_text().splitlines()
+    assert len(lines) == len(set(lines)) == built
 
 
 def test_verify_past_the_word_ceiling(capsys, monkeypatch):

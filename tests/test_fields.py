@@ -19,14 +19,44 @@ from nichols.errors import (
 from nichols.fields import (
     PRIME_BOUND,
     TABLE_ORDER,
+    ExtensionField,
+    FieldElement,
     PrimeField,
-    _check_irreducible,
-    _poly_add,
     _poly_divmod,
-    _poly_mul,
+    _poly_trim,
     parse_field_spec,
 )
 from conftest import random_element
+
+
+# -- the polynomial route, the oracle an extension's payload arithmetic is held to
+
+
+def _poly_add(base, a, b):
+    n = max(len(a), len(b))
+    z = base._from_int(0)
+    out = [
+        base._add(a[i] if i < len(a) else z, b[i] if i < len(b) else z)
+        for i in range(n)
+    ]
+    return _poly_trim(base, out)
+
+
+def _poly_mul(base, a, b):
+    if not a or not b:
+        return ()
+    z = base._from_int(0)
+    out = [z] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = base._add(out[i + j], base._mul(ca, cb))
+    return _poly_trim(base, out)
+
+
+def _reduce(field, cs):
+    """cs mod the field's modulus, padded to a payload."""
+    _, rem = _poly_divmod(field.base, _poly_trim(field.base, cs), field.modulus)
+    return field._pad(rem)
 
 
 def test_rational_literals(QQ):
@@ -140,7 +170,7 @@ def test_gcd_irreducibility_matches_search(p):
         for low in itertools.product(range(p), repeat=d):
             mod = low + (1,)
             try:
-                _check_irreducible(base, mod)
+                ExtensionField(base, mod)
                 by_gcd = False
             except ReduciblePolynomial:
                 by_gcd = True
@@ -263,11 +293,27 @@ def test_extension_kernel_matches_polynomial_route(spec, data):
     base = field.base
     a = data.draw(_payloads(field))
     b = data.draw(_payloads(field))
-    assert field._mul(a, b) == field._reduce(_poly_mul(base, a, b))
+    assert field._mul(a, b) == _reduce(field, _poly_mul(base, a, b))
     assert field._add(a, b) == field._pad(_poly_add(base, a, b))
     assert field._add(a, field._neg(a)) == field._from_int(0)
     if not field._is_zero(a):
         assert field._mul(a, field._inv(a)) == field._from_int(1)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS + ["ext:Fp:101:2,0,1", "ext:Q:3,-1,0,1"])
+def test_reduction_rows_and_literals_match_polynomial_route(spec):
+    # the rows and the literal terms c*t^e are built by the field's own _mul
+    field = parse_field_spec(spec)
+    base, d = field.base, field.degree
+    one, two = base._from_int(1), base._from_int(2)
+    for k, row in enumerate(field._rows):
+        assert row == _reduce(field, (base._from_int(0),) * (d + k) + (one,))
+    for e in range(3 * d):
+        mono = (base._from_int(0),) * e + (two,)
+        assert field.parse(f"2*t^{e}") == FieldElement(field, _reduce(field, mono))
+        assert field.parse(f"1+-t^{e}") == field.one - FieldElement(
+            field, _reduce(field, mono[:-1] + (one,))
+        )
 
 
 def test_q_modulus_height_bound():
@@ -289,7 +335,7 @@ def test_tables_match_polynomial_route_exhaustively(spec):
     elements = list(field._iter_payloads())
     for a in elements:
         for b in elements:
-            assert field._mul(a, b) == field._reduce(_poly_mul(base, a, b))
+            assert field._mul(a, b) == _reduce(field, _poly_mul(base, a, b))
             assert field._add(a, b) == field._pad(_poly_add(base, a, b))
             assert copy._mul(a, b) == field._mul(a, b)
         assert field._add(a, field._neg(a)) == zero
@@ -313,8 +359,8 @@ def test_untabulated_extensions_multiply_by_convolution(spec, square, rng):
     assert t * t == field.parse(square)
     for _ in range(20):
         a, b = random_element(field, rng), random_element(field, rng)
-        assert field._mul(a.value, b.value) == field._reduce(
-            _poly_mul(field.base, a.value, b.value)
+        assert field._mul(a.value, b.value) == _reduce(
+            field, _poly_mul(field.base, a.value, b.value)
         )
         if a:
             assert a * a.inv() == field.one

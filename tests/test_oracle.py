@@ -155,7 +155,7 @@ def test_in_kernel_requires_homogeneous(generic_q_params):
     assert in_kernel(GradedElement.zero(field), generic_q_params)
 
 
-def test_membership_rejects_mismatched_fields(generic_q_params, F5):
+def test_membership_rejects_mismatched_fields(generic_q_params, F5, F7, make_params):
     x = GradedElement.from_word(F5, (1, 2))
     with pytest.raises(FieldMismatch):
         in_kernel(x, generic_q_params)
@@ -163,6 +163,16 @@ def test_membership_rejects_mismatched_fields(generic_q_params, F5):
         symmetrizer((1, 1), generic_q_params).apply(x)
     with pytest.raises(FieldMismatch):
         in_kernel_by_derivations(x, generic_q_params)
+    # both oracles check the field first, then homogeneity, then the ceiling:
+    # a zero over another field and a word past DEGREE_CEILING were each
+    # refused by one oracle and answered by the other
+    point = make_params(F5, 2, 3, 4)
+    long_word = GradedElement.from_word(F5, (1,) * (oracle.DEGREE_CEILING + 1))
+    for member in (in_kernel, in_kernel_by_derivations):
+        with pytest.raises(FieldMismatch):
+            member(GradedElement.zero(F7), point)
+        with pytest.raises(DegreeCeilingExceeded):
+            member(long_word, point)
 
 
 def test_in_kernel_x2_squared(QQ, F5, make_params):

@@ -287,7 +287,7 @@ def test_caches_keyed_on_params_are_bounded():
                 if BraidingParams in hints.values():
                     cached[f"{info.name}.{name}"] = fn.cache_parameters()["maxsize"]
     assert {
-        "qcalc.qfact_b", "rootvec.u_k", "rootvec.u_hat_k",
+        "qcalc.qfact_b", "rootvec.u_hat_k",
         "rootvec.uhat_pair_words", "oracle.symmetrizer",
     } <= set(cached)
     assert [name for name, maxsize in cached.items() if maxsize is None] == []

@@ -18,6 +18,7 @@ from nichols.rootvec import (
     ad_p_closed_form,
     ad_pow_coords,
     l_n,
+    level_elements,
     p_k,
     s_kt,
     u_hat_k,
@@ -465,7 +466,8 @@ def _units(field):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_level_builders_ignore_q22(spec, data):
-    # scan --check oracles builds each level's elements once per (q, r), at s = 1
+    # scan --check oracles builds each level's elements once per (q, r), at
+    # the pair's first s, and tests every s on them
     field = BUILDER_FIELDS[spec]
     q, r, s = (data.draw(_units(field)) for _ in range(3))
     m = data.draw(st.integers(0, 6))
@@ -474,3 +476,4 @@ def test_level_builders_ignore_q22(spec, data):
     for i in range(m + 1):
         assert uhat_pair_words(i, m, p) == uhat_pair_words(i, m, base)
     assert _row_words(_p_row(m, p), m, p) == _row_words(_p_row(m, base), m, base)
+    assert level_elements(m, p) == level_elements(m, base)
