@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import FieldMismatch, NonHomogeneous
+from .errors import FieldMismatch, NonHomogeneous, OutOfRange
 from .fields import Field, FieldElement
 from .qcalc import BraidingParams
 
@@ -217,6 +217,8 @@ def ad_x1(y: GradedElement, params: BraidingParams) -> GradedElement:
 
 
 def ad_x1_pow(m: int, y: GradedElement, params: BraidingParams) -> GradedElement:
+    if m < 0:
+        raise OutOfRange(f"power {m} is negative")
     for _ in range(m):
         y = ad_x1(y, params)
     return y

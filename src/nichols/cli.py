@@ -18,7 +18,7 @@ import sys
 
 from .errors import HypothesisViolated, NicholsError, UsageError
 from .fields import Field, parse_field_spec
-from .jset import compute_J, m_prime, multiplicity, non_root_table_check
+from .jset import TABLE_ROWS, compute_J, m_prime, multiplicity, non_root_table_check
 from .oracle import (
     DEGREE_CEILING,
     LEVEL_CEILING,
@@ -214,7 +214,7 @@ def _cmd_dim(args, params: BraidingParams) -> tuple:
 
 
 def _cmd_table1(args, params: BraidingParams) -> tuple:
-    targets = [args.m] if args.m is not None else [1, 2, 3, 4, 6]
+    targets = [args.m] if args.m is not None else TABLE_ROWS
     rows = []
     lines = []
     for m in targets:
@@ -232,64 +232,61 @@ def _cmd_table1(args, params: BraidingParams) -> tuple:
 # -- scan -------------------------------------------------------------------------
 
 
-def _scan_pair(task: tuple) -> list:
+def _scan_pair(task: tuple) -> tuple:
     """Sweep worker: run the points (q, r, s) of one (q, r), s in unit order;
-    returns one summary row per point."""
+    returns (checks, skipped, details), with one detail per point that has
+    violations."""
     q, r, units, max_m, check = task
-    rows = []
+    checks = skipped = 0
+    details = []
     elements = None
     for s in units:
         params = BraidingParams.from_qrs(q, r, s)
-        row = {
-            "q": str(q),
-            "r": str(r),
-            "s": str(s),
-            "checks": 0,
-            "skipped": 0,
-            "violations": [],
-        }
+        violations = []
         if check == "main":
             levels = range(max_m + 1)
             for m, rep in zip(levels, verify_levels(levels, params)):
                 if rep is None:
-                    row["skipped"] += 1
+                    skipped += 1
                     continue
-                row["checks"] += 1
+                checks += 1
                 if not rep.matches_theorem:
-                    row["violations"].append({"m": m, "report": rep.to_json()})
+                    violations.append({"m": m, "report": rep.to_json()})
         elif check == "oracles":
             if elements is None:  # no element reads q22: the first s builds them for all
                 elements = [level_elements(m, params) for m in range(max_m + 1)]
             for m, level in enumerate(elements):
                 if level is None:
-                    row["skipped"] += 1
+                    skipped += 1
                     continue
                 for idx, el in enumerate(level):
-                    row["checks"] += 1
+                    checks += 1
                     if in_kernel(el, params) != in_kernel_by_derivations(el, params):
-                        row["violations"].append({"m": m, "element": idx})
+                        violations.append({"m": m, "element": idx})
         else:  # table1
-            targets = [m for m in (1, 2, 3, 4, 6) if m <= max_m]
+            targets = [m for m in TABLE_ROWS if m <= max_m]
             classification = compute_J(targets[-1], params) if targets else None
             for m in targets:
-                try:
-                    table_says_nonroot = non_root_table_check(m, params)
-                    mult = multiplicity(m, params, classification)
-                except HypothesisViolated:
-                    row["skipped"] += 1
+                if not params.scalars.hypothesis(m):
+                    skipped += 1
                     continue
-                row["checks"] += 1
+                checks += 1
+                table_says_nonroot = non_root_table_check(m, params)
+                mult = multiplicity(m, params, classification)
                 if (mult == 0) != table_says_nonroot:
-                    row["violations"].append(
+                    violations.append(
                         {"m": m, "multiplicity": mult, "table": table_says_nonroot}
                     )
-        rows.append(row)
-    return rows
+        if violations:
+            details.append(
+                {"q": str(q), "r": str(r), "s": str(s), "violations": violations}
+            )
+    return checks, skipped, details
 
 
 def _cmd_scan(args) -> int:
     """Sweep every (q, r, s) unit triple.  A task is one (q, r) pair, whose
-    worker runs its s in unit order, so the rows, flattened, come in the
+    worker runs its s in unit order, so the details, joined, come in the
     order q, r, s with s innermost, serially and under ``--jobs N`` alike."""
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
@@ -317,16 +314,10 @@ def _cmd_scan(args) -> int:
             per_pair = pool.map(_scan_pair, tasks)
     else:
         per_pair = map(_scan_pair, tasks)
-    rows = [row for pair_rows in per_pair for row in pair_rows]
-
-    total_checks = sum(r["checks"] for r in rows)
-    total_skipped = sum(r["skipped"] for r in rows)
-    details = [
-        {"q": r["q"], "r": r["r"], "s": r["s"], "violations": r["violations"]}
-        for r in rows
-        if r["violations"]
-    ]
-    violations = sum(len(r["violations"]) for r in rows)
+    checks, skipped, pair_details = zip(*per_pair)
+    total_checks, total_skipped = sum(checks), sum(skipped)
+    details = [d for pair in pair_details for d in pair]
+    violations = sum(len(d["violations"]) for d in details)
     data = {
         "schema": _schema("scan"),
         "field": field.spec,

@@ -10,8 +10,9 @@ one after checking its field.  An extension multiplies by convolving
 coefficients, folding t^d..t^(2d-2) back through reduction rows computed
 once, and normalising each coefficient once; it inverts a by solving the
 d x d base-field system a*x = 1 with ``linalg.solve``.  That ``_mul`` is its
-one product: it builds the reduction rows, the powers of t in literals and
-t^(p^k) in the irreducibility test.  A finite extension
+one product and that solve its one division: they build the reduction rows
+and the powers of t in literals, and decide irreducibility over F_p (is
+t^(p^k) - t a unit modulo f?), with no polynomial division.  A finite extension
 of order at most TABLE_ORDER (F_4 up to F_49, so every field a scan admits)
 lists its elements once when it is built and fills lookup tables from
 those two routes; its ``_add``/``_neg``/``_mul``/``_inv``/``_from_int`` then
@@ -28,7 +29,6 @@ sums of terms ``c``, ``c*t``, ``t^e``, ``c*t^e`` (extensions) with
 e <= EXPONENT_BOUND.  No numeral in a spec or a literal may exceed
 LITERAL_LENGTH characters.  Any other spec or literal raises a
 :class:`NicholsError` (mostly ``MalformedSpec``), never a bare Python error.
-Irreducibility over F_p is a gcd with t^(p^k) - t, not a search over roots.
 """
 
 from __future__ import annotations
@@ -357,7 +357,7 @@ class PrimeField(Field):
         return iter(range(self.p))
 
 
-# -- polynomial helpers over a base field, on coefficient tuples of payloads --
+# -- the modulus: trimming over the base field, and the irreducibility test --
 
 
 def _poly_trim(base: Field, cs):
@@ -367,87 +367,35 @@ def _poly_trim(base: Field, cs):
     return tuple(cs)
 
 
-def _poly_divmod(base: Field, a, b):
-    """Quotient and remainder of a by b (b nonzero)."""
-    a = list(a)
-    q = [base._from_int(0)] * max(0, len(a) - len(b) + 1)
-    lead_inv = base._inv(b[-1])
-    while len(_poly_trim(base, a)) >= len(b):
-        a = list(_poly_trim(base, a))
-        shift = len(a) - len(b)
-        factor = base._mul(a[-1], lead_inv)
-        q[shift] = base._add(q[shift], factor)
-        for i, cb in enumerate(b):
-            a[shift + i] = base._add(a[shift + i], base._neg(base._mul(factor, cb)))
-    return _poly_trim(base, q), _poly_trim(base, a)
+def _signed_divisors(n: int) -> list[int]:
+    """The divisors of n, of both signs; none for n = 0."""
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return [sign * e for d in small for e in {d, n // d} for sign in (1, -1)]
 
 
-def _rational_roots_exist(ints: list[int]) -> bool:
-    """True if sum ints[i] x^i has a rational root (ints[-1] != 0)."""
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    if ints[0] == 0:
-        return True  # x = 0
-    for p in _divisors(abs(ints[0])):
-        for q in _divisors(abs(ints[-1])):
-            for sign in (1, -1):
-                x = Fraction(sign * p, q)
-                if sum(c * x**i for i, c in enumerate(ints)) == 0:
-                    return True
-    return False
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _quartic_splits_into_quadratics(ints: list[int]) -> bool:
-    """Whether an integer quartic has a quadratic factor over Q.
-
-    Monicize by y = a*x (a = leading coefficient); a monic integer quartic
-    factors over Q into monic integer quadratics, so enumerate divisor pairs
-    of the constant term.
-    """
-    e0, e1, e2, e3, a = ints
-    # h(y) = y^4 + e3*y^3 + a*e2*y^2 + a^2*e1*y + a^3*e0
-    h3, h2, h1, h0 = e3, a * e2, a * a * e1, a * a * a * e0
-    if h0 == 0:
-        return True  # y = 0 is a root, i.e. x = 0
-    for b in _divisors(abs(h0)):
-        for b_signed in (b, -b):
-            if h0 % b_signed != 0:
-                continue
-            d = h0 // b_signed
-            # seek y^4+h3 y^3+h2 y^2+h1 y+h0 = (y^2+A y+b_signed)(y^2+C y+d)
-            if d != b_signed:
-                num = h1 - h3 * b_signed
-                if num % (d - b_signed) != 0:
-                    continue
-                A = num // (d - b_signed)
-                C = h3 - A
-                if b_signed + d + A * C == h2:
-                    return True
-            else:
-                if b_signed * h3 != h1:
-                    continue
-                # A + C = h3, A*C = h2 - 2b
-                disc = h3 * h3 - 4 * (h2 - 2 * b_signed)
-                if disc >= 0 and math.isqrt(disc) ** 2 == disc:
-                    return True
+def _splits_into_quadratics(h: list[int], divisors: list[int]) -> bool:
+    """Whether the monic integer quartic sum h[i] y^i, with h[0] != 0, is
+    (y^2 + A y + b)(y^2 + C y + h[0]/b) for a b in ``divisors`` (the signed
+    divisors of h[0]) and integers A, C; by Gauss's lemma that is whether it
+    has a quadratic factor over Q."""
+    h0, h1, h2, h3 = h[:4]
+    for b in divisors:
+        d = h0 // b
+        if d != b:  # A + C = h3 and A d + C b = h1 fix A
+            A, rem = divmod(h1 - h3 * b, d - b)
+            if not rem and b + d + A * (h3 - A) == h2:
+                return True
+        elif b * h3 == h1:  # A + C = h3, A*C = h2 - 2b
+            disc = h3 * h3 - 4 * (h2 - 2 * b)
+            if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+                return True
     return False
 
 
 # Largest |c| among the integer-cleared coefficients of a Q modulus.  The
-# quartic test trial-divides a^3 e0 up to its square root, at most H^2 = 10^6
-# steps, so a modulus at the bound is checked in well under a second.
+# searches trial-divide h_0 = a^(d-1) e_0 up to its square root, at most
+# H^2 = 10^6 steps, so a modulus at the bound is checked in well under a second.
 Q_MODULUS_HEIGHT = 1000
 
 
@@ -456,39 +404,39 @@ def _check_irreducible(field: "ExtensionField") -> None:
     irreducible.
 
     A reducible f of degree d <= 4 has a factor of degree at most d // 2,
-    and every such degree divides d // 2.  Over F_p, t^(p^k) - t is the
+    and every such degree divides k = d // 2.  Over F_p, t^(p^k) - t is the
     product of the monic irreducibles of degree dividing k, so f is
-    irreducible iff gcd(f, t^(p^k) - t) = 1 for k = d // 2; t^(p^k) mod f
-    takes O(k log p) products ``field._mul``.  Over Q, a rational-root test
-    plus divisor search on the integer-cleared coefficients, refused with
-    MalformedSpec above Q_MODULUS_HEIGHT before any search starts.
+    irreducible iff t^(p^k) - t is a unit of F_p[t]/(f), i.e. coprime to f;
+    the field's own power and ``inv`` decide it, in O(k log p) products.
+    Over Q, with a the leading coefficient of the integer-cleared f (refused
+    with MalformedSpec above Q_MODULUS_HEIGHT before any search starts),
+    h(y) = a^(d-1) f(y/a) is monic over Z, so by Gauss's lemma a rational
+    root is a divisor of h_0 up to sign, and a quadratic factor is a
+    divisor-pair search.
     """
-    base, mod, d = field.base, field.modulus, field.degree
+    base, d = field.base, field.degree
     if isinstance(base, PrimeField):
-        mul = field._mul
-        power, square = field._from_int(1), field._t
-        e = base.p ** (d // 2)
-        while e:
-            if e & 1:
-                power = mul(power, square)
-            square = mul(square, square)
-            e >>= 1
-        a, b = mod, _poly_trim(base, field._add(power, field._neg(field._t)))
-        while b:
-            a, b = b, _poly_divmod(base, a, b)[1]
-        if len(a) > 1:
-            raise ReduciblePolynomial(f"factor of degree <= {d // 2} over F_{base.p}")
-    else:
-        denom = math.lcm(*(c.denominator for c in mod))
-        ints = [int(c * denom) for c in mod]
-        if max(abs(c) for c in ints) > Q_MODULUS_HEIGHT:
-            raise MalformedSpec(
-                f"modulus coefficients, cleared to integers, exceed {Q_MODULUS_HEIGHT}"
-            )
-        if _rational_roots_exist(ints):
-            raise ReduciblePolynomial("rational root")
-        if d == 4 and _quartic_splits_into_quadratics(ints):
-            raise ReduciblePolynomial("quadratic factor over Q")
+        t = field.gen()
+        try:
+            (t ** base.p ** (d // 2) - t).inv()
+        except DivisionByZero:
+            raise ReduciblePolynomial(
+                f"factor of degree <= {d // 2} over F_{base.p}"
+            ) from None
+        return
+    denom = math.lcm(*(c.denominator for c in field.modulus))
+    ints = [int(c * denom) for c in field.modulus]
+    if max(abs(c) for c in ints) > Q_MODULUS_HEIGHT:
+        raise MalformedSpec(
+            f"modulus coefficients, cleared to integers, exceed {Q_MODULUS_HEIGHT}"
+        )
+    a = ints[-1]
+    h = [c * a ** (d - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    divisors = _signed_divisors(h[0])
+    if not h[0] or any(sum(c * y**i for i, c in enumerate(h)) == 0 for y in divisors):
+        raise ReduciblePolynomial("rational root")
+    if d == 4 and _splits_into_quadratics(h, divisors):
+        raise ReduciblePolynomial("quadratic factor over Q")
 
 
 # Largest e in a literal term t^e: the term takes e products by t, which at
@@ -525,11 +473,11 @@ class ExtensionField(Field):
         self._rows = (tuple(base._neg(c) for c in mod[:-1]),)
         for _ in range(deg, 2 * deg - 2):
             self._rows += (self._mul(self._rows[-1], self._t),)
-        _check_irreducible(self)
         self.characteristic = base.characteristic
         self.order = None if base.order is None else base.order**deg
         base_tag = "Q" if isinstance(base, RationalField) else f"Fp:{base.p}"
         self.spec = f"ext:{base_tag}:" + ",".join(base._render(c) for c in mod)
+        _check_irreducible(self)  # after the spec: its elements compare by it
         if self.order is not None and self.order <= TABLE_ORDER:
             self._tabulate()
 

@@ -145,6 +145,8 @@ def compute_J(m_max: int, params: BraidingParams) -> JClassification:
 
 def m_prime(m: int, params: BraidingParams):
     """The count m' appearing in the multiplicity corollary."""
+    if m < 0:
+        raise OutOfRange(f"level {m} is negative")
     if m % 2 == 1:
         return (m + 1) // 2
     half = m // 2
@@ -177,8 +179,8 @@ def multiplicity(
 
 def root_vector_criterion(k: int, l: int, params: BraidingParams) -> bool:
     """Whether [x1^k x2 x1^l x2] is a root vector: |J ∩ [0,k+l]| <= l."""
-    if k < l:
-        raise OutOfRange(f"requires k >= l, got k={k}, l={l}")
+    if not 0 <= l <= k:
+        raise OutOfRange(f"requires 0 <= l <= k, got k={k}, l={l}")
     if not params.scalars.hypothesis(k + l):
         raise HypothesisViolated(f"({k + l})_q^! b_{k + l} = 0")
     if k == l:
@@ -189,12 +191,16 @@ def root_vector_criterion(k: int, l: int, params: BraidingParams) -> bool:
     return compute_J(k + l, params).count_upto(k + l) <= l
 
 
+# The levels m the non-root table has a row for.
+TABLE_ROWS = (1, 2, 3, 4, 6)
+
+
 def non_root_table_check(m: int, params: BraidingParams) -> bool:
-    """Evaluate the non-root condition row for m in {1, 2, 3, 4, 6}.
+    """Evaluate the non-root condition row for m in TABLE_ROWS.
 
     Returns True when m*alpha1 + 2*alpha2 is NOT a root.
     """
-    if m not in (1, 2, 3, 4, 6):
+    if m not in TABLE_ROWS:
         raise UnsupportedM(f"the table covers m in {{1,2,3,4,6}}, got {m}")
     if not params.scalars.hypothesis(m):
         raise HypothesisViolated(f"({m})_q^! b_{m} = 0")

@@ -336,8 +336,8 @@ def verify_levels(
     own level, as the row of P_j (j in J1) or as L_n (n in J2, solved once
     by ``l_n``), and ``rootvec._ad_x1_pow`` moves the rows up with the
     levels, so at level m they are (ad x1)^(m-j)(P_j) or (ad x1)^(m-n)(L_n).
-    (m)_q^! b_m = 0 persists upwards, so skipped levels come last and need
-    no candidate and no K_m.  Membership, independence and the dimension
+    (m)_q^! b_m = prod_(k<m) c_k, so once it vanishes it stays 0 upwards:
+    skipped levels come last and need no candidate and no K_m.  Membership, independence and the dimension
     are read in coordinates: a candidate is in the kernel iff it lies in
     span K_m, tested against one reduction of K_m per level, and
     dim(ker pi ∩ U_m) = |K_m|.
@@ -346,7 +346,13 @@ def verify_levels(
     them, the rows move by ad x1 alone, which is injective on U_m.  In the
     free algebra, x1 y - c y x1 = 0 forces y = 0 when every word of y holds
     x2 (take the word with the most leading x1's), so ``independent`` carries.
+    A negative start or step is refused with OutOfRange; an empty range
+    yields nothing.
     """
+    if levels.start < 0 or levels.step < 0:
+        raise OutOfRange(f"levels need a start and a step >= 0, got {levels}")
+    if not levels:
+        return
     field = params.field
     classification = compute_J(levels[-1], params)
     members = classification.members

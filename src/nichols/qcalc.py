@@ -1,8 +1,8 @@
 """q-deformed combinatorics and the scalar quantities of the theory.
 
 Each point's level routes read one :class:`ScalarTable` of payload prefix
-columns (q^k, (k)_q, (k)_q^!, b_k, (k)_q^! b_k, the sign-equation term and
-the ad x1 weights), extended on demand by one step per entry.
+columns (q^k, (k)_q, (k)_q^! b_k, the sign-equation term and the ad x1
+weights), extended on demand by one step per entry.
 
 The closed formulas below are the paper's: (n)_q, Gaussian binomials via
 the Pascal recursion (total in positive characteristic), and the products
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import FieldMismatch, ZeroBraidingEntry
+from .errors import FieldMismatch, OutOfRange, ZeroBraidingEntry
 from .fields import Field, FieldElement
 
 
@@ -85,11 +85,13 @@ class BraidingParams:
 class ScalarTable:
     """Payload prefix columns of one parameter point, indexed by k.
 
-    q_pow[k] = q^k, q_int[k] = (k)_q, q_fact[k] = (k)_q^!, b[k] = b_k,
-    qfact_b[k] = (k)_q^! b_k, sign[k] = q^(k(k-1)/2) (-r)^k s and
-    c[k] = (k+1)_q (1 - q^k r).  ``upto(n)`` extends every column to
-    index n (c to n - 1), each new entry from the one before it:
-    sign[k+1] = sign[k] q^k (-r), b[k+1] = b[k] (1 - q^k r).
+    q_pow[k] = q^k, q_int[k] = (k)_q, qfact_b[k] = (k)_q^! b_k,
+    sign[k] = q^(k(k-1)/2) (-r)^k s and c[k] = (k+1)_q (1 - q^k r), the ad x1
+    weight.  ``upto(n)`` extends every column to index n (c to n - 1), each
+    new entry from the one before it: sign[k+1] = sign[k] q^k (-r) and
+    qfact_b[k+1] = qfact_b[k] c[k], since (m)_q^! b_m = prod_(k<m) c_k.  By
+    that product, once (m)_q^! b_m = 0 it stays 0 at every level above m.
+    A negative index is refused with OutOfRange.
     """
 
     def __init__(self, params: BraidingParams) -> None:
@@ -102,13 +104,13 @@ class ScalarTable:
         self.minus_r = f._neg(self.r)
         self.q_pow = [one]
         self.q_int = [f._from_int(0)]
-        self.q_fact = [one]
-        self.b = [one]
         self.qfact_b = [one]
         self.sign = [params.s.value]
         self.c: list = []
 
     def upto(self, n: int) -> "ScalarTable":
+        if n < 0:
+            raise OutOfRange(f"level {n} is negative")
         if n < len(self.q_pow):
             return self
         f = self.field
@@ -116,15 +118,13 @@ class ScalarTable:
         while len(self.q_pow) <= n:
             k = len(self.q_pow) - 1
             q_k = self.q_pow[k]
-            gap = add(self.one, neg(mul(q_k, self.r)))  # 1 - q^k r
             q_int = add(self.q_int[k], q_k)  # (k+1)_q
+            c = mul(q_int, add(self.one, neg(mul(q_k, self.r))))  # (k+1)_q (1 - q^k r)
             self.q_pow.append(mul(q_k, self.q))
             self.q_int.append(q_int)
-            self.q_fact.append(mul(self.q_fact[k], q_int))
-            self.b.append(mul(self.b[k], gap))
-            self.qfact_b.append(mul(self.q_fact[-1], self.b[-1]))
+            self.qfact_b.append(mul(self.qfact_b[k], c))
             self.sign.append(mul(mul(self.sign[k], q_k), self.minus_r))
-            self.c.append(mul(q_int, gap))
+            self.c.append(c)
         return self
 
     def hypothesis(self, m: int) -> bool:

@@ -262,6 +262,8 @@ def ad_p_closed_form(m: int, k: int, params: BraidingParams) -> UhatBasisVector:
     ``ad_pow_coords`` walks (ad x1)^m (P_k) one level at a time, and the
     tests hold the two equal.
     """
+    if m < 0:
+        raise OutOfRange(f"power {m} is negative")
     _require_hypothesis(k + m, params, f"(ad x1)^{m}(P_{k})")
     field, q = params.field, params.q
     acc = UhatBasisVector.zero(params, k + m)
@@ -318,6 +320,8 @@ def ad_pow_coords(
     Only the input and the result are FieldElements.  Requires
     (m+t)_q^! b_(m+t) != 0, which covers every intermediate level.
     """
+    if t < 0:
+        raise OutOfRange(f"power {t} is negative")
     if t == 0:
         return v
     _require_hypothesis(v.m + t, params, f"(ad x1)^{t} into level {v.m + t}")

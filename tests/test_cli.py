@@ -343,6 +343,33 @@ def test_scan_jobs_determinism(capsys, monkeypatch, check):
         assert json.loads(serial)["checks"] > 0
 
 
+def test_scan_reports_violations_in_point_order(capsys, monkeypatch):
+    # a table that calls every row a non-root disagrees wherever the
+    # multiplicity is nonzero; the details list those points, s innermost
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "non_root_table_check", lambda m, p: True)
+    field = fields.parse_field_spec("Fp:3")
+    units = list(field.units())
+    expected = []
+    for q in units:
+        for r in units:
+            for s in units:
+                p = qcalc.BraidingParams.from_qrs(q, r, s)
+                found = [{"m": m, "multiplicity": jset.multiplicity(m, p), "table": True}
+                         for m in (1, 2) if p.scalars.hypothesis(m)
+                         and jset.multiplicity(m, p)]
+                if found:
+                    expected.append({"q": str(q), "r": str(r), "s": str(s),
+                                     "violations": found})
+    argv = ["scan", "--field", "Fp:3", "--max", "2", "--check", "table1",
+            "--format", "json"]
+    for jobs in ("1", "2"):
+        rc, data = run_json(capsys, argv + ["--jobs", jobs])
+        assert rc == 1
+        assert data["details"] == expected
+        assert data["violations"] == sum(len(d["violations"]) for d in expected) > 0
+
+
 @pytest.mark.parametrize("jobs", ["-3", "0", "3"])
 def test_scan_jobs_out_of_range_rejected(capsys, monkeypatch, jobs):
     # the refusal comes before any pool exists: a pool here fails the test
@@ -418,9 +445,7 @@ def test_scan_point_budget_admits_shipped_sweeps(capsys, monkeypatch, spec, poin
 
     def stub(task):
         tasks.append(task)
-        q, r, units = task[:3]
-        return [{"q": q, "r": r, "s": s, "checks": 0, "skipped": 0, "violations": []}
-                for s in units]
+        return 0, 0, []
 
     monkeypatch.setattr(cli, "_scan_pair", stub)
     rc, data = run_json(capsys, ["scan", "--field", spec, "--max", "1",

@@ -22,7 +22,6 @@ from nichols.fields import (
     ExtensionField,
     FieldElement,
     PrimeField,
-    _poly_divmod,
     _poly_trim,
     parse_field_spec,
 )
@@ -51,6 +50,21 @@ def _poly_mul(base, a, b):
         for j, cb in enumerate(b):
             out[i + j] = base._add(out[i + j], base._mul(ca, cb))
     return _poly_trim(base, out)
+
+
+def _poly_divmod(base, a, b):
+    """Quotient and remainder of a by b (b nonzero)."""
+    a = list(a)
+    q = [base._from_int(0)] * max(0, len(a) - len(b) + 1)
+    lead_inv = base._inv(b[-1])
+    while len(_poly_trim(base, a)) >= len(b):
+        a = list(_poly_trim(base, a))
+        shift = len(a) - len(b)
+        factor = base._mul(a[-1], lead_inv)
+        q[shift] = base._add(q[shift], factor)
+        for i, cb in enumerate(b):
+            a[shift + i] = base._add(a[shift + i], base._neg(base._mul(factor, cb)))
+    return _poly_trim(base, q), _poly_trim(base, a)
 
 
 def _reduce(field, cs):
@@ -162,22 +176,63 @@ def _reducible_by_search(base, mod) -> bool:
     )
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_gcd_irreducibility_matches_search(p):
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_irreducibility_matches_search(p):
     base = PrimeField(p)
-    irreducible = {2: 0, 3: 0, 4: 0}
-    for d in (2, 3, 4):
+    degrees = (2, 3) if p == 7 else (2, 3, 4)  # 2401 quartics over F_7 take seconds
+    irreducible = dict.fromkeys(degrees, 0)
+    for d in degrees:
         for low in itertools.product(range(p), repeat=d):
             mod = low + (1,)
             try:
                 ExtensionField(base, mod)
-                by_gcd = False
+                reducible = False
             except ReduciblePolynomial:
-                by_gcd = True
-            assert by_gcd == _reducible_by_search(base, mod), mod
-            irreducible[d] += not by_gcd
+                reducible = True
+            assert reducible == _reducible_by_search(base, mod), mod
+            irreducible[d] += not reducible
     # Gauss's count of monic irreducibles: (p^2 - p)/2, (p^3 - p)/3, (p^4 - p^2)/4
-    assert irreducible == {2: (p**2 - p) // 2, 3: (p**3 - p) // 3, 4: (p**4 - p**2) // 4}
+    gauss = {2: (p**2 - p) // 2, 3: (p**3 - p) // 3, 4: (p**4 - p**2) // 4}
+    assert irreducible == {d: gauss[d] for d in degrees}
+
+
+_FACTOR = st.integers(-6, 6)
+
+
+def _poly(lead, low):
+    """Integer coefficients, constant term first, with a nonzero leading one."""
+    return st.tuples(*[_FACTOR] * low, lead)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    factors=st.one_of(
+        st.tuples(_poly(st.integers(1, 6), 1), _poly(st.integers(-6, -1), 3)),
+        st.tuples(_poly(st.integers(1, 6), 1), _poly(st.integers(1, 6), 1)),
+        st.tuples(_poly(st.integers(-6, -1), 2), _poly(st.integers(1, 6), 2)),
+    )
+)
+@example(factors=((-1, 0, 1), (-1, 0, 1)))  # (x^2 - 1)^2
+@example(factors=((2, 0, 1), (3, 0, 1)))  # no rational root
+def test_products_over_q_are_refused(factors):
+    a, b = factors
+    product = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    match = "rational root" if 2 in (len(a), len(b)) else "rational root|quadratic factor"
+    with pytest.raises(ReduciblePolynomial, match=match):
+        parse_field_spec("ext:Q:" + ",".join(map(str, product)))
+
+
+def test_quartic_reducible_mod_every_prime_is_irreducible_over_q():
+    # x^4 - 10x^2 + 1, the minimal polynomial of sqrt(2) + sqrt(3): one of 2, 3
+    # and 6 is a square mod every p, so it is reducible mod every prime
+    field = parse_field_spec("ext:Q:1,0,-10,0,1")
+    assert field.degree == 4
+    for p in (2, 3, 5, 7, 11, 13):
+        with pytest.raises(ReduciblePolynomial):
+            parse_field_spec(f"ext:Fp:{p}:1,0,{-10 % p},0,1")
 
 
 @pytest.mark.parametrize("coeffs, reducible", [("2,0,1", False), ("1,0,1", True)])

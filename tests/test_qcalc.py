@@ -1,6 +1,6 @@
 """Quantum integers, the per-point scalar table against the closed
-definitions of (k)_q^!, b_k and the sign equation, and the Q2 Laurent
-polynomial."""
+definitions of (k)_q^!, b_k and the sign equation, the Q2 Laurent
+polynomial, and the refusal of negative levels."""
 
 import importlib
 import pickle
@@ -10,9 +10,20 @@ import typing
 import pytest
 
 import nichols
+from nichols.braided import GradedElement, ad_x1_pow
+from nichols.errors import OutOfRange
 from nichols.fields import FieldElement, parse_field_spec
-from nichols.oracle import LEVEL_CEILING
+from nichols.jset import compute_J, m_prime, multiplicity, root_vector_criterion
+from nichols.oracle import LEVEL_CEILING, ker_cap_Um, verify_levels, verify_main
 from nichols.qcalc import BraidingParams, beta_coeff, lambda_coeff, q_binom, q_int, qfact_b
+from nichols.rootvec import (
+    ad_p_closed_form,
+    ad_pow_coords,
+    level_elements,
+    p_k,
+    u_k,
+    uhat_pair_words,
+)
 from conftest import random_element
 from word_oracles import b_k, first_equation, j_condition, q2_eval, q2_poly, q_fact
 
@@ -245,12 +256,10 @@ def test_scalar_table_matches_closed_formulas(group):
         table = p.scalars.upto(top)
         column = {
             name: [FieldElement(p.field, x) for x in getattr(table, name)]
-            for name in ("q_pow", "q_int", "q_fact", "b", "qfact_b", "c", "sign")
+            for name in ("q_pow", "q_int", "qfact_b", "c", "sign")
         }
         assert column["q_pow"][: top + 1] == pows
         assert column["q_int"][: top + 1] == ints
-        assert column["q_fact"][: top + 1] == facts
-        assert column["b"][: top + 1] == bs
         assert column["qfact_b"][: top + 1] == [f * b for f, b in zip(facts, bs)]
         assert column["c"][:top] == cs
         signs = column["sign"][: top + 1]
@@ -291,3 +300,40 @@ def test_caches_keyed_on_params_are_bounded():
         "rootvec.uhat_pair_words", "oracle.symmetrizer",
     } <= set(cached)
     assert [name for name, maxsize in cached.items() if maxsize is None] == []
+
+
+# -- negative levels and powers: refused, never read from the table's end ------
+
+
+NEGATIVE_LEVEL_CALLS = {
+    "hypothesis": lambda p: p.scalars.hypothesis(-1),
+    "qfact_b": lambda p: qfact_b(-1, p),
+    "u_k": lambda p: u_k(-1, p),
+    "compute_J": lambda p: compute_J(-1, p),
+    "multiplicity": lambda p: multiplicity(-1, p),
+    "ker_cap_Um": lambda p: ker_cap_Um(-1, p),
+    "level_elements": lambda p: level_elements(-1, p),
+    "uhat_pair_words": lambda p: uhat_pair_words(0, -1, p),
+    "verify_main": lambda p: verify_main(-1, p),
+    "verify_levels-negative-start": lambda p: list(verify_levels(range(-1, 3), p)),
+    "verify_levels-negative-step": lambda p: list(verify_levels(range(4, 0, -1), p)),
+    "ad_x1_pow": lambda p: ad_x1_pow(-1, GradedElement.generator(p.field, 2), p),
+    "ad_pow_coords": lambda p: ad_pow_coords(-1, p_k(1, p), p),
+    "ad_p_closed_form": lambda p: ad_p_closed_form(-1, 2, p),
+    "m_prime": lambda p: m_prime(-1, p),
+    "root_vector_criterion": lambda p: root_vector_criterion(3, -1, p),
+}
+
+
+@pytest.mark.parametrize("name", list(NEGATIVE_LEVEL_CALLS))
+def test_negative_level_is_refused(QQ, name):
+    p = BraidingParams.from_qrs(QQ.from_int(2), QQ.from_int(3), QQ.from_int(5))
+    p.scalars.upto(6)  # a built table: index -1 would read its last entry
+    with pytest.raises(OutOfRange):
+        NEGATIVE_LEVEL_CALLS[name](p)
+
+
+def test_verify_levels_of_an_empty_range_yields_nothing(QQ):
+    p = BraidingParams.from_qrs(QQ.from_int(2), QQ.from_int(3), QQ.from_int(5))
+    assert list(verify_levels(range(0), p)) == []
+    assert list(verify_levels(range(3, 3), p)) == []

@@ -272,7 +272,7 @@ def compute_J_by_elements(m_max: int, params: BraidingParams) -> JClassification
             cls, witness = "J1", None
 
         # simplified divisibility form of condition (2), valid once b_j != 0
-        if p and not field._is_zero(params.scalars.upto(j).b[j]):
+        if p and b_k(j, params):
             simplified = any(
                 q ** (n + j - 1) * r * r == one
                 and (_divides(p, j - n) if p % 2 else _divides(4, j - n))
