@@ -22,8 +22,8 @@ from .jset import TABLE_ROWS, compute_J, m_prime, multiplicity, non_root_table_c
 from .oracle import (
     DEGREE_CEILING,
     LEVEL_CEILING,
-    in_kernel,
-    in_kernel_by_derivations,
+    kernel_points,
+    kernel_points_by_derivations,
     nichols_dim,
     verify_levels,
 )
@@ -205,10 +205,10 @@ def _cmd_verify(args, params: BraidingParams) -> tuple:
 
 
 def _cmd_dim(args, params: BraidingParams) -> tuple:
-    try:
-        a, b = (int(part) for part in args.deg.split(","))
-    except ValueError:
-        raise UsageError("--deg expects two integers: a,b") from None
+    parts = args.deg.split(",")  # int() would also read "2_0", "+2" and " 2"
+    if len(parts) != 2 or not all(part.removeprefix("-").isdecimal() for part in parts):
+        raise UsageError("--deg expects two integers: a,b")
+    a, b = map(int, parts)
     value = nichols_dim((a, b), params)
     return {"deg": [a, b], "dim": value}, [f"dim B(V)_({a},{b}) = {value}"], 0
 
@@ -237,9 +237,10 @@ def _scan_pair(task: tuple) -> tuple:
     returns (checks, skipped, details), with one detail per point that has
     violations."""
     q, r, units, max_m, check = task
+    if check == "oracles":
+        return _oracle_pair(q, r, units, max_m)
     checks = skipped = 0
     details = []
-    elements = None
     for s in units:
         params = BraidingParams.from_qrs(q, r, s)
         violations = []
@@ -252,17 +253,6 @@ def _scan_pair(task: tuple) -> tuple:
                 checks += 1
                 if not rep.matches_theorem:
                     violations.append({"m": m, "report": rep.to_json()})
-        elif check == "oracles":
-            if elements is None:  # no element reads q22: the first s builds them for all
-                elements = [level_elements(m, params) for m in range(max_m + 1)]
-            for m, level in enumerate(elements):
-                if level is None:
-                    skipped += 1
-                    continue
-                for idx, el in enumerate(level):
-                    checks += 1
-                    if in_kernel(el, params) != in_kernel_by_derivations(el, params):
-                        violations.append({"m": m, "element": idx})
         else:  # table1
             targets = [m for m in TABLE_ROWS if m <= max_m]
             classification = compute_J(targets[-1], params) if targets else None
@@ -282,6 +272,24 @@ def _scan_pair(task: tuple) -> tuple:
                 {"q": str(q), "r": str(r), "s": str(s), "violations": violations}
             )
     return checks, skipped, details
+
+
+def _oracle_pair(q, r, units: list, max_m: int) -> tuple:
+    """``_scan_pair`` for the oracle check.  No level element reads q22, so
+    they are built once, and each membership route decides every s at once;
+    a point lists each element on which the two verdicts differ."""
+    points = tuple(BraidingParams.from_qrs(q, r, s) for s in units)
+    levels = [level_elements(m, points[0]) for m in range(max_m + 1)]
+    tags = [(m, idx) for m, level in enumerate(levels) if level for idx in range(len(level))]
+    shared = [levels[m][idx] for m, idx in tags]
+    found: dict = {params: [] for params in points}
+    verdicts = zip(kernel_points(shared, points), kernel_points_by_derivations(shared, points))
+    for (m, idx), (by_symmetrizer, by_derivations) in zip(tags, verdicts):
+        for params in by_symmetrizer ^ by_derivations:
+            found[params].append({"m": m, "element": idx})
+    details = [{"q": str(q), "r": str(r), "s": str(s), "violations": found[params]}
+               for s, params in zip(units, points) if found[params]]
+    return len(tags) * len(units), levels.count(None) * len(units), details
 
 
 def _cmd_scan(args) -> int:

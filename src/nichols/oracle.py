@@ -12,17 +12,18 @@ the point (the basis, the rows each sub-basis word lands on, and each
 column's chain of sub-columns) is a plan built once per process per
 multidegree, at most 120 of them; per point, ``symmetrizer`` (512
 entries) only multiplies the running q-products into the sub-columns and
-sums them.  S(x) is formed from the payload rows, one product per row:
-``apply`` takes them all, and ``in_kernel`` stops at the first nonzero
-one.  The tests keep a naive sum over all permutation operators T_sigma,
-built from the braiding c_i, as an independent oracle for the build.  An
-element is zero in the Nichols algebra iff its symmetrizer image vanishes,
-and the derivation recursion (zero iff d_1 and d_2 both map to zero)
-provides the second, logically independent membership test.  It derives
-payload terms through ``braided._derive``, with no element per node, and
-its verdicts live in one cache of 512 entries, keyed on params and the
-sorted terms scaled to a leading 1, shared by every element and level of a
-point.
+sums them.  S(x) is formed from the payload rows, one product per row.
+The tests keep a naive sum over all permutation operators T_sigma, built
+from the braiding c_i, as an independent oracle for the build.  An element
+is zero in the Nichols algebra iff its symmetrizer image vanishes, and the
+derivation recursion (zero iff d_1 and d_2 both map to zero) provides the
+second, logically independent membership test, on payload terms through
+``braided._derive``, with no element per node.
+
+Both tests decide every point (q, r, s) of one (q, r) pair in one pass
+(``kernel_points`` and ``kernel_points_by_derivations``, where only the
+terms that read q22 = s are taken per point); ``in_kernel`` and
+``in_kernel_by_derivations`` are their one-point cases.
 
 On U_m no word is built: by the derivation criterion, applied through the
 coordinate formulas for d_1 and d_2, ker(pi) ∩ U_m is carried up from
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, count, islice, takewhile
+from itertools import combinations, count, islice, repeat, takewhile
 from typing import Iterator
 
 from .braided import GradedElement, _derive
@@ -197,22 +198,60 @@ def _member_degree(x: GradedElement, params: BraidingParams) -> tuple | None:
 
 
 def in_kernel(x: GradedElement, params: BraidingParams) -> bool:
-    """Symmetrizer membership test: x maps to zero in the Nichols algebra.
-    The row products of S(x) are formed in order; the first nonzero decides."""
-    deg = _member_degree(x, params)
-    if deg is None:
-        return True
-    return all(map(params.field._is_zero, symmetrizer(deg, params)._products(x)))
+    """Whether x maps to zero in the Nichols algebra: ``kernel_points`` at one point."""
+    return bool(kernel_points([x], (params,))[0])
 
 
 def in_kernel_by_derivations(x: GradedElement, params: BraidingParams) -> bool:
-    """Derivation recursion: zero iff d_1 and d_2 images are both zero.
+    """Derivation recursion: zero iff d_1 and d_2 images are both zero; the
+    one-point case of ``kernel_points_by_derivations``."""
+    return bool(kernel_points_by_derivations([x], (params,))[0])
 
-    Base case: elements of total degree <= 1 are in the kernel iff zero.
-    Verdicts are shared through ``_derivations_vanish``, keyed on payloads.
-    """
-    _member_degree(x, params)
-    return _derivations_vanish(_unit_key(x.field, x.terms.items()), params)
+
+def _pair_degrees(elements: list, points: tuple) -> list:
+    """Each element's ``_member_degree`` at points that share q11, q12 and
+    q21 and differ in q22 = s, as the points of one (q, r) pair do."""
+    if len({(p.q11, p.q12, p.q21) for p in points}) != 1 or len(set(points)) < len(points):
+        raise OutOfRange("the points must share q11, q12 and q21 and differ in q22")
+    return [_member_degree(x, points[0]) for x in elements]
+
+
+def kernel_points(elements: list, points: tuple) -> list:
+    """Symmetrizer route: for each element, the set of the points of one
+    (q, r) pair at which it lies in ker(pi).  s = q22 enters S_(a,b) once
+    per pair of x2's that cross, so for b <= 2, S(s)x = a + lambda_s d with
+    a = S(s0)x, d = S(s1)x - a and lambda_s = (s - s0)/(s1 - s0), s0 and s1
+    at the first and last points.  b > 2 needs a single point."""
+    degrees = _pair_degrees(elements, points)
+    field, first, last = points[0].field, points[0], points[-1]
+    add, mul, neg, is_zero = field._add, field._mul, field._neg, field._is_zero
+    zero, s0 = field._from_int(0), first.q22.value
+    step = field._inv(add(last.q22.value, neg(s0))) if len(points) > 1 else zero
+    lambdas = [(p, mul(add(p.q22.value, neg(s0)), step)) for p in points]
+    verdicts = []
+    for x, deg in zip(elements, degrees):
+        alive = lambdas
+        if deg is not None:
+            if deg[1] > 2 and len(points) > 1:
+                raise OutOfRange(f"S_{deg} is not affine in s: it has more than two x2's")
+            rows = symmetrizer(deg, first)._products(x)
+            later = symmetrizer(deg, last)._products(x) if len(points) > 1 else repeat(zero)
+            for u, v in zip(rows, later):  # with one point, lambda = 0 and d is never read
+                d = add(v, neg(u))
+                alive = [(p, lam) for p, lam in alive if is_zero(add(u, mul(lam, d)))]
+                if not alive:
+                    break
+        verdicts.append({p for p, _ in alive})
+    return verdicts
+
+
+def kernel_points_by_derivations(elements: list, points: tuple) -> list:
+    """Derivation route: for each element, the set of the points of one (q, r)
+    pair at which it lies in ker(pi); the elements share a memo of verdicts."""
+    _pair_degrees(elements, points)
+    field, points, memo = points[0].field, tuple(points), {}
+    return [set(_derivations_vanish(_unit_key(field, x.terms.items()), points, memo))
+            for x in elements]
 
 
 def _unit_key(field: Field, items) -> tuple:
@@ -224,18 +263,21 @@ def _unit_key(field: Field, items) -> tuple:
     return tuple([(w, mul(inv, c)) for w, c in terms])
 
 
-@lru_cache(maxsize=512)
-def _derivations_vanish(terms: tuple, params: BraidingParams) -> bool:
-    """The verdict on a unit key: ker(pi) is a subspace, so one verdict
-    serves every nonzero multiple, across elements and levels.  The
-    recursion derives the key's terms directly, with no element per node."""
+def _derivations_vanish(terms: tuple, points: tuple, memo: dict) -> tuple:
+    """The points at which a unit key lies in ker(pi), a subspace, so one
+    verdict serves every nonzero multiple.  d_1 reads no q22 and d_2 reads
+    it only where an x2 passes an x2, so only d_2 of a key with two or more
+    x2's is derived per point; a key with at most one has one verdict."""
     if not terms or len(terms[0][0]) <= 1:
-        return not terms  # zero is in ker(pi); a nonzero element of degree <= 1 is not
-    field = params.field
-    return all(
-        _derivations_vanish(_unit_key(field, _derive(i, terms, params)), params)
-        for i in (1, 2)
-    )
+        return () if terms else points  # a nonzero element of degree <= 1 is not in ker(pi)
+    s_free = terms[0][0].count(2) <= 1
+    key = (terms, None if s_free else points)
+    if key not in memo:
+        field, at = points[0].field, points[:1] if s_free else points
+        by_d1 = _derivations_vanish(_unit_key(field, _derive(1, terms, at[0])), at, memo)
+        memo[key] = tuple(p for p in by_d1 if _derivations_vanish(
+            _unit_key(field, _derive(2, terms, p)), (p,), memo))
+    return (points if memo[key] else ()) if s_free else memo[key]
 
 
 def _kernels(params: BraidingParams) -> Iterator[list]:

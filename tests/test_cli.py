@@ -302,6 +302,25 @@ def test_negative_deg_reaches_the_library(capsys):
     assert capsys.readouterr().err == "error: multidegree components must be nonnegative\n"
 
 
+@pytest.mark.parametrize("deg", ["2_0,2", "2,1_0", "+2,2", "2,+2", " 2,2", "2, 2", "2,2 ",
+                                 "--1,2", "-,2", "2", "2,2,2", "", "2.0,2"])
+def test_deg_accepts_only_signed_decimal_digits(capsys, deg):
+    # int() read "2_0" as 20 and took "+2" and " 2"; --max refuses them too
+    rc = run_command(["dim", "--field", "Q", "--q", "2", "--r", "3", "--s", "5",
+                      f"--deg={deg}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: --deg expects two integers: a,b\n"
+
+
+def test_deg_reads_decimal_digits(capsys):
+    rc, data = run_json(capsys, ["dim", "--field", "Q", "--q", "2", "--r", "3", "--s", "5",
+                                 "--deg", "02,1", "--format", "json"])
+    assert rc == 0
+    assert data["deg"] == [2, 1]
+
+
 QRS = ["--q", "2", "--r", "3", "--s", "5"]
 
 
@@ -655,6 +674,64 @@ def test_scan_oracles_golden(capsys, field, max_m, digest):
     assert rc == 0
     assert json.loads(out)["violations"] == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("field, max_m, count", [("ext:Fp:3:2,1,1", "2", 227),
+                                                 ("Fp:5", "6", 59)], ids=["F9", "Fp:5"])
+def test_scan_oracles_kernel_count(capsys, monkeypatch, field, max_m, count):
+    # the scan prints no verdicts, so two routes that agreed while both were
+    # wrong would keep every digest.  count is the number of (point, element)
+    # checks in ker(pi) by in_kernel, called at every point before the pair routes.
+    totals = {}
+    for route in ("kernel_points", "kernel_points_by_derivations"):
+        def counted(elements, points, route=route, original=getattr(cli, route)):
+            verdicts = original(elements, points)
+            totals[route] = totals.get(route, 0) + sum(map(len, verdicts))
+            return verdicts
+
+        monkeypatch.setattr(cli, route, counted)
+    rc = run_command(["scan", "--field", field, "--max", max_m, "--check", "oracles"])
+    capsys.readouterr()
+    assert rc == 0
+    assert totals == {"kernel_points": count, "kernel_points_by_derivations": count}
+
+
+@pytest.mark.parametrize("route", ["kernel_points", "kernel_points_by_derivations"])
+def test_scan_oracles_lists_forced_disagreements(capsys, monkeypatch, route):
+    # flip one route's verdict at chosen (s, m, element) of the pair q = r = 2:
+    # the details list them in the order q, r, s (s innermost), m, element
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    field = fields.parse_field_spec("Fp:5")
+    two = field.from_int(2)
+    flips = [(4, 2, 1), (3, 3, 0), (3, 1, 2)]
+    original = getattr(cli, route)
+
+    def flipped(elements, points):
+        verdicts = original(elements, points)
+        if (points[0].q, points[0].r) == (two, two):
+            for s, m, idx in flips:
+                target = rootvec.level_elements(m, points[0])[idx]
+                point = qcalc.BraidingParams.from_qrs(two, two, field.from_int(s))
+                (found,) = [v for x, v in zip(elements, verdicts) if x == target]
+                found ^= {point}
+        return verdicts
+
+    monkeypatch.setattr(cli, route, flipped)
+    expected = [
+        {"q": "2", "r": "2", "s": "3", "violations": [{"m": 1, "element": 2},
+                                                       {"m": 3, "element": 0}]},
+        {"q": "2", "r": "2", "s": "4", "violations": [{"m": 2, "element": 1}]},
+    ]
+    lines = [f"  violation at q=2 r=2 s={d['s']}: {d['violations']}" for d in expected]
+    argv = ["scan", "--field", "Fp:5", "--max", "3", "--check", "oracles"]
+    for jobs in ("1", "2"):
+        rc, data = run_json(capsys, argv + ["--jobs", jobs, "--format", "json"])
+        assert rc == 1
+        assert data["details"] == expected
+        assert data["violations"] == 3
+        rc = run_command(argv + ["--jobs", jobs])
+        assert rc == 1
+        assert capsys.readouterr().out.splitlines()[1:] == lines
 
 
 def test_scan_oracles_fieldelement_budget(capsys, monkeypatch):

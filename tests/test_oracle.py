@@ -21,6 +21,8 @@ from nichols.oracle import (
     in_kernel,
     in_kernel_by_derivations,
     ker_cap_Um,
+    kernel_points,
+    kernel_points_by_derivations,
     nichols_dim,
     symmetrizer,
     verify_levels,
@@ -28,7 +30,7 @@ from nichols.oracle import (
     words_of_multidegree,
 )
 from nichols.qcalc import BraidingParams, qfact_b
-from nichols.rootvec import UhatBasisVector, ad_pow_coords, l_n, p_k, u_k
+from nichols.rootvec import UhatBasisVector, ad_pow_coords, l_n, level_elements, p_k, u_k
 from conftest import random_element
 from word_oracles import (
     _phi,
@@ -177,17 +179,20 @@ def test_membership_rejects_mismatched_fields(generic_q_params, F5, F7, make_par
 
 def test_in_kernel_x2_squared(QQ, F5, make_params):
     # s = -1 kills x2^2 and a generic s does not.  Derivation verdicts are
-    # shared across calls, so the two points, queried in either order, must
-    # not read each other's verdict, and a unit multiple shares the verdict.
+    # shared across the points of a pair, so the two points, in either
+    # order, must not read each other's verdict, and a unit multiple shares
+    # the verdict.
     for field in (QQ, F5):
         x22 = GradedElement.from_word(field, (2, 2))
         kernel_point = make_params(field, 2, 3, -1)
         generic = make_params(field, 2, 3, 2)
         for order in ((kernel_point, generic), (generic, kernel_point)):
-            oracle._derivations_vanish.cache_clear()
+            pair = [x22, x22.scale(3)]
+            assert kernel_points(pair, order) == [{kernel_point}] * 2
+            assert kernel_points_by_derivations(pair, order) == [{kernel_point}] * 2
             for p in order:
                 expected = p is kernel_point
-                for x in (x22, x22.scale(3)):
+                for x in pair:
                     assert in_kernel(x, p) == expected
                     assert in_kernel_by_derivations(x, p) == expected
 
@@ -271,16 +276,70 @@ def test_in_kernel_matches_the_applied_symmetrizer(membership_points, rng):
 
 
 def test_derivation_verdicts_match_the_element_recursion(membership_points, rng):
-    # the verdict cache derives payload terms; the oracle derives elements
+    # the shared verdicts derive payload terms; the oracle derives elements
     # through skew_derive with no shared verdicts
     for p in membership_points:
         field = p.field
-        oracle._derivations_vanish.cache_clear()
+        memo: dict = {}
         for x in _kernel_elements(field, p) + _random_homogeneous(field, rng, 12):
             expected = derivations_vanish_by_elements(x, p)
             key = oracle._unit_key(field, x.terms.items())
-            assert oracle._derivations_vanish(key, p) == expected
+            assert oracle._derivations_vanish(key, (p,), memo) == ((p,) if expected else ())
             assert in_kernel_by_derivations(x, p) == expected
+
+
+PAIR_FIELDS = {spec: parse_field_spec(spec) for spec in
+               ("Fp:5", "Fp:7", "ext:Fp:2:1,1,1", "ext:Fp:3:1,0,1", "ext:Fp:5:2,0,1")}
+# naive_symmetrizer takes about 0.1 s per point at total degree 6 and 1 s at 7
+NAIVE_DEGREE = 5
+
+
+@pytest.mark.parametrize("spec", list(PAIR_FIELDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pair_routes_match_the_per_point_routes(spec, data):
+    # each pair route decides every s of a (q, r) at once; its verdict set
+    # must be the set of points where a per-point route says "in ker(pi)":
+    # in_kernel for the symmetrizer route, and the naive sum over T_sigma
+    # for the derivation route (in_kernel above NAIVE_DEGREE)
+    field = PAIR_FIELDS[spec]
+    units = list(field.units())
+    q, r = data.draw(st.sampled_from(units)), data.draw(st.sampled_from(units))
+    points = tuple(BraidingParams.from_qrs(q, r, s) for s in units)
+    elements = list(level_elements(data.draw(st.integers(0, 5)), points[0]) or ())
+    words = words_of_multidegree(data.draw(st.integers(0, 5)), data.draw(st.integers(0, 2)))
+    coeffs = data.draw(st.lists(st.sampled_from([field.zero, *units]),
+                                min_size=len(words), max_size=len(words)))
+    elements.append(GradedElement(field, dict(zip(words, coeffs))))
+    naive: dict = {}
+    for x, by_symmetrizer, by_derivations in zip(
+        elements, kernel_points(elements, points), kernel_points_by_derivations(elements, points)
+    ):
+        expected = {p for p in points if in_kernel(x, p)}
+        assert by_symmetrizer == expected
+        if not x.is_zero() and sum(x.degree()) <= NAIVE_DEGREE:
+            for p in points:
+                if (x.degree(), p) not in naive:
+                    naive[x.degree(), p] = naive_symmetrizer(x.degree(), p)
+            expected = {p for p in points if naive[x.degree(), p].apply(x).is_zero()}
+        assert by_derivations == expected
+
+
+def test_pair_routes_refuse_unrelated_points(F5, make_params):
+    x = GradedElement.from_word(F5, (1, 2, 2))
+    for points in ((make_params(F5, 2, 3, 4), make_params(F5, 3, 3, 1)),
+                   (make_params(F5, 2, 3, 4), make_params(F5, 2, 3, 4))):
+        for route in (kernel_points, kernel_points_by_derivations):
+            with pytest.raises(OutOfRange):
+                route([x], points)
+    # S_(a,b) is affine in s only for b <= 2; a single point is the per-point
+    # case.  x2^3 lies in ker(pi) at s = -1 = 4 only.
+    x = GradedElement.from_word(F5, (2, 2, 2))
+    pair = (make_params(F5, 2, 3, 4), make_params(F5, 2, 3, 1))
+    with pytest.raises(OutOfRange):
+        kernel_points([x], pair)
+    assert kernel_points([x], pair[:1]) == [{pair[0]}]
+    assert kernel_points_by_derivations([x], pair) == [{pair[0]}]
 
 
 def test_ker_cap_um_dimensions(f9_params, generic_q_params):
