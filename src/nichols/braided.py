@@ -75,7 +75,7 @@ class GradedElement:
     @classmethod
     def generator(cls, field: Field, letter: int) -> "GradedElement":
         if letter not in (1, 2):
-            raise ValueError(f"letter must be 1 or 2, got {letter}")
+            raise OutOfRange(f"letter must be 1 or 2, got {letter}")
         return cls.from_word(field, (letter,))
 
     # -- structure -----------------------------------------------------------

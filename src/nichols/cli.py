@@ -27,7 +27,7 @@ from .oracle import (
     nichols_dim,
     verify_levels,
 )
-from .qcalc import BraidingParams
+from .qcalc import BraidingParams, ScalarTable
 from .rootvec import level_elements
 
 SCHEMA_PREFIX = "nichols"
@@ -152,7 +152,7 @@ def _check_level(flag: str, m: int, ceiling: int) -> None:
 
 
 def _skipped(m: int) -> dict:
-    return {"m": m, "skipped": f"({m})_q^! b_{m} = 0"}
+    return {"m": m, "skipped": ScalarTable.failure(m)}
 
 
 def _cmd_jset(args, params: BraidingParams) -> tuple:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import HypothesisViolated, OutOfRange, UnsupportedM
-from .qcalc import BraidingParams, q_int
+from .qcalc import BraidingParams, q_int, q_int_payload
 
 
 def _divides(d: int, x: int) -> bool:
@@ -72,21 +72,15 @@ def compute_J(m_max: int, params: BraidingParams) -> JClassification:
     Runs on payloads: the sign equation and (j)_q^! b_j are table reads,
     and with q^k r^2 listed once, each pair (n, j) makes q^(n+j-1) r^2, or
     q^((n+j-1)/2) r for odd j - n, by one product.  The raw definition sums
-    that base's q-integer."""
+    that base's q-integer (``qcalc.q_int_payload``)."""
     field = params.field
     p = field.characteristic
-    add, mul, neg, is_zero = field._add, field._mul, field._neg, field._is_zero
+    mul, neg, is_zero = field._mul, field._neg, field._is_zero
     table = params.scalars.upto(m_max)
-    one, minus_one, zero = table.one, table.minus_one, field._from_int(0)
+    one, minus_one = table.one, table.minus_one
     q_pow, r = table.q_pow, table.r
     r2 = mul(r, r)
     q_r2 = [mul(q_k, r2) for q_k in q_pow[: m_max + 1]]  # q^k r^2
-
-    def q_int_vanishes(k: int, base) -> bool:  # (k)_base = 0
-        acc, power = zero, one
-        for _ in range(k):
-            acc, power = add(acc, power), mul(power, base)
-        return is_zero(acc)
 
     result = JClassification(bound=m_max, members=[])
     for j in range(m_max + 1):
@@ -99,11 +93,11 @@ def compute_J(m_max: int, params: BraidingParams) -> JClassification:
             unit = base == one
             cond1 = cond1 and not unit
             if d % 2 == 0:
-                raw_member = raw_member and q_int_vanishes(d // 2, base)
+                raw_member = raw_member and is_zero(q_int_payload(d // 2, base, field))
                 realizes = unit and _divides(2 * p, d)
             else:
                 half = mul(q_pow[(n + j - 1) // 2], r)  # q^((n+j-1)/2) r
-                raw_member = raw_member and q_int_vanishes(d, neg(half))
+                raw_member = raw_member and is_zero(q_int_payload(d, neg(half), field))
                 realizes = half == minus_one and _divides(p, d)
             if realizes:  # the lemma's second condition
                 witnesses.append(n)
@@ -143,6 +137,11 @@ def compute_J(m_max: int, params: BraidingParams) -> JClassification:
     return result
 
 
+def _half_level(k: int, params: BraidingParams) -> bool:
+    """Whether q^(k^2) r^k s = -1, the condition that adds one to m' at m = 2k."""
+    return params.q ** (k * k) * params.r**k * params.s == -params.field.one
+
+
 def m_prime(m: int, params: BraidingParams):
     """The count m' appearing in the multiplicity corollary."""
     if m < 0:
@@ -150,8 +149,7 @@ def m_prime(m: int, params: BraidingParams):
     if m % 2 == 1:
         return (m + 1) // 2
     half = m // 2
-    q, r, s = params.q, params.r, params.s
-    if q ** (m * m // 4) * r**half * s == -params.field.one:
+    if _half_level(half, params):
         return half + 1
     return half
 
@@ -164,8 +162,7 @@ def multiplicity(
     ``classification`` is J classified up to any bound >= m; J ∩ [0,m] is a
     prefix of it, so callers walking many levels classify J once.
     """
-    if not params.scalars.hypothesis(m):
-        raise HypothesisViolated(f"({m})_q^! b_{m} = 0; the corollary does not apply")
+    params.scalars.require(m, "; the corollary does not apply")
     if classification is None:
         classification = compute_J(m, params)
     count = classification.count_upto(m)
@@ -181,10 +178,9 @@ def root_vector_criterion(k: int, l: int, params: BraidingParams) -> bool:
     """Whether [x1^k x2 x1^l x2] is a root vector: |J ∩ [0,k+l]| <= l."""
     if not 0 <= l <= k:
         raise OutOfRange(f"requires 0 <= l <= k, got k={k}, l={l}")
-    if not params.scalars.hypothesis(k + l):
-        raise HypothesisViolated(f"({k + l})_q^! b_{k + l} = 0")
+    params.scalars.require(k + l)
     if k == l:
-        if params.q ** (k * k) * params.r**k * params.s != -params.field.one:
+        if not _half_level(k, params):
             raise HypothesisViolated(
                 f"k = l = {k} requires q^(k^2) r^k s = -1"
             )
@@ -202,8 +198,7 @@ def non_root_table_check(m: int, params: BraidingParams) -> bool:
     """
     if m not in TABLE_ROWS:
         raise UnsupportedM(f"the table covers m in {{1,2,3,4,6}}, got {m}")
-    if not params.scalars.hypothesis(m):
-        raise HypothesisViolated(f"({m})_q^! b_{m} = 0")
+    params.scalars.require(m)
     field = params.field
     q, r, s = params.q, params.r, params.s
     one = field.one

@@ -6,13 +6,13 @@ theorem.
 The symmetrizer S_n is built by the factorization
 S_n = (S_{n-1} ⊗ id)(id + c_{n-1} + c_{n-1}c_{n-2} + ... + c_{n-1}...c_1),
 restricted to one multidegree component, on field payloads: a
-:class:`SymmetrizerMatrix` holds payload columns and, from first use,
-their payload rows; it has no FieldElement view.  What does not depend on
-the point (the basis, the rows each sub-basis word lands on, and each
-column's chain of sub-columns) is a plan built once per process per
-multidegree, at most 120 of them; per point, ``symmetrizer`` (512
-entries) only multiplies the running q-products into the sub-columns and
-sums them.  S(x) is formed from the payload rows, one product per row.
+:class:`SymmetrizerMatrix` holds payload columns only; it has no
+FieldElement view.  What does not depend on the point (the basis, the
+rows each sub-basis word lands on, and each column's chain of
+sub-columns) is a plan built once per process per multidegree, at most
+120 of them; per point, ``symmetrizer`` (512 entries) only multiplies
+the running q-products into the sub-columns and sums them.  S(x) is
+formed row by row, row i read off the columns of x's own words.
 The tests keep a naive sum over all permutation operators T_sigma, built
 from the braiding c_i, as an independent oracle for the build.  An element
 is zero in the Nichols algebra iff its symmetrizer image vanishes, and the
@@ -44,17 +44,12 @@ routes at LEVEL_CEILING.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, count, islice, repeat, takewhile
 from typing import Iterator
 
 from .braided import GradedElement, _derive
-from .errors import (
-    DegreeCeilingExceeded,
-    FieldMismatch,
-    HypothesisViolated,
-    OutOfRange,
-)
+from .errors import DegreeCeilingExceeded, FieldMismatch, OutOfRange
 from .fields import Field, FieldElement
 from .jset import compute_J
 from .linalg import rank as matrix_rank, rref
@@ -93,22 +88,18 @@ class SymmetrizerMatrix:
     def index(self) -> dict:
         return _plan(*self.multidegree)[1]
 
-    @cached_property
-    def rows(self) -> tuple:
-        """Payload rows, the transpose of ``columns``."""
-        return tuple(zip(*self.columns))
-
     def _products(self, x: GradedElement) -> Iterator:
-        """row_i . x for each row in order: the coefficients of S(x)."""
+        """row_i . x for each row in order: the coefficients of S(x), row i
+        read off the columns of x's words."""
         field = self.field
         if x.field != field:
             raise FieldMismatch("element and symmetrizer over different fields")
         add, mul, zero = field._add, field._mul, field._from_int(0)
-        terms = [(self.index[w], c) for w, c in x.terms.items()]
-        for row in self.rows:
+        terms = [(self.columns[self.index[w]], c) for w, c in x.terms.items()]
+        for i in range(len(self.basis)):
             acc = zero
-            for j, c in terms:
-                acc = add(acc, mul(row[j], c))
+            for column, c in terms:
+                acc = add(acc, mul(column[i], c))
             yield acc
 
     def apply(self, x: GradedElement) -> GradedElement:
@@ -322,8 +313,7 @@ def ker_cap_Um(m: int, params: BraidingParams) -> tuple:
     The basis is the kernel's reduced echelon form with the columns reversed,
     as a nullspace of Phi_m gives it: each vector ends in a 1 at its own free
     column and is zero at the others.  So it depends on the kernel only."""
-    if not params.scalars.hypothesis(m):
-        raise HypothesisViolated(f"({m})_q^! b_{m} = 0; the u_hat basis is undefined")
+    params.scalars.require(m, "; the u_hat basis is undefined")
     field = params.field
     kernel = next(islice(_kernels(params), m, None))
     reduced, _ = rref(field, [row[::-1] for row in kernel])
@@ -447,6 +437,6 @@ def verify_levels(
 def verify_main(m: int, params: BraidingParams) -> KernelReport:
     """Check the kernel-basis theorem at one level: see ``verify_levels``."""
     (report,) = verify_levels(range(m, m + 1), params)
-    if report is None:
-        raise HypothesisViolated(f"({m})_q^! b_{m} = 0; theorem hypothesis fails")
+    if report is None:  # exactly where (m)_q^! b_m = 0
+        params.scalars.require(m, "; theorem hypothesis fails")
     return report

@@ -2,7 +2,8 @@
 
 Each point's level routes read one :class:`ScalarTable` of payload prefix
 columns (q^k, (k)_q, (k)_q^! b_k, the sign-equation term and the ad x1
-weights), extended on demand by one step per entry.
+weights), extended on demand by one step per entry.  The hypothesis text
+of every refusal and skip row lives there too (``ScalarTable.failure``).
 
 The closed formulas below are the paper's: (n)_q, Gaussian binomials via
 the Pascal recursion (total in positive characteristic), and the products
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import FieldMismatch, OutOfRange, ZeroBraidingEntry
+from .errors import FieldMismatch, HypothesisViolated, OutOfRange, ZeroBraidingEntry
 from .fields import Field, FieldElement
 
 
@@ -131,15 +132,29 @@ class ScalarTable:
         """Whether (m)_q^! b_m != 0."""
         return not self.field._is_zero(self.upto(m).qfact_b[m])
 
+    @staticmethod
+    def failure(m: int) -> str:
+        """The text of a level where (m)_q^! b_m = 0: skip rows and ``require``."""
+        return f"({m})_q^! b_{m} = 0"
+
+    def require(self, m: int, context: str = "") -> None:
+        """Raise HypothesisViolated, ``failure(m)`` + context, where (m)_q^! b_m = 0."""
+        if not self.hypothesis(m):
+            raise HypothesisViolated(self.failure(m) + context)
+
+
+def q_int_payload(n: int, x, field: Field):
+    """(n)_x = 1 + x + ... + x^(n-1) on payloads, summed term by term."""
+    add, mul = field._add, field._mul
+    acc, power = field._from_int(0), field._from_int(1)
+    for _ in range(n):
+        acc, power = add(acc, power), mul(power, x)
+    return acc
+
 
 def q_int(n: int, q: FieldElement) -> FieldElement:
     """(n)_q = 1 + q + ... + q^(n-1)."""
-    acc = q.field.zero
-    power = q.field.one
-    for _ in range(n):
-        acc = acc + power
-        power = power * q
-    return acc
+    return FieldElement(q.field, q_int_payload(n, q.value, q.field))
 
 
 def q_binom(n: int, k: int, q: FieldElement) -> FieldElement:

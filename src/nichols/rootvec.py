@@ -27,12 +27,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate
 
 from .braided import GradedElement
-from .errors import (
-    HypothesisViolated,
-    NotInJ2,
-    OutOfRange,
-    SolvabilityViolated,
-)
+from .errors import NotInJ2, OutOfRange, SolvabilityViolated
 from .fields import FieldElement
 from .jset import JClassification, compute_J
 from .qcalc import BraidingParams, beta_coeff, lambda_coeff, q_binom, q_int
@@ -111,17 +106,13 @@ def level_elements(m: int, params: BraidingParams) -> tuple | None:
     return tuple(elements)
 
 
-def _require_hypothesis(m: int, params: BraidingParams, what: str) -> None:
-    if m >= 0 and not params.scalars.hypothesis(m):
-        raise HypothesisViolated(f"({m})_q^! b_{m} = 0 while building {what}")
-
-
 @dataclass(frozen=True)
 class UhatBasisVector:
     """Coordinates in the basis {(-q21)^i u_hat_i u_hat_{m-i}} of U_m.
 
     m = -1 with empty coords stands for the zero space (the image of d1 on
-    U_0).  Construction requires (m)_q^! b_m != 0 so the basis exists.
+    U_0).  Construction requires (m)_q^! b_m != 0 so the basis exists, and
+    coordinates in the field of ``params``.
     """
 
     params: BraidingParams
@@ -130,8 +121,11 @@ class UhatBasisVector:
 
     def __post_init__(self):
         if len(self.coords) != self.m + 1:
-            raise ValueError(f"level {self.m} needs {self.m + 1} coordinates")
-        _require_hypothesis(self.m, self.params, "a U_m coordinate vector")
+            raise OutOfRange(f"level {self.m} needs {self.m + 1} coordinates")
+        for c in self.coords:
+            self.params.field.payload(c)  # FieldMismatch for another field's element
+        if self.m >= 0:  # m = -1 is the zero space
+            self.params.scalars.require(self.m, " while building a U_m coordinate vector")
 
     @classmethod
     def from_coords(cls, params: BraidingParams, coords) -> "UhatBasisVector":
@@ -147,7 +141,7 @@ class UhatBasisVector:
 
     def __add__(self, other: "UhatBasisVector") -> "UhatBasisVector":
         if (other.params, other.m) != (self.params, self.m):
-            raise ValueError("levels or params differ")
+            raise OutOfRange("levels or params differ")
         return UhatBasisVector(
             self.params, self.m, tuple(a + b for a, b in zip(self.coords, other.coords))
         )
@@ -233,7 +227,7 @@ def _from_row(params: BraidingParams, row: list) -> UhatBasisVector:
 
 def p_k(k: int, params: BraidingParams) -> UhatBasisVector:
     """P_k: coordinates q^(i(i-1)/2)."""
-    _require_hypothesis(k, params, f"P_{k}")
+    params.scalars.require(k, f" while building P_{k}")
     return _from_row(params, _p_row(k, params))
 
 
@@ -241,7 +235,7 @@ def s_kt(k: int, t: int, params: BraidingParams) -> UhatBasisVector:
     """S(k,t): coordinates q^((i-t)(i-t-1)/2) (i choose t)_q for i >= t."""
     if not 0 <= t <= k:
         raise OutOfRange(f"need 0 <= t <= k, got t={t}, k={k}")
-    _require_hypothesis(k, params, f"S({k},{t})")
+    params.scalars.require(k, f" while building S({k},{t})")
     field, q = params.field, params.q
     coords = []
     for i in range(k + 1):
@@ -264,7 +258,7 @@ def ad_p_closed_form(m: int, k: int, params: BraidingParams) -> UhatBasisVector:
     """
     if m < 0:
         raise OutOfRange(f"power {m} is negative")
-    _require_hypothesis(k + m, params, f"(ad x1)^{m}(P_{k})")
+    params.scalars.require(k + m, f" while building (ad x1)^{m}(P_{k})")
     field, q = params.field, params.q
     acc = UhatBasisVector.zero(params, k + m)
     for i in range(m + 1):
@@ -288,7 +282,7 @@ def uhat_coords(x: GradedElement, m: int, params: BraidingParams) -> UhatBasisVe
     j >= i, with unit diagonal), then checks that the coordinates expand back
     to x.
     """
-    _require_hypothesis(m, params, "coordinate extraction")
+    params.scalars.require(m, " while building coordinate extraction")
     field = params.field
     # c[j][i]: coefficient of x1^i x2 x1^(j-i) in u_j
     coeff_in_u = [
@@ -308,7 +302,7 @@ def uhat_coords(x: GradedElement, m: int, params: BraidingParams) -> UhatBasisVe
         coords[i] = total / ((-params.q21) ** i * norms[i])
     result = UhatBasisVector(params, m, tuple(coords))
     if result.to_words() != x:
-        raise ValueError("element does not lie in U_m")
+        raise OutOfRange("element does not lie in U_m")
     return result
 
 
@@ -324,7 +318,7 @@ def ad_pow_coords(
         raise OutOfRange(f"power {t} is negative")
     if t == 0:
         return v
-    _require_hypothesis(v.m + t, params, f"(ad x1)^{t} into level {v.m + t}")
+    params.scalars.require(v.m + t, f" while building (ad x1)^{t} into level {v.m + t}")
     row = [params.field.payload(x) for x in v.coords]
     return _from_row(params, _ad_x1_pow([row], v.m, t, params)[0])
 
@@ -346,7 +340,7 @@ def l_n(
     when the system is solvable.  Kernel membership is left to the oracles
     (see oracle.in_kernel).
     """
-    _require_hypothesis(n, params, f"L_{n}")
+    params.scalars.require(n, f" while building L_{n}")
     if classification is None:
         classification = compute_J(n, params)
     entry = classification.entry(n)

@@ -246,7 +246,7 @@ def test_criterion_7_oracle_agreement(capsys):
         for n in range(7):
             for a in range(n + 1):
                 md = (a, n - a)
-                if symmetrizer(md, p).rows != naive_symmetrizer(md, p).rows:
+                if symmetrizer(md, p).columns != naive_symmetrizer(md, p).columns:
                     mismatched_mds.append((p.field.spec, md))
     elapsed = time.perf_counter() - start
     ok = not disagreements and not mismatched_mds

@@ -23,7 +23,7 @@ from nichols.fields import FieldElement
 from nichols.jset import JClassification, JEntry, _divides
 from nichols.oracle import SymmetrizerMatrix, symmetrizer, words_of_multidegree
 from nichols.qcalc import BraidingParams, q_int
-from nichols.rootvec import UhatBasisVector, _require_hypothesis, uhat_pair_words
+from nichols.rootvec import UhatBasisVector, uhat_pair_words
 
 
 def composite(m: int, params: BraidingParams) -> list:
@@ -88,7 +88,7 @@ def _phi(m: int, params: BraidingParams) -> list:
 
 def sym_matrix(sym: SymmetrizerMatrix) -> tuple:
     """FieldElement rows: [i][j] = coefficient of basis[i] in S(basis[j])."""
-    return tuple(tuple(FieldElement(sym.field, c) for c in row) for row in sym.rows)
+    return tuple(tuple(FieldElement(sym.field, c) for c in row) for row in zip(*sym.columns))
 
 
 def _c_word(i: int, word: tuple, params: BraidingParams) -> tuple:
@@ -330,7 +330,7 @@ def solve_d1(w: UhatBasisVector) -> UhatBasisVector:
     """
     params = w.params
     k = w.m + 1
-    _require_hypothesis(k, params, f"solve_d1 at level {k}")
+    params.scalars.require(k, f" while building solve_d1 at level {k}")
     if solvability_scalar(w):
         raise SolvabilityViolated(
             "sum q^(-i(i+1)/2) mu_i != 0; no interior preimage exists"
