@@ -182,29 +182,56 @@ def skew_derive(i: int, x: GradedElement, params: BraidingParams) -> GradedEleme
     """d_i, extended from d_i(x_j) = delta_ij by the twisted Leibniz rule."""
     if params.field != x.field:
         raise FieldMismatch("element and braiding over different fields")
-    return GradedElement.from_payloads(x.field, dict(_derive(i, x.terms.items(), params)))
+    derived = _derive(i, x.terms.items(), params)
+    return GradedElement.from_payloads(x.field, _at_q22(x.field, derived, params.q22.value))
 
 
 def _derive(i: int, items, params: BraidingParams) -> list:
-    """The nonzero (word, payload) pairs of d_i applied to the (word, payload) items.
+    """d_i applied to the (word, payload) items, with q22 formal: a list of
+    layers, layer k mapping each word to the nonzero payload of q22^k in
+    its coefficient.
 
     On a word it removes one occurrence of the letter i at a time, weighted
     by chi(deg of the prefix, alpha_i): the product of q_{letter, i} over
-    the letters of the prefix, built up on payloads as the prefix grows.
+    the letters of the prefix.  That reads q22 only in d_2, once per x2 of
+    the prefix, which picks the layer; the other factors are built up on
+    payloads as the prefix grows.  So d_1 has one layer.
     """
     field = params.field
     add, mul, is_zero = field._add, field._mul, field._is_zero
-    q1i, q2i = (params.q11, params.q21) if i == 1 else (params.q12, params.q22)
-    q_to_i = {1: q1i.value, 2: q2i.value}
-    out: dict = {}
+    # q_{letter, i}, with None for the formal q22
+    q_to_i = {1: params.q11.value, 2: params.q21.value} if i == 1 else {1: params.q12.value, 2: None}
+    layers: list = [{}]
     for w, factor in items:
+        out, k = layers[0], 0
         for t, letter in enumerate(w):
             if letter == i:
                 reduced = w[:t] + w[t + 1 :]
                 prev = out.get(reduced)
                 out[reduced] = factor if prev is None else add(prev, factor)
-            factor = mul(factor, q_to_i[letter])
-    return [(w, c) for w, c in out.items() if not is_zero(c)]
+            q = q_to_i[letter]
+            if q is None:
+                k += 1
+                if k == len(layers):
+                    layers.append({})
+                out = layers[k]
+            else:
+                factor = mul(factor, q)
+    return [{w: c for w, c in layer.items() if not is_zero(c)} for layer in layers]
+
+
+def _at_q22(field: Field, layers: list, q22) -> dict:
+    """A ``_derive`` result at the payload q22: word -> nonzero payload."""
+    add, mul = field._add, field._mul
+    out = dict(layers[0])
+    power = field._from_int(1)
+    for layer in layers[1:]:
+        power = mul(power, q22)
+        for w, c in layer.items():
+            c = mul(c, power)
+            prev = out.get(w)
+            out[w] = c if prev is None else add(prev, c)
+    return {w: c for w, c in out.items() if not field._is_zero(c)}
 
 
 def ad_x1(y: GradedElement, params: BraidingParams) -> GradedElement:

@@ -264,7 +264,7 @@ class Field:
                 yield x
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.spec == other.spec
+        return self is other or (isinstance(other, Field) and self.spec == other.spec)
 
     def __reduce__(self):
         return parse_field_spec, (self.spec,)

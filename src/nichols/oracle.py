@@ -48,7 +48,7 @@ from functools import lru_cache
 from itertools import combinations, count, islice, repeat, takewhile
 from typing import Iterator
 
-from .braided import GradedElement, _derive
+from .braided import GradedElement, _derive, _at_q22
 from .errors import DegreeCeilingExceeded, FieldMismatch, OutOfRange
 from .fields import Field, FieldElement
 from .jset import compute_J
@@ -88,23 +88,24 @@ class SymmetrizerMatrix:
     def index(self) -> dict:
         return _plan(*self.multidegree)[1]
 
-    def _products(self, x: GradedElement) -> Iterator:
-        """row_i . x for each row in order: the coefficients of S(x), row i
-        read off the columns of x's words."""
-        field = self.field
-        if x.field != field:
-            raise FieldMismatch("element and symmetrizer over different fields")
-        add, mul, zero = field._add, field._mul, field._from_int(0)
-        terms = [(self.columns[self.index[w]], c) for w, c in x.terms.items()]
-        for i in range(len(self.basis)):
-            acc = zero
-            for column, c in terms:
-                acc = add(acc, mul(column[i], c))
-            yield acc
-
     def apply(self, x: GradedElement) -> GradedElement:
         """S(x), one row product per basis word."""
-        return GradedElement.from_payloads(self.field, dict(zip(self.basis, self._products(x))))
+        if x.field != self.field:
+            raise FieldMismatch("element and symmetrizer over different fields")
+        rows = _products(self.field, self.index, self.columns, x)
+        return GradedElement.from_payloads(self.field, dict(zip(self.basis, rows)))
+
+
+def _products(field: Field, index: dict, columns: tuple, x: GradedElement) -> Iterator:
+    """row_i . x for each row of the columns in order: the coefficients of
+    S(x), row i read off the columns of x's words."""
+    add, mul, zero = field._add, field._mul, field._from_int(0)
+    terms = [(columns[index[w]], c) for w, c in x.terms.items()]
+    for i in range(len(columns)):
+        acc = zero
+        for column, c in terms:
+            acc = add(acc, mul(column[i], c))
+        yield acc
 
 
 @lru_cache(maxsize=128)  # 120 multidegrees lie under DEGREE_CEILING
@@ -134,36 +135,67 @@ def _plan(a: int, b: int) -> tuple:
     return basis, index, tuple(lifts), tuple(chains)
 
 
-@lru_cache(maxsize=512)
-def symmetrizer(md: tuple, params: BraidingParams) -> SymmetrizerMatrix:
-    """The quantum symmetrizer restricted to one multidegree component."""
+def _build(md: tuple, params: BraidingParams, lifted, q22) -> tuple:
+    """The one symmetrizer build: the columns of S_md as layers by the power
+    of q22, each layer a tuple of payload columns.
+
+    Along a chain, the moved letter picks up q_{moved, x} for each letter x
+    it passes, and the sub-column comes from ``lifted(sub_md)``, the layers
+    of the sub-build.  With q22 a payload it is multiplied in and there is
+    one layer.  With q22 None it stays formal: a moved x2 counts the x2's it
+    has passed, so layer k holds the coefficient of q22^k, and a sub-build's
+    layer k lifts into layer k + that count (k alone for a moved x1).
+    """
     basis, _, plan_lifts, chains = _plan(*md)
     field = params.field
     one, zero = field._from_int(1), field._from_int(0)
     if sum(md) <= 1:
-        return SymmetrizerMatrix(field, md, basis, tuple((one,) for _ in basis))
+        return (tuple((one,) for _ in basis),)
 
     add, mul = field._add, field._mul
-    # the letter x passed -> (q_{1,x}, q_{2,x}); S_{n-1} ⊗ id on words ending
-    # in `last`: the rows its basis words land on, and its columns
-    q_past = {1: (params.q11.value, params.q21.value),
-              2: (params.q12.value, params.q22.value)}
-    lifts = {last: (rows, symmetrizer(sub_md, params).columns)
-             for last, sub_md, rows in plan_lifts}
-    columns = []
+    b = md[1]
+    formal = q22 is None
+    # the letter x passed -> (q_{1,x}, q_{2,x}, the q22's it adds to a moved x2)
+    q_past = {1: (params.q11.value, params.q21.value, 0),
+              2: (params.q12.value, one, 1) if formal else (params.q12.value, q22, 0)}
+    lifts = {last: (rows, lifted(sub_md)) for last, sub_md, rows in plan_lifts}
+    layers = [[] for _ in range(1 + b * (b - 1) // 2 if formal else 1)]
     for chain in chains:
-        col = [zero] * len(basis)
+        cols = [[zero] * len(basis) for _ in layers]
         p1 = p2 = one  # prod of q_{1,x} and of q_{2,x} over the letters x passed
+        crossed = 0  # the x2's passed, where q22 is formal
+        scalars: dict = {}  # (moved, sub-column, shift) -> the summed scalar
         for passed, moved, k in chain:
             if passed:
-                q1, q2 = q_past[passed]
-                p1, p2 = mul(p1, q1), mul(p2, q2)
-            scalar = p1 if moved == 1 else p2
-            rows, sub_columns = lifts[moved]
-            for i, e in zip(rows, sub_columns[k]):
-                col[i] = add(col[i], mul(scalar, e))
-        columns.append(tuple(col))
-    return SymmetrizerMatrix(field, md, basis, tuple(columns))
+                q1, q2, step = q_past[passed]
+                p1, p2, crossed = mul(p1, q1), mul(p2, q2), crossed + step
+            term, scalar = ((1, k, 0), p1) if moved == 1 else ((2, k, crossed), p2)
+            prev = scalars.get(term)
+            scalars[term] = scalar if prev is None else add(prev, scalar)
+        for (moved, k, shift), scalar in scalars.items():
+            rows, sub_layers = lifts[moved]
+            for col, sub_columns in zip(cols[shift:], sub_layers):
+                for i, e in zip(rows, sub_columns[k]):
+                    col[i] = add(col[i], mul(scalar, e))
+        for layer, col in zip(layers, cols):
+            layer.append(tuple(col))
+    return tuple(tuple(layer) for layer in layers)
+
+
+@lru_cache(maxsize=512)
+def symmetrizer(md: tuple, params: BraidingParams) -> SymmetrizerMatrix:
+    """The quantum symmetrizer restricted to one multidegree component."""
+    (columns,) = _build(md, params, lambda sub_md: (symmetrizer(sub_md, params).columns,),
+                        params.q22.value)
+    return SymmetrizerMatrix(params.field, md, _plan(*md)[0], columns)
+
+
+def _formal(md: tuple, params: BraidingParams, builds: dict) -> tuple:
+    """S_md with q22 formal (``_build``), at the other entries of params;
+    ``builds`` keeps every build of one pair, sub-builds included."""
+    if md not in builds:
+        builds[md] = _build(md, params, lambda sub_md: _formal(sub_md, params, builds), None)
+    return builds[md]
 
 
 def nichols_dim(md: tuple, params: BraidingParams) -> int:
@@ -202,37 +234,44 @@ def in_kernel_by_derivations(x: GradedElement, params: BraidingParams) -> bool:
 def _pair_degrees(elements: list, points: tuple) -> list:
     """Each element's ``_member_degree`` at points that share q11, q12 and
     q21 and differ in q22 = s, as the points of one (q, r) pair do."""
-    if len({(p.q11, p.q12, p.q21) for p in points}) != 1 or len(set(points)) < len(points):
+    shared = {(p.field, p.q11.value, p.q12.value, p.q21.value) for p in points}
+    if len(shared) != 1 or len({p.q22.value for p in points}) < len(points):
         raise OutOfRange("the points must share q11, q12 and q21 and differ in q22")
     return [_member_degree(x, points[0]) for x in elements]
 
 
 def kernel_points(elements: list, points: tuple) -> list:
     """Symmetrizer route: for each element, the set of the points of one
-    (q, r) pair at which it lies in ker(pi).  s = q22 enters S_(a,b) once
-    per pair of x2's that cross, so for b <= 2, S(s)x = a + lambda_s d with
-    a = S(s0)x, d = S(s1)x - a and lambda_s = (s - s0)/(s1 - s0), s0 and s1
-    at the first and last points.  b > 2 needs a single point."""
+    (q, r) pair at which it lies in ker(pi).  S_(a,b) is built once per pair
+    with q22 = s formal.  For b <= 2 an x2 passes at most one x2, so
+    S(s) = A + s B, and S(s)x = 0 iff u + s d = 0 at every row, with
+    u = (Ax)_i and d = (Bx)_i: u = 0 where d = 0, and s = -u/d otherwise.
+    b > 2 needs a single point, where S is built at it; so is b <= 2."""
     degrees = _pair_degrees(elements, points)
-    field, first, last = points[0].field, points[0], points[-1]
-    add, mul, neg, is_zero = field._add, field._mul, field._neg, field._is_zero
-    zero, s0 = field._from_int(0), first.q22.value
-    step = field._inv(add(last.q22.value, neg(s0))) if len(points) > 1 else zero
-    lambdas = [(p, mul(add(p.q22.value, neg(s0)), step)) for p in points]
+    field = points[0].field
+    mul, neg, inv, is_zero = field._mul, field._neg, field._inv, field._is_zero
+    builds: dict = {}
     verdicts = []
     for x, deg in zip(elements, degrees):
-        alive = lambdas
+        alive = points
         if deg is not None:
-            if deg[1] > 2 and len(points) > 1:
+            if len(points) == 1:
+                layers = (symmetrizer(deg, points[0]).columns,)
+            elif deg[1] > 2:
                 raise OutOfRange(f"S_{deg} is not affine in s: it has more than two x2's")
-            rows = symmetrizer(deg, first)._products(x)
-            later = symmetrizer(deg, last)._products(x) if len(points) > 1 else repeat(zero)
-            for u, v in zip(rows, later):  # with one point, lambda = 0 and d is never read
-                d = add(v, neg(u))
-                alive = [(p, lam) for p, lam in alive if is_zero(add(u, mul(lam, d)))]
+            else:
+                layers = _formal(deg, points[0], builds)
+            index = _plan(*deg)[1]
+            rows = [_products(field, index, layer, x) for layer in layers]
+            for u, d in zip(rows[0], rows[1] if len(rows) > 1 else repeat(None)):
+                if d is None or is_zero(d):
+                    alive = alive if is_zero(u) else ()
+                else:
+                    root = neg(mul(u, inv(d)))
+                    alive = [p for p in alive if p.q22.value == root]
                 if not alive:
                     break
-        verdicts.append({p for p, _ in alive})
+        verdicts.append(set(alive))
     return verdicts
 
 
@@ -240,35 +279,51 @@ def kernel_points_by_derivations(elements: list, points: tuple) -> list:
     """Derivation route: for each element, the set of the points of one (q, r)
     pair at which it lies in ker(pi); the elements share a memo of verdicts."""
     _pair_degrees(elements, points)
-    field, points, memo = points[0].field, tuple(points), {}
-    return [set(_derivations_vanish(_unit_key(field, x.terms.items()), points, memo))
-            for x in elements]
+    points, memo = tuple(points), {}
+    masks = [_derivations_vanish(x.terms, points, memo) for x in elements]
+    return [{p for j, p in enumerate(points) if mask >> j & 1} for mask in masks]
 
 
 def _unit_key(field: Field, items) -> tuple:
     """The (word, payload) items sorted by word, scaled to a leading 1."""
     terms = sorted(items)
-    if not terms:
-        return ()
     mul, inv = field._mul, field._inv(terms[0][1])
     return tuple([(w, mul(inv, c)) for w, c in terms])
 
 
-def _derivations_vanish(terms: tuple, points: tuple, memo: dict) -> tuple:
-    """The points at which a unit key lies in ker(pi), a subspace, so one
-    verdict serves every nonzero multiple.  d_1 reads no q22 and d_2 reads
-    it only where an x2 passes an x2, so only d_2 of a key with two or more
-    x2's is derived per point; a key with at most one has one verdict."""
-    if not terms or len(terms[0][0]) <= 1:
-        return () if terms else points  # a nonzero element of degree <= 1 is not in ker(pi)
-    s_free = terms[0][0].count(2) <= 1
-    key = (terms, None if s_free else points)
-    if key not in memo:
-        field, at = points[0].field, points[:1] if s_free else points
-        by_d1 = _derivations_vanish(_unit_key(field, _derive(1, terms, at[0])), at, memo)
-        memo[key] = tuple(p for p in by_d1 if _derivations_vanish(
-            _unit_key(field, _derive(2, terms, p)), (p,), memo))
-    return (points if memo[key] else ()) if s_free else memo[key]
+def _derivations_vanish(terms: dict, points: tuple, memo: dict) -> int:
+    """The points at which the element with these terms (word -> nonzero
+    payload) lies in ker(pi), as a bitmask: bit j stands for points[j].
+
+    ker(pi) is a subspace that holds no nonzero element of degree <= 1, so
+    no terms lie in it everywhere and terms of degree <= 1 nowhere; any
+    other element is read as its unit key, whose verdict over the whole
+    pair ``memo`` keeps.  x lies in ker(pi) iff d_1 x and d_2 x do.  d_1
+    reads no q22, so it is read once.  ``_derive`` keeps q22 formal in d_2:
+    where it reads none (a key with at most one x2) d_2 is read once, and
+    otherwise at each point that d_1 leaves.
+    """
+    if not terms:
+        return (1 << len(points)) - 1
+    if len(next(iter(terms))) <= 1:
+        return 0
+    field, first = points[0].field, points[0]
+    key = _unit_key(field, terms.items())
+    if key in memo:
+        return memo[key]
+    (d1,) = _derive(1, key, first)
+    mask = _derivations_vanish(d1, points, memo)
+    if mask:
+        d2 = _derive(2, key, first)
+        if not any(d2[1:]):
+            mask &= _derivations_vanish(d2[0], points, memo)
+        else:
+            for j, p in enumerate(points):
+                if mask >> j & 1 and not _derivations_vanish(
+                        _at_q22(field, d2, p.q22.value), points, memo) >> j & 1:
+                    mask ^= 1 << j
+    memo[key] = mask
+    return mask
 
 
 def _kernels(params: BraidingParams) -> Iterator[list]:

@@ -258,6 +258,8 @@ def ad_p_closed_form(m: int, k: int, params: BraidingParams) -> UhatBasisVector:
     """
     if m < 0:
         raise OutOfRange(f"power {m} is negative")
+    if k < 0:
+        raise OutOfRange(f"level {k} is negative")
     params.scalars.require(k + m, f" while building (ad x1)^{m}(P_{k})")
     field, q = params.field, params.q
     acc = UhatBasisVector.zero(params, k + m)

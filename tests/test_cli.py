@@ -696,6 +696,26 @@ def test_scan_oracles_kernel_count(capsys, monkeypatch, field, max_m, count):
     assert totals == {"kernel_points": count, "kernel_points_by_derivations": count}
 
 
+def test_oracle_scan_builds_each_multidegree_once_per_pair(capsys, monkeypatch):
+    # both points of a pair once built every multidegree, the s-free ones
+    # (b <= 1) included: 2662 builds on this scan.  With q22 formal a pair
+    # builds each multidegree once.
+    builds = []
+    original = oracle._build
+
+    def counted(md, params, lifted, q22):
+        builds.append((md, params, q22))
+        return original(md, params, lifted, q22)
+
+    monkeypatch.setattr(oracle, "_build", counted)
+    rc = run_command(["scan", "--field", "Fp:11", "--max", "8", "--check", "oracles"])
+    capsys.readouterr()
+    assert rc == 0
+    assert len(builds) <= 1331
+    assert all(q22 is None for _, _, q22 in builds)
+    assert len({(md, params) for md, params, _ in builds}) == len(builds)
+
+
 @pytest.mark.parametrize("route", ["kernel_points", "kernel_points_by_derivations"])
 def test_scan_oracles_lists_forced_disagreements(capsys, monkeypatch, route):
     # flip one route's verdict at chosen (s, m, element) of the pair q = r = 2:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nichols.braided import GradedElement
+from nichols.braided import ALPHA2, GradedElement, _at_q22, _derive, chi, multidegree, skew_derive
 from nichols.errors import (
     DegreeCeilingExceeded,
     FieldMismatch,
@@ -283,8 +283,8 @@ def test_derivation_verdicts_match_the_element_recursion(membership_points, rng)
         memo: dict = {}
         for x in _kernel_elements(field, p) + _random_homogeneous(field, rng, 12):
             expected = derivations_vanish_by_elements(x, p)
-            key = oracle._unit_key(field, x.terms.items())
-            assert oracle._derivations_vanish(key, (p,), memo) == ((p,) if expected else ())
+            mask = oracle._derivations_vanish(x.terms, (p,), memo)
+            assert mask == (1 if expected else 0)
             assert in_kernel_by_derivations(x, p) == expected
 
 
@@ -323,6 +323,58 @@ def test_pair_routes_match_the_per_point_routes(spec, data):
                     naive[x.degree(), p] = naive_symmetrizer(x.degree(), p)
             expected = {p for p in points if naive[x.degree(), p].apply(x).is_zero()}
         assert by_derivations == expected
+
+
+FORMAL_FIELDS = {spec: parse_field_spec(spec) for spec in ("Fp:5", "ext:Fp:3:1,0,1", "Q")}
+# every multidegree the pencil serves up to total degree 8
+PENCIL_DEGREES = [(a, b) for b in range(3) for a in range(9 - b)]
+
+
+def _pair_units(field, data):
+    """The units s of a drawn pair: all of them over a finite field, three over Q."""
+    if field.order is not None:
+        return list(field.units())
+    values = st.fractions(-9, 9, max_denominator=9).filter(bool)
+    drawn = data.draw(st.lists(values, min_size=3, max_size=3, unique=True))
+    return [field.parse(str(v)) for v in drawn]
+
+
+@pytest.mark.parametrize("spec", list(FORMAL_FIELDS))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_formal_q22_matches_the_point_builds(spec, data):
+    # q22 = s stays formal once per pair: S = A + s B from one build (A alone
+    # for b <= 1) must be the symmetrizer built at each s, and d_2 with q22
+    # formal, read at q22, must be d_2 summed term by term at the point
+    field = FORMAL_FIELDS[spec]
+    units = _pair_units(field, data)
+    q, r = data.draw(st.sampled_from(units)), data.draw(st.sampled_from(units))
+    points = [BraidingParams.from_qrs(q, r, s) for s in units]
+    add, mul = field._add, field._mul
+    builds: dict = {}
+    for md in PENCIL_DEGREES:
+        layers = oracle._formal(md, points[0], builds)
+        assert len(layers) == (2 if md[1] == 2 else 1)
+        for p in points:
+            s = p.q22.value
+            at_s = tuple(tuple(col) for col in layers[0]) if len(layers) == 1 else tuple(
+                tuple(add(a, mul(s, b)) for a, b in zip(col_a, col_b))
+                for col_a, col_b in zip(*layers))
+            assert at_s == symmetrizer(md, p).columns
+        words = words_of_multidegree(*md)
+        coeffs = data.draw(st.lists(st.sampled_from([field.zero, *units]),
+                                    min_size=len(words), max_size=len(words)))
+        x = GradedElement(field, dict(zip(words, coeffs)))
+        formal = _derive(2, x.terms.items(), points[0])
+        for p in points:
+            expected = GradedElement.zero(field)
+            for w, c in x.terms.items():
+                for t, letter in enumerate(w):
+                    if letter == 2:
+                        scalar = chi(multidegree(w[:t]), ALPHA2, p) * FieldElement(field, c)
+                        expected = expected + GradedElement.from_word(field, w[:t] + w[t + 1:], scalar)
+            assert _at_q22(field, formal, p.q22.value) == expected.terms
+            assert skew_derive(2, x, p) == expected
 
 
 def test_pair_routes_refuse_unrelated_points(F5, make_params):
