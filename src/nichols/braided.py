@@ -199,24 +199,25 @@ def _derive(i: int, items, params: BraidingParams) -> list:
     """
     field = params.field
     add, mul, is_zero = field._add, field._mul, field._is_zero
-    # q_{letter, i}, with None for the formal q22
-    q_to_i = {1: params.q11.value, 2: params.q21.value} if i == 1 else {1: params.q12.value, 2: None}
+    # q_{i,i} (None for the formal q22) and q_{o,i}, o the other letter
+    same, other = (params.q11.value, params.q21.value) if i == 1 else (None, params.q12.value)
     layers: list = [{}]
     for w, factor in items:
         out, k = layers[0], 0
         for t, letter in enumerate(w):
-            if letter == i:
-                reduced = w[:t] + w[t + 1 :]
-                prev = out.get(reduced)
-                out[reduced] = factor if prev is None else add(prev, factor)
-            q = q_to_i[letter]
-            if q is None:
-                k += 1
-                if k == len(layers):
-                    layers.append({})
-                out = layers[k]
-            else:
-                factor = mul(factor, q)
+            if letter != i:
+                factor = mul(factor, other)
+                continue
+            reduced = w[:t] + w[t + 1 :]
+            prev = out.get(reduced)
+            out[reduced] = factor if prev is None else add(prev, factor)
+            if same is not None:
+                factor = mul(factor, same)
+                continue
+            k += 1
+            if k == len(layers):
+                layers.append({})
+            out = layers[k]
     return [{w: c for w, c in layer.items() if not is_zero(c)} for layer in layers]
 
 
