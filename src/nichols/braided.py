@@ -5,6 +5,9 @@ Words are tuples over {1, 2}; a :class:`GradedElement` is a finite map from
 words to nonzero payloads of its field; FieldElements appear only at its API
 (the constructor, ``from_word`` and ``scale`` take them, ``coeff`` returns
 one).  All operations return new values.
+
+The skew derivations run on payload terms (``_derive``) with q22 formal,
+so one d_2 serves every s of a (q, r) pair; ``skew_derive`` reads it at q22.
 """
 
 from __future__ import annotations
@@ -193,9 +196,10 @@ def _derive(i: int, items, params: BraidingParams) -> list:
 
     On a word it removes one occurrence of the letter i at a time, weighted
     by chi(deg of the prefix, alpha_i): the product of q_{letter, i} over
-    the letters of the prefix.  That reads q22 only in d_2, once per x2 of
-    the prefix, which picks the layer; the other factors are built up on
-    payloads as the prefix grows.  So d_1 has one layer.
+    the letters of the prefix, built up on payloads as the prefix grows.
+    Only d_2 reads q22 = q_{2,2}, once per x2 of the prefix; it is left out
+    of the product and counted instead, and the count is the layer.  So
+    d_1 has one layer.
     """
     field = params.field
     add, mul, is_zero = field._add, field._mul, field._is_zero

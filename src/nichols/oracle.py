@@ -10,9 +10,12 @@ restricted to one multidegree component, on field payloads: a
 FieldElement view.  What does not depend on the point (the basis, the
 rows each sub-basis word lands on, and each column's chain of
 sub-columns) is a plan built once per process per multidegree, at most
-120 of them; per point, ``symmetrizer`` (512 entries) only multiplies
-the running q-products into the sub-columns and sums them.  S(x) is
-formed row by row, row i read off the columns of x's own words.
+120 of them.  One build loop, ``_build``, runs the q-products along each
+chain, sums the scalars of the chain terms that share a sub-column, and
+lifts the scaled sub-columns.  ``symmetrizer`` (512 entries) multiplies
+q22 in at one point; with q22 formal, one build serves a whole (q, r)
+pair as the layers of S by the power of q22.  S(x) is formed row by
+row, row i read off the columns of x's own words.
 The tests keep a naive sum over all permutation operators T_sigma, built
 from the braiding c_i, as an independent oracle for the build.  An element
 is zero in the Nichols algebra iff its symmetrizer image vanishes, and the
@@ -21,9 +24,9 @@ second, logically independent membership test, on payload terms through
 ``braided._derive``, with no element per node.
 
 Both tests decide every point (q, r, s) of one (q, r) pair in one pass
-(``kernel_points`` and ``kernel_points_by_derivations``, where only the
-terms that read q22 = s are taken per point); ``in_kernel`` and
-``in_kernel_by_derivations`` are their one-point cases.
+(``kernel_points`` and ``kernel_points_by_derivations``): each keeps
+q22 = s formal once per pair and reads it per point only where it enters;
+``in_kernel`` and ``in_kernel_by_derivations`` are their one-point cases.
 
 On U_m no word is built: by the derivation criterion, applied through the
 coordinate formulas for d_1 and d_2, ker(pi) ∩ U_m is carried up from
@@ -48,7 +51,7 @@ from functools import lru_cache
 from itertools import combinations, count, islice, repeat, takewhile
 from typing import Iterator
 
-from .braided import GradedElement, _derive, _at_q22
+from .braided import GradedElement, _at_q22, _derive
 from .errors import DegreeCeilingExceeded, FieldMismatch, OutOfRange
 from .fields import Field, FieldElement
 from .jset import compute_J
@@ -141,10 +144,13 @@ def _build(md: tuple, params: BraidingParams, lifted, q22) -> tuple:
 
     Along a chain, the moved letter picks up q_{moved, x} for each letter x
     it passes, and the sub-column comes from ``lifted(sub_md)``, the layers
-    of the sub-build.  With q22 a payload it is multiplied in and there is
-    one layer.  With q22 None it stays formal: a moved x2 counts the x2's it
-    has passed, so layer k holds the coefficient of q22^k, and a sub-build's
-    layer k lifts into layer k + that count (k alone for a moved x1).
+    of the sub-build.  The terms that move the same letter onto the same
+    sub-column (the letters of one run) sum their scalars first, so each
+    sub-column is lifted once per column.  With q22 a payload it is
+    multiplied in and there is one layer.  With q22 None it stays formal: a
+    moved x2 counts the x2's it has passed, so layer k holds the coefficient
+    of q22^k, and a sub-build's layer k lifts into layer k + that count (k
+    alone for a moved x1).
     """
     basis, _, plan_lifts, chains = _plan(*md)
     field = params.field
@@ -244,13 +250,14 @@ def kernel_points(elements: list, points: tuple) -> list:
     """Symmetrizer route: for each element, the set of the points of one
     (q, r) pair at which it lies in ker(pi).  S_(a,b) is built once per pair
     with q22 = s formal.  For b <= 2 an x2 passes at most one x2, so
-    S(s) = A + s B, and S(s)x = 0 iff u + s d = 0 at every row, with
-    u = (Ax)_i and d = (Bx)_i: u = 0 where d = 0, and s = -u/d otherwise.
-    b > 2 needs a single point, where S is built at it; so is b <= 2."""
+    S(s) = A + s B (B = 0 for b <= 1), and S(s)x = 0 iff u + s d = 0 at
+    every row, with u = (Ax)_i and d = (Bx)_i: u = 0 where d = 0, and
+    s = -u/d otherwise.  The rows are read until no point is left.  A single
+    point builds S at that point, for any b; b > 2 at several is refused."""
     degrees = _pair_degrees(elements, points)
     field = points[0].field
     mul, neg, inv, is_zero = field._mul, field._neg, field._inv, field._is_zero
-    builds: dict = {}
+    builds: dict = {}  # the formal builds of the pair, by multidegree
     verdicts = []
     for x, deg in zip(elements, degrees):
         alive = points
@@ -263,8 +270,8 @@ def kernel_points(elements: list, points: tuple) -> list:
                 layers = _formal(deg, points[0], builds)
             index = _plan(*deg)[1]
             rows = [_products(field, index, layer, x) for layer in layers]
-            for u, d in zip(rows[0], rows[1] if len(rows) > 1 else repeat(None)):
-                if d is None or is_zero(d):
+            for u, d in zip(rows[0], rows[1] if len(rows) > 1 else repeat(field._from_int(0))):
+                if is_zero(d):
                     alive = alive if is_zero(u) else ()
                 else:
                     root = neg(mul(u, inv(d)))
