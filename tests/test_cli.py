@@ -697,9 +697,8 @@ def test_scan_oracles_kernel_count(capsys, monkeypatch, field, max_m, count):
 
 
 def test_oracle_scan_builds_each_multidegree_once_per_pair(capsys, monkeypatch):
-    # both points of a pair once built every multidegree, the s-free ones
-    # (b <= 1) included: 2662 builds on this scan.  With q22 formal a pair
-    # builds each multidegree once.
+    # with q22 formal, a (q, r) pair builds each multidegree once, the
+    # s-free ones (b <= 1) included: 1331 builds on this scan
     builds = []
     original = oracle._build
 

@@ -223,17 +223,17 @@ def test_closed_form_random_fields(F5, F7, make_params, rng):
                 assert lhs == rhs
 
 
-
 @pytest.mark.parametrize("spec,qrs", [("Q", ("2", "3", "5")), ("Fp:5", ("4", "4", "1"))])
 @pytest.mark.parametrize("k", [-1, -2])
 def test_closed_form_refuses_a_negative_level(spec, qrs, k):
     # no P_k exists for k < 0: the refusal comes before any formula is read,
-    # even where k + m >= 0 (over Fp:5, (3, -2) at q = r = 4 once gave a vector)
+    # also where the level k + m is >= 0
     field = parse_field_spec(spec)
     p = BraidingParams.from_qrs(*(field.parse(v) for v in qrs))
     for m in range(4):
         with pytest.raises(OutOfRange, match=f"level {k} is negative"):
             ad_p_closed_form(m, k, p)
+
 
 # braiding matrices (q11, q12, q21, q22) with (6)_q^! b_6 != 0, one with
 # q21 = 1 and one without per field
