@@ -89,10 +89,6 @@ class GradedElement:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {multidegree(w) for w in self.terms}
-        return len(degrees) <= 1
-
     def degree(self) -> tuple:
         """The common multidegree; raises on zero or inhomogeneous input."""
         degrees = {multidegree(w) for w in self.terms}

@@ -596,9 +596,6 @@ class ExtensionField(Field):
         return acc
 
     def _iter_payloads(self):
-        if self.base.order is None:
-            raise MalformedSpec(f"{self.spec} is infinite; cannot enumerate")
-
         return itertools.product(range(self.base.p), repeat=self.degree)
 
     def gen(self) -> FieldElement:

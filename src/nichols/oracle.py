@@ -25,8 +25,9 @@ second, logically independent membership test, on payload terms through
 
 Both tests decide every point (q, r, s) of one (q, r) pair in one pass
 (``kernel_points`` and ``kernel_points_by_derivations``): each keeps
-q22 = s formal once per pair and reads it per point only where it enters;
-``in_kernel`` and ``in_kernel_by_derivations`` are their one-point cases.
+q22 = s formal once per pair and reads it per point only where it enters.
+``in_kernel`` reads S(x) off the cached ``symmetrizer`` at its one point,
+for any b; ``in_kernel_by_derivations`` is the derivation route at one point.
 
 On U_m no word is built: by the derivation criterion, applied through the
 coordinate formulas for d_1 and d_2, ker(pi) ∩ U_m is carried up from
@@ -227,8 +228,13 @@ def _member_degree(x: GradedElement, params: BraidingParams) -> tuple | None:
 
 
 def in_kernel(x: GradedElement, params: BraidingParams) -> bool:
-    """Whether x maps to zero in the Nichols algebra: ``kernel_points`` at one point."""
-    return bool(kernel_points([x], (params,))[0])
+    """Whether x maps to zero in the Nichols algebra: S(x) = 0, read row by
+    row off the symmetrizer at this point up to the first nonzero row."""
+    deg = _member_degree(x, params)
+    if deg is None:
+        return True
+    sym = symmetrizer(deg, params)
+    return all(map(sym.field._is_zero, _products(sym.field, sym.index, sym.columns, x)))
 
 
 def in_kernel_by_derivations(x: GradedElement, params: BraidingParams) -> bool:
@@ -252,8 +258,8 @@ def kernel_points(elements: list, points: tuple) -> list:
     with q22 = s formal.  For b <= 2 an x2 passes at most one x2, so
     S(s) = A + s B (B = 0 for b <= 1), and S(s)x = 0 iff u + s d = 0 at
     every row, with u = (Ax)_i and d = (Bx)_i: u = 0 where d = 0, and
-    s = -u/d otherwise.  The rows are read until no point is left.  A single
-    point builds S at that point, for any b; b > 2 at several is refused."""
+    s = -u/d otherwise.  The rows are read until no point is left.  b > 2
+    is refused at any number of points: ``in_kernel`` serves any b."""
     degrees = _pair_degrees(elements, points)
     field = points[0].field
     mul, neg, inv, is_zero = field._mul, field._neg, field._inv, field._is_zero
@@ -262,12 +268,9 @@ def kernel_points(elements: list, points: tuple) -> list:
     for x, deg in zip(elements, degrees):
         alive = points
         if deg is not None:
-            if len(points) == 1:
-                layers = (symmetrizer(deg, points[0]).columns,)
-            elif deg[1] > 2:
+            if deg[1] > 2:
                 raise OutOfRange(f"S_{deg} is not affine in s: it has more than two x2's")
-            else:
-                layers = _formal(deg, points[0], builds)
+            layers = _formal(deg, points[0], builds)
             index = _plan(*deg)[1]
             rows = [_products(field, index, layer, x) for layer in layers]
             for u, d in zip(rows[0], rows[1] if len(rows) > 1 else repeat(field._from_int(0))):

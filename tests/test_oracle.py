@@ -289,7 +289,7 @@ def test_derivation_verdicts_match_the_element_recursion(membership_points, rng)
 
 
 PAIR_FIELDS = {spec: parse_field_spec(spec) for spec in
-               ("Fp:5", "Fp:7", "ext:Fp:2:1,1,1", "ext:Fp:3:1,0,1", "ext:Fp:5:2,0,1")}
+               ("Fp:2", "Fp:5", "Fp:7", "ext:Fp:2:1,1,1", "ext:Fp:3:1,0,1", "ext:Fp:5:2,0,1")}
 # naive_symmetrizer takes about 0.1 s per point at total degree 6 and 1 s at 7
 NAIVE_DEGREE = 5
 
@@ -385,14 +385,35 @@ def test_pair_routes_refuse_unrelated_points(F5, make_params):
         for route in (kernel_points, kernel_points_by_derivations):
             with pytest.raises(OutOfRange):
                 route([x], points)
-    # S_(a,b) is affine in s only for b <= 2; a single point is the per-point
-    # case.  x2^3 lies in ker(pi) at s = -1 = 4 only.
+    # S_(a,b) is affine in s only for b <= 2, so the pencil refuses b > 2 at
+    # any number of points; in_kernel serves any b.  x2^3 lies in ker(pi) at
+    # s = -1 = 4 only.
     x = GradedElement.from_word(F5, (2, 2, 2))
     pair = (make_params(F5, 2, 3, 4), make_params(F5, 2, 3, 1))
-    with pytest.raises(OutOfRange):
-        kernel_points([x], pair)
-    assert kernel_points([x], pair[:1]) == [{pair[0]}]
+    for points in (pair, pair[:1]):
+        with pytest.raises(OutOfRange, match="not affine in s"):
+            kernel_points([x], points)
     assert kernel_points_by_derivations([x], pair) == [{pair[0]}]
+    assert in_kernel(x, pair[0]) and not in_kernel(x, pair[1])
+
+
+def test_one_point_pairs_read_the_pencil(monkeypatch, make_params):
+    # every (q, r) pair over Fp:2 has the one point q = r = s = 1; the
+    # symmetrizer route reads it off the q22 pencil like a larger pair and
+    # builds no symmetrizer at the point
+    F2 = parse_field_spec("Fp:2")
+    point = make_params(F2, 1, 1, 1)
+    elements = [GradedElement.from_word(F2, w)
+                for a in range(5) for b in range(3) for w in words_of_multidegree(a, b)]
+    elements += [x for m in range(5) for x in level_elements(m, point) or ()]
+    expected = [{point} if in_kernel(x, point) else set() for x in elements]
+    assert set() in expected and {point} in expected
+
+    def refuse(md, params):
+        raise AssertionError(f"symmetrizer built at a point for {md}")
+
+    monkeypatch.setattr(oracle, "symmetrizer", refuse)
+    assert kernel_points(elements, (point,)) == expected
 
 
 def test_ker_cap_um_dimensions(f9_params, generic_q_params):
