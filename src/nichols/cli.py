@@ -17,24 +17,18 @@ import shlex
 import sys
 
 from .errors import HypothesisViolated, NicholsError, UsageError
-from .fields import Field, parse_field_spec
+from .fields import LITERAL_LENGTH, Field, parse_field_spec
 from .jset import TABLE_ROWS, compute_J, m_prime, multiplicity, non_root_table_check
-from .oracle import (
-    DEGREE_CEILING,
-    LEVEL_CEILING,
-    kernel_points,
-    kernel_points_by_derivations,
-    nichols_dim,
-    verify_levels,
-)
+from .oracle import DEGREE_CEILING, LEVEL_CEILING, compare_routes, nichols_dim, verify_levels
 from .qcalc import BraidingParams, ScalarTable
-from .rootvec import level_elements
 
 SCHEMA_PREFIX = "nichols"
 SCHEMA_VERSION = "v1"
 # Most (q, r, s) unit triples a scan may visit, checked before any unit is
 # listed: (order - 1)^3 = 4096 for Fp:17, 17 576 for F_27, 21 952 for Fp:29.
 SCAN_POINT_BUDGET = 20_000
+# Most characters a --config file may hold, read before any run starts.
+CONFIG_LENGTH = 1_000_000
 
 
 def _schema(command: str) -> str:
@@ -208,6 +202,9 @@ def _cmd_dim(args, params: BraidingParams) -> tuple:
     parts = args.deg.split(",")  # int() would also read "2_0", "+2" and " 2"
     if len(parts) != 2 or not all(part.removeprefix("-").isdecimal() for part in parts):
         raise UsageError("--deg expects two integers: a,b")
+    longest = max(map(len, parts))
+    if longest > LITERAL_LENGTH:
+        raise UsageError(f"--deg numeral of {longest} characters exceeds {LITERAL_LENGTH}")
     a, b = map(int, parts)
     value = nichols_dim((a, b), params)
     return {"deg": [a, b], "dim": value}, [f"dim B(V)_({a},{b}) = {value}"], 0
@@ -238,58 +235,39 @@ def _scan_pair(task: tuple) -> tuple:
     violations."""
     q, r, units, max_m, check = task
     if check == "oracles":
-        return _oracle_pair(q, r, units, max_m)
-    checks = skipped = 0
-    details = []
-    for s in units:
-        params = BraidingParams.from_qrs(q, r, s)
-        violations = []
-        if check == "main":
-            levels = range(max_m + 1)
-            for m, rep in zip(levels, verify_levels(levels, params)):
-                if rep is None:
-                    skipped += 1
-                    continue
-                checks += 1
-                if not rep.matches_theorem:
-                    violations.append({"m": m, "report": rep.to_json()})
-        else:  # table1
-            targets = [m for m in TABLE_ROWS if m <= max_m]
-            classification = compute_J(targets[-1], params) if targets else None
-            for m in targets:
-                if not params.scalars.hypothesis(m):
-                    skipped += 1
-                    continue
-                checks += 1
-                table_says_nonroot = non_root_table_check(m, params)
-                mult = multiplicity(m, params, classification)
-                if (mult == 0) != table_says_nonroot:
-                    violations.append(
-                        {"m": m, "multiplicity": mult, "table": table_says_nonroot}
-                    )
-        if violations:
-            details.append(
-                {"q": str(q), "r": str(r), "s": str(s), "violations": violations}
-            )
+        checks, skipped, found = compare_routes(q, r, units, max_m)
+        per_point = [[{"m": m, "element": idx} for m, idx in tags] for tags in found]
+    else:
+        checks = skipped = 0
+        per_point = []
+        for s in units:
+            params = BraidingParams.from_qrs(q, r, s)
+            violations = []
+            per_point.append(violations)
+            if check == "main":
+                levels = range(max_m + 1)
+                for m, rep in zip(levels, verify_levels(levels, params)):
+                    if rep is None:
+                        skipped += 1
+                        continue
+                    checks += 1
+                    if not rep.matches_theorem:
+                        violations.append({"m": m, "report": rep.to_json()})
+            else:  # table1
+                targets = [m for m in TABLE_ROWS if m <= max_m]
+                classification = compute_J(targets[-1], params) if targets else None
+                for m in targets:
+                    if not params.scalars.hypothesis(m):
+                        skipped += 1
+                        continue
+                    checks += 1
+                    nonroot = non_root_table_check(m, params)
+                    mult = multiplicity(m, params, classification)
+                    if (mult == 0) != nonroot:
+                        violations.append({"m": m, "multiplicity": mult, "table": nonroot})
+    details = [{"q": str(q), "r": str(r), "s": str(s), "violations": violations}
+               for s, violations in zip(units, per_point) if violations]
     return checks, skipped, details
-
-
-def _oracle_pair(q, r, units: list, max_m: int) -> tuple:
-    """``_scan_pair`` for the oracle check.  No level element reads q22, so
-    they are built once, and each membership route decides every s at once;
-    a point lists each element on which the two verdicts differ."""
-    points = tuple(BraidingParams.from_qrs(q, r, s) for s in units)
-    levels = [level_elements(m, points[0]) for m in range(max_m + 1)]
-    tags = [(m, idx) for m, level in enumerate(levels) if level for idx in range(len(level))]
-    shared = [levels[m][idx] for m, idx in tags]
-    found: dict = {params: [] for params in points}
-    verdicts = zip(kernel_points(shared, points), kernel_points_by_derivations(shared, points))
-    for (m, idx), (by_symmetrizer, by_derivations) in zip(tags, verdicts):
-        for params in by_symmetrizer ^ by_derivations:
-            found[params].append({"m": m, "element": idx})
-    details = [{"q": str(q), "r": str(r), "s": str(s), "violations": found[params]}
-               for s, params in zip(units, points) if found[params]]
-    return len(tags) * len(units), levels.count(None) * len(units), details
 
 
 def _cmd_scan(args) -> int:
@@ -385,13 +363,15 @@ def _attach_dash_values(argv: list) -> list:
 def _run_config(path: str) -> int:
     try:
         with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+            text = handle.read(CONFIG_LENGTH + 1)
     except OSError as exc:
         raise UsageError(str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: {exc}") from exc
+    if len(text) > CONFIG_LENGTH:
+        raise UsageError(f"{path}: longer than {CONFIG_LENGTH} characters")
     status = 0
-    for number, line in enumerate(lines, 1):
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -23,9 +23,9 @@ derivation recursion (zero iff d_1 and d_2 both map to zero) provides the
 second, logically independent membership test, on payload terms through
 ``braided._derive``, with no element per node.
 
-Both tests decide every point (q, r, s) of one (q, r) pair in one pass
-(``kernel_points`` and ``kernel_points_by_derivations``): each keeps
-q22 = s formal once per pair and reads it per point only where it enters.
+``compare_routes`` holds the two tests to each other at every point
+(q, r, s) of one (q, r) pair, on level elements it builds once.  Each test
+decides every s in one pass, keeping q22 = s formal once per pair.
 ``in_kernel`` reads S(x) off the cached ``symmetrizer`` at its one point,
 for any b; ``in_kernel_by_derivations`` is the derivation route at one point.
 
@@ -52,13 +52,13 @@ from functools import lru_cache
 from itertools import combinations, count, islice, repeat, takewhile
 from typing import Iterator
 
-from .braided import GradedElement, _at_q22, _derive
+from .braided import GradedElement, _at_q22, _derive, multidegree
 from .errors import DegreeCeilingExceeded, FieldMismatch, OutOfRange
 from .fields import Field, FieldElement
 from .jset import compute_J
 from .linalg import rank as matrix_rank, rref
 from .qcalc import BraidingParams
-from .rootvec import UhatBasisVector, _ad_x1_pow, _d1_preimage, _p_row, l_n
+from .rootvec import UhatBasisVector, _ad_x1_pow, _d1_preimage, _p_row, l_n, level_elements
 
 # Longest word the symmetrizer routes build (dim, in_kernel, scan --check oracles).
 DEGREE_CEILING = 14
@@ -238,38 +238,46 @@ def in_kernel(x: GradedElement, params: BraidingParams) -> bool:
 
 
 def in_kernel_by_derivations(x: GradedElement, params: BraidingParams) -> bool:
-    """Derivation recursion: zero iff d_1 and d_2 images are both zero; the
-    one-point case of ``kernel_points_by_derivations``."""
-    return bool(kernel_points_by_derivations([x], (params,))[0])
+    """Derivation recursion: zero iff d_1 and d_2 images are both zero."""
+    _member_degree(x, params)
+    return bool(_derivations_vanish(x.terms, (params,), {}))
 
 
-def _pair_degrees(elements: list, points: tuple) -> list:
-    """Each element's ``_member_degree`` at points that share q11, q12 and
-    q21 and differ in q22 = s, as the points of one (q, r) pair do."""
-    shared = {(p.field, p.q11.value, p.q12.value, p.q21.value) for p in points}
-    if len(shared) != 1 or len({p.q22.value for p in points}) < len(points):
-        raise OutOfRange("the points must share q11, q12 and q21 and differ in q22")
-    return [_member_degree(x, points[0]) for x in elements]
+def compare_routes(q, r, units: list, max_m: int) -> tuple:
+    """The oracle check at the points (q, r, s), s in ``units``, of one
+    (q, r) pair, at levels 0..max_m: (checks, skipped, found), found[j]
+    listing the (m, index) of each level element on which the two
+    membership routes disagree at units[j].  No level element reads q22,
+    so each level's elements are built once, at the first point, and each
+    route decides every s of the pair at once."""
+    points = tuple(BraidingParams.from_qrs(q, r, s) for s in units)
+    levels = [level_elements(m, points[0]) for m in range(max_m + 1)]
+    tags = [(m, idx) for m, level in enumerate(levels) if level for idx in range(len(level))]
+    shared = [levels[m][idx] for m, idx in tags]
+    found: dict = {params: [] for params in points}
+    verdicts = zip(_kernel_points(shared, points), _kernel_points_by_derivations(shared, points))
+    for tag, (by_symmetrizer, by_derivations) in zip(tags, verdicts):
+        for params in by_symmetrizer ^ by_derivations:
+            found[params].append(tag)
+    return len(tags) * len(units), levels.count(None) * len(units), list(found.values())
 
 
-def kernel_points(elements: list, points: tuple) -> list:
+def _kernel_points(elements: list, points: tuple) -> list:
     """Symmetrizer route: for each element, the set of the points of one
-    (q, r) pair at which it lies in ker(pi).  S_(a,b) is built once per pair
-    with q22 = s formal.  For b <= 2 an x2 passes at most one x2, so
+    (q, r) pair at which it lies in ker(pi).  Each element is homogeneous,
+    with b <= 2, as ``compare_routes`` builds them.  S_(a,b) is built once
+    per pair with q22 = s formal: an x2 passes at most one x2, so
     S(s) = A + s B (B = 0 for b <= 1), and S(s)x = 0 iff u + s d = 0 at
     every row, with u = (Ax)_i and d = (Bx)_i: u = 0 where d = 0, and
-    s = -u/d otherwise.  The rows are read until no point is left.  b > 2
-    is refused at any number of points: ``in_kernel`` serves any b."""
-    degrees = _pair_degrees(elements, points)
+    s = -u/d otherwise.  The rows are read until no point is left."""
     field = points[0].field
     mul, neg, inv, is_zero = field._mul, field._neg, field._inv, field._is_zero
     builds: dict = {}  # the formal builds of the pair, by multidegree
     verdicts = []
-    for x, deg in zip(elements, degrees):
+    for x in elements:
         alive = points
-        if deg is not None:
-            if deg[1] > 2:
-                raise OutOfRange(f"S_{deg} is not affine in s: it has more than two x2's")
+        if x.terms:
+            deg = multidegree(next(iter(x.terms)))
             layers = _formal(deg, points[0], builds)
             index = _plan(*deg)[1]
             rows = [_products(field, index, layer, x) for layer in layers]
@@ -285,11 +293,10 @@ def kernel_points(elements: list, points: tuple) -> list:
     return verdicts
 
 
-def kernel_points_by_derivations(elements: list, points: tuple) -> list:
+def _kernel_points_by_derivations(elements: list, points: tuple) -> list:
     """Derivation route: for each element, the set of the points of one (q, r)
     pair at which it lies in ker(pi); the elements share a memo of verdicts."""
-    _pair_degrees(elements, points)
-    points, memo = tuple(points), {}
+    memo: dict = {}
     masks = [_derivations_vanish(x.terms, points, memo) for x in elements]
     return [{p for j, p in enumerate(points) if mask >> j & 1} for mask in masks]
 

@@ -245,6 +245,23 @@ def test_zero_denominator_refused(argv, capsys):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("source", ["zeros", "comments"])
+def test_config_longer_than_its_bound_refused(tmp_path, capsys, source):
+    # the file is read up to one character past CONFIG_LENGTH, so an endless
+    # one fails as fast as an oversized one, and no run of it starts
+    if source == "zeros":
+        path = "/dev/zero"
+    else:
+        path = tmp_path / "runs.cfg"
+        path.write_text("jset --field Fp:3 --q 1 --r 2 --s 2 --max 3\n"
+                        + "#" * cli.CONFIG_LENGTH)
+    rc = run_command(["--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: longer than {cli.CONFIG_LENGTH} characters\n"
+
+
 def test_config_with_subcommand_rejected(tmp_path, capsys):
     cfg = tmp_path / "runs.cfg"
     cfg.write_text("jset --field Fp:3 --q 1 --r 2 --s 2 --max 3\n")
@@ -312,6 +329,20 @@ def test_deg_accepts_only_signed_decimal_digits(capsys, deg):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "error: --deg expects two integers: a,b\n"
+
+
+@pytest.mark.parametrize("deg, length", [("2," + "1" * 5000, 5000),
+                                         ("-" + "1" * 5000 + ",2", 5001)],
+                         ids=["long-b", "long-negative-a"])
+def test_deg_refuses_a_numeral_past_the_literal_length(capsys, deg, length):
+    # int() refuses more than 4300 digits with a bare ValueError
+    rc = run_command(["dim", "--field", "Q", "--q", "2", "--r", "3", "--s", "5",
+                      f"--deg={deg}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: --deg numeral of {length} characters exceeds "
+                            f"{fields.LITERAL_LENGTH}\n")
 
 
 def test_deg_reads_decimal_digits(capsys):
@@ -702,17 +733,29 @@ def test_scan_oracles_kernel_count(capsys, monkeypatch, field, max_m, count):
     # wrong would keep every digest.  count is the number of (point, element)
     # checks in ker(pi) by in_kernel, called at every point before the pair routes.
     totals = {}
-    for route in ("kernel_points", "kernel_points_by_derivations"):
-        def counted(elements, points, route=route, original=getattr(cli, route)):
+    for route in ("_kernel_points", "_kernel_points_by_derivations"):
+        def counted(elements, points, route=route, original=getattr(oracle, route)):
             verdicts = original(elements, points)
             totals[route] = totals.get(route, 0) + sum(map(len, verdicts))
             return verdicts
 
-        monkeypatch.setattr(cli, route, counted)
+        monkeypatch.setattr(oracle, route, counted)
     rc = run_command(["scan", "--field", field, "--max", max_m, "--check", "oracles"])
     capsys.readouterr()
     assert rc == 0
-    assert totals == {"kernel_points": count, "kernel_points_by_derivations": count}
+    assert totals == {"_kernel_points": count, "_kernel_points_by_derivations": count}
+
+
+def test_scan_oracles_validates_no_element(capsys, monkeypatch):
+    # compare_routes builds every element it hands the pair routes, so
+    # neither route re-checks one; each once ran _member_degree per element
+    def refuse(x, params):
+        raise AssertionError("a scan element was validated")
+
+    monkeypatch.setattr(oracle, "_member_degree", refuse)
+    rc = run_command(["scan", "--field", "Fp:5", "--max", "6", "--check", "oracles"])
+    capsys.readouterr()
+    assert rc == 0
 
 
 def test_oracle_scan_builds_each_multidegree_once_per_pair(capsys, monkeypatch):
@@ -742,7 +785,7 @@ def test_scan_oracles_lists_forced_disagreements(capsys, monkeypatch, route):
     field = fields.parse_field_spec("Fp:5")
     two = field.from_int(2)
     flips = [(4, 2, 1), (3, 3, 0), (3, 1, 2)]
-    original = getattr(cli, route)
+    original = getattr(oracle, "_" + route)
 
     def flipped(elements, points):
         verdicts = original(elements, points)
@@ -754,7 +797,7 @@ def test_scan_oracles_lists_forced_disagreements(capsys, monkeypatch, route):
                 found ^= {point}
         return verdicts
 
-    monkeypatch.setattr(cli, route, flipped)
+    monkeypatch.setattr(oracle, "_" + route, flipped)
     expected = [
         {"q": "2", "r": "2", "s": "3", "violations": [{"m": 1, "element": 2},
                                                        {"m": 3, "element": 0}]},
@@ -823,7 +866,7 @@ def test_scan_jobs_builds_each_level_once(capsys, monkeypatch, tmp_path, spec, b
         return rootvec.level_elements(m, params)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "level_elements", logged)
+    monkeypatch.setattr(oracle, "level_elements", logged)
     rc = run_command(["scan", "--field", spec, "--max", "2", "--check", "oracles",
                       "--jobs", "2", "--format", "json"])
     capsys.readouterr()
@@ -887,3 +930,16 @@ def test_nested_config_refused(tmp_path, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "error: --config cannot appear inside a config file\n"
+
+
+@pytest.mark.parametrize("check, max_m", [("main", "8"), ("oracles", "6"), ("table1", "6")])
+def test_scan_totals_agree_across_the_f9_moduli(capsys, check, max_m):
+    # the three moduli give isomorphic fields, and a field isomorphism maps
+    # the points of one scan onto the other's with every verdict kept
+    totals = set()
+    for modulus in ("1,0,1", "2,1,1", "2,2,1"):
+        rc, data = run_json(capsys, ["scan", "--field", f"ext:Fp:3:{modulus}", "--max", max_m,
+                                     "--check", check, "--format", "json"])
+        assert rc == 0
+        totals.add(tuple(data[key] for key in ("points", "checks", "skipped", "violations")))
+    assert len(totals) == 1
