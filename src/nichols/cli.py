@@ -11,6 +11,7 @@ verification failure was found, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shlex
@@ -43,7 +44,10 @@ def _nonneg_int(text: str) -> int:
     return int(text)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused: argparse
+    reads sys.stdout and sys.stderr only when it prints."""
     parser = argparse.ArgumentParser(
         prog="nichols",
         description="Exact root-multiplicity computations for rank-2 "

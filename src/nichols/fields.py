@@ -1,23 +1,23 @@
 """Exact field arithmetic over Q, F_p, and simple extensions K[t]/(f).
 
 A :class:`Field` knows how to add, multiply and invert payloads:
-``Fraction`` for Q, residues in [0, p) for F_p, and length-d tuples of base
-payloads for extensions.  Hot loops (symmetrizer, elimination, graded
-elements, skew derivations) call the payload primitives ``_add``/``_neg``/
-``_mul``/``_inv``/``_is_zero`` directly; :class:`FieldElement` wraps a
-payload with its field at the API boundary, and ``Field.payload`` unwraps
-one after checking its field.  An extension multiplies by convolving
-coefficients, folding t^d..t^(2d-2) back through reduction rows computed
-once, and normalising each coefficient once; it inverts a by solving the
-d x d base-field system a*x = 1 with ``linalg.solve``.  That ``_mul`` is its
-one product and that solve its one division: they build the reduction rows
-and the powers of t in literals, and decide irreducibility over F_p (is
-t^(p^k) - t a unit modulo f?), with no polynomial division.  A finite extension
-of order at most TABLE_ORDER (F_4 up to F_49, so every field a scan admits)
-lists its elements once when it is built and fills lookup tables from
-those two routes; its ``_add``/``_neg``/``_mul``/``_inv``/``_from_int`` then
-read the tables, on the same payloads.  A field pickles as its spec and is
-rebuilt from it.  Field specs follow the grammar
+``Fraction`` for Q, residues in [0, p) for F_p, length-d tuples of base
+payloads for extensions, and ints for tabulated extensions.  Hot loops
+(symmetrizer, elimination, graded elements, skew derivations) call the
+payload primitives ``_add``/``_neg``/``_mul``/``_inv``/``_is_zero`` directly;
+:class:`FieldElement` wraps a payload with its field at the API boundary,
+and ``Field.payload`` unwraps one after checking its field.  An extension
+multiplies by convolving coefficients and folding t^d..t^(2d-2) back through
+reduction rows computed once; it inverts a by solving the d x d base-field
+system a*x = 1 with ``linalg.solve``.  That ``_mul`` and that solve build the
+reduction rows and the powers of t in literals, and decide irreducibility
+over F_p (is t^(p^k) - t a unit modulo f?), with no polynomial division.  A
+finite extension of order at most TABLE_ORDER (F_4 up to F_49, so every
+field a scan admits) is a :class:`TabulatedField`: its payload is an
+element's index in coefficient-tuple order, and its primitives read tuples
+of ints filled from digit-wise sums and the log/antilog table of a
+generator.  :func:`parse_field_spec` keeps one field per spec string, and a
+field pickles as its spec.  Field specs follow the grammar
 
     Q | Fp:<prime> | ext:Fp:<prime>:<c0,...,cd> | ext:Q:<c0,...,cd>
 
@@ -33,6 +33,7 @@ LITERAL_LENGTH characters.  Any other spec or literal raises a
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -195,40 +196,15 @@ class FieldElement:
 
 
 class Field:
-    """Common interface of the three supported field kinds."""
+    """Common interface of the field kinds.  Each kind provides the payload
+    primitives ``_add``, ``_neg``, ``_mul``, ``_inv``, ``_from_int``,
+    ``_is_zero``, ``_render`` and ``_parse``, and a finite one
+    ``_iter_payloads``, every payload once."""
 
     kind: str
     characteristic: int
     order: int | None  # None for infinite fields
     spec: str
-
-    # payload-level primitives, provided by subclasses
-    def _add(self, a, b):
-        raise NotImplementedError
-
-    def _neg(self, a):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
-
-    def _inv(self, a):
-        raise NotImplementedError
-
-    def _from_int(self, n: int):
-        raise NotImplementedError
-
-    def _is_zero(self, a) -> bool:
-        raise NotImplementedError
-
-    def _render(self, a) -> str:
-        raise NotImplementedError
-
-    def _parse(self, text: str):
-        raise NotImplementedError
-
-    def _iter_payloads(self) -> Iterator:
-        raise NotImplementedError
 
     # public API
     @property
@@ -264,7 +240,7 @@ class Field:
                 yield x
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, Field) and self.spec == other.spec)
+        return self is other or (type(other) is type(self) and self.spec == other.spec)
 
     def __reduce__(self):
         return parse_field_spec, (self.spec,)
@@ -454,7 +430,7 @@ class ExtensionField(Field):
     kind = "extension"
 
     def __init__(self, base: Field, coeffs) -> None:
-        if isinstance(base, ExtensionField):
+        if not isinstance(base, (RationalField, PrimeField)):
             raise MalformedSpec("towers of extensions are not supported")
         mod = _poly_trim(base, coeffs)
         deg = len(mod) - 1
@@ -478,33 +454,6 @@ class ExtensionField(Field):
         base_tag = "Q" if isinstance(base, RationalField) else f"Fp:{base.p}"
         self.spec = f"ext:{base_tag}:" + ",".join(base._render(c) for c in mod)
         _check_irreducible(self)  # after the spec: its elements compare by it
-        if self.order is not None and self.order <= TABLE_ORDER:
-            self._tabulate()
-
-    def _tabulate(self) -> None:
-        """Shadow the payload primitives with lookups in tables filled by them.
-
-        Binary tables are nested, table[a][b]: two flat-tuple lookups beat
-        one keyed on the pair of payloads.
-        """
-        elements = list(self._iter_payloads())
-        zero, p = self._from_int(0), self.base.p
-        products = {a: {b: self._mul(a, b) for b in elements} for a in elements}
-        sums = {a: {b: self._add(a, b) for b in elements} for a in elements}
-        negatives = {a: self._neg(a) for a in elements}
-        inverses = {a: self._inv(a) for a in elements if a != zero}
-        ints = tuple(self._from_int(n) for n in range(p))
-
-        def inv(a):
-            if a == zero:
-                raise DivisionByZero("inverse of zero")
-            return inverses[a]
-
-        self._mul = lambda a, b: products[a][b]
-        self._add = lambda a, b: sums[a][b]
-        self._neg = negatives.__getitem__
-        self._inv = inv
-        self._from_int = lambda n: ints[n % p]
 
     # payloads are coefficient tuples of length == degree
     def _pad(self, cs):
@@ -603,8 +552,80 @@ class ExtensionField(Field):
         return FieldElement(self, self._t)
 
 
+class TabulatedField(Field):
+    """A finite extension of order at most TABLE_ORDER, on int payloads.
+
+    ``generic`` is the :class:`ExtensionField` on the same modulus.  An
+    element's payload is the index of its coefficient tuple in
+    ``generic._iter_payloads()`` order, so 0 is zero and units keep their
+    order.  Sums are tabulated digit-wise; products and inverses come from
+    the antilog table of the first unit whose powers, by ``generic._mul``,
+    reach every unit.  Literals and rendering pass through ``generic``.
+    """
+
+    kind = "extension"
+
+    def __init__(self, generic: ExtensionField) -> None:
+        self.generic, self.base, self.modulus = generic, generic.base, generic.modulus
+        self.degree, self.characteristic, self.spec = generic.degree, generic.characteristic, generic.spec
+        n = self.order = generic.order
+        self._tuples = tuples = tuple(generic._iter_payloads())
+        self._index = index = {c: i for i, c in enumerate(tuples)}
+        self._sums = tuple(tuple(index[generic._add(a, b)] for b in tuples) for a in tuples)
+        self._negatives = tuple(index[generic._neg(a)] for a in tuples)
+        self._ints = tuple(index[generic._from_int(k)] for k in range(self.characteristic))
+        one = generic._from_int(1)
+        for g in tuples[1:]:
+            antilog = [one]
+            while (power := generic._mul(antilog[-1], g)) != one:
+                antilog.append(power)
+            if len(antilog) == n - 1:
+                break
+        exp = [index[x] for x in antilog] * 2  # g^k for 0 <= k < 2(n - 1)
+        log = dict(zip(exp, range(n - 1)))
+        self._products = tuple(
+            tuple(exp[log[a] + log[b]] if a and b else 0 for b in range(n)) for a in range(n)
+        )
+        self._inverses = (None,) + tuple(exp[n - 1 - log[a]] for a in range(1, n))
+
+    def _add(self, a, b):
+        return self._sums[a][b]
+
+    def _neg(self, a):
+        return self._negatives[a]
+
+    def _mul(self, a, b):
+        return self._products[a][b]
+
+    def _inv(self, a):
+        if a == 0:
+            raise DivisionByZero("inverse of zero")
+        return self._inverses[a]
+
+    def _from_int(self, n):
+        return self._ints[n % self.characteristic]
+
+    def _is_zero(self, a):
+        return a == 0
+
+    def _render(self, a):
+        return self.generic._render(self._tuples[a])
+
+    def _parse(self, text):
+        return self._index[self.generic._parse(text)]
+
+    def _iter_payloads(self):
+        return iter(range(self.order))
+
+    def gen(self) -> FieldElement:
+        """The class of t."""
+        return FieldElement(self, self._index[self.generic._t])
+
+
+@functools.lru_cache(maxsize=32)
 def parse_field_spec(spec: str) -> Field:
-    """Build a field from its descriptor string (see module docstring)."""
+    """Build a field from its descriptor string (see module docstring).  The
+    field is kept per spec string, so a process builds each field once."""
     spec = spec.strip()
     if spec == "Q":
         return RationalField()
@@ -630,6 +651,8 @@ def parse_field_spec(spec: str) -> Field:
             raise MalformedSpec(f"bad extension base in: {spec!r}")
         if not coeff_text:
             raise MalformedSpec(f"missing modulus coefficients: {spec!r}")
-        coeffs = [base._parse(c) for c in coeff_text.split(",")]
-        return ExtensionField(base, coeffs)
+        field = ExtensionField(base, [base._parse(c) for c in coeff_text.split(",")])
+        if field.order is not None and field.order <= TABLE_ORDER:
+            return TabulatedField(field)
+        return field
     raise MalformedSpec(f"unrecognized field spec: {spec!r}")

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from nichols.braided import GradedElement
-from nichols.fields import ExtensionField, FieldElement, parse_field_spec
+from nichols.fields import ExtensionField, FieldElement, TabulatedField, parse_field_spec
 from nichols.qcalc import BraidingParams
 
 
 def _random_payload(field, rng):
+    if isinstance(field, TabulatedField):  # an index, never a coefficient tuple
+        return rng.randrange(field.order)
     if isinstance(field, ExtensionField):
         return tuple(_random_payload(field.base, rng) for _ in range(field.degree))
     if field.order is None:

@@ -1,6 +1,8 @@
 """Exit codes, JSON schemas, and determinism of the command-line front end."""
 
+import contextlib
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -9,6 +11,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nichols import cli, fields, jset, oracle, qcalc, rootvec
 from nichols.cli import run_command
@@ -943,3 +946,65 @@ def test_scan_totals_agree_across_the_f9_moduli(capsys, check, max_m):
         assert rc == 0
         totals.add(tuple(data[key] for key in ("points", "checks", "skipped", "violations")))
     assert len(totals) == 1
+
+
+# -- the per-process parser and fields leave every run's bytes unchanged ----------
+
+_LITERALS = {
+    "Q": ["2", "-3/5", "1/2", "3"],
+    "Fp:3": ["1", "2"],
+    "Fp:5": ["1", "2", "3", "4"],
+    "ext:Fp:2:1,1,1": ["1", "t", "1+t"],
+    "ext:Fp:3:1,0,1": ["1", "2", "t", "1+t", "2*t"],
+}
+_SCAN_FIELDS = ["Fp:2", "Fp:3", "ext:Fp:2:1,1,1"]
+_REFUSALS = [
+    ["jset", "--field", "Fp:4", "--q", "1", "--r", "1", "--s", "1", "--max", "2"],
+    ["jset", "--field", "ext:Fp:3:1,1,1", "--q", "t", "--r", "1", "--s", "1", "--max", "2"],
+    ["verify", "--field", "Fp:5", "--q", "t", "--r", "1", "--s", "1", "--max", "2"],
+    ["verify", "--field", "Q", "--q", "1/0", "--r", "1", "--s", "1", "--max", "2"],
+    ["jset", "--field", "Fp:5", "--q", "1", "--r", "-3/5", "--s", "1", "--max", "2"],
+    ["jset", "--field", "Q", "--q", "2", "--r", "-3/5", "--s", "1", "--max", "2"],
+    ["dim", "--field", "Fp:5", "--nope", "1"],
+    ["scan", "--field", "Fp:3", "--max", "1", "--jobs", "0"],
+    [],
+]
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["jset", "verify", "dim", "scan", "refusal"]))
+    if command == "refusal":
+        return draw(st.sampled_from(_REFUSALS))
+    fmt = ["--format", draw(st.sampled_from(["text", "json"]))]
+    if command == "scan":
+        check = draw(st.sampled_from(["main", "oracles", "table1"]))
+        return ["scan", "--field", draw(st.sampled_from(_SCAN_FIELDS)), "--max",
+                str(draw(st.integers(0, 2))), "--check", check, *fmt]
+    spec = draw(st.sampled_from(sorted(_LITERALS)))
+    q, r, s = (draw(st.sampled_from(_LITERALS[spec])) for _ in range(3))
+    argv = [command, "--field", spec, "--q", q, "--r", r, "--s", s, *fmt]
+    if command == "dim":
+        a = draw(st.integers(0, 3))
+        return argv + ["--deg", f"{a},{draw(st.integers(0, 4 - a))}"]
+    return argv + ["--max", str(draw(st.integers(0, 6 if command == "jset" else 3)))]
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run_command(list(argv))
+    return status, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=_argvs())
+def test_per_process_caches_leave_each_run_unchanged(argv):
+    # each run reuses whatever parser and fields the runs before it left;
+    # it must print what a process with neither would print
+    warm = _outcome(argv)
+    assert warm[0] in (0, 1, 2)
+    cli.build_parser.cache_clear()
+    fields.parse_field_spec.cache_clear()
+    assert _outcome(argv) == warm
+    assert cli.build_parser() is cli.build_parser()

@@ -22,6 +22,7 @@ from nichols.fields import (
     ExtensionField,
     FieldElement,
     PrimeField,
+    TabulatedField,
     _poly_trim,
     parse_field_spec,
 )
@@ -284,6 +285,22 @@ def test_spec_body_is_a_field_or_a_nichols_error(prefix, body):
     assert parse_field_spec(field.spec) == field
 
 
+@pytest.mark.parametrize("spec", ["Q", "Fp:5", "ext:Fp:3:1,0,1", "ext:Fp:101:2,0,1",
+                                  "ext:Q:-2,0,1"])
+def test_one_field_per_spec(spec):
+    assert parse_field_spec(spec) is parse_field_spec(spec)
+
+
+@pytest.mark.parametrize("spec, error", [("Fp:4", NonPrimeCharacteristic),
+                                         ("ext:Fp:3:1,1,1", ReduciblePolynomial),
+                                         ("ext:Fp:3:", MalformedSpec)])
+def test_malformed_spec_refused_on_every_call(spec, error):
+    # a refusal is raised, never kept, so it comes again on the next call
+    for _ in range(3):
+        with pytest.raises(error):
+            parse_field_spec(spec)
+
+
 def test_nonprime_characteristic_rejected():
     with pytest.raises(NonPrimeCharacteristic):
         parse_field_spec("Fp:6")
@@ -330,7 +347,13 @@ KERNEL_SPECS = [
 ]
 
 
+def _generic(field):
+    """The coefficient-tuple route of an extension: itself unless tabulated."""
+    return field.generic if isinstance(field, TabulatedField) else field
+
+
 def _payloads(field):
+    """Coefficient tuples of the untabulated extension field."""
     if field.base.order is None:
         coeff = st.builds(
             fractions.Fraction, st.integers(-9, 9), st.integers(1, 9)
@@ -344,7 +367,8 @@ def _payloads(field):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_extension_kernel_matches_polynomial_route(spec, data):
-    field = parse_field_spec(spec)
+    # the tuple route, which also fills the tables of a tabulated field
+    field = _generic(parse_field_spec(spec))
     base = field.base
     a = data.draw(_payloads(field))
     b = data.draw(_payloads(field))
@@ -357,18 +381,23 @@ def test_extension_kernel_matches_polynomial_route(spec, data):
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS + ["ext:Fp:101:2,0,1", "ext:Q:3,-1,0,1"])
 def test_reduction_rows_and_literals_match_polynomial_route(spec):
-    # the rows and the literal terms c*t^e are built by the field's own _mul
+    # the rows and the literal terms c*t^e are built by the tuple route's _mul;
+    # a tabulated field reads its literals through that route
     field = parse_field_spec(spec)
+    generic = _generic(field)
     base, d = field.base, field.degree
     one, two = base._from_int(1), base._from_int(2)
-    for k, row in enumerate(field._rows):
-        assert row == _reduce(field, (base._from_int(0),) * (d + k) + (one,))
+    for k, row in enumerate(generic._rows):
+        assert row == _reduce(generic, (base._from_int(0),) * (d + k) + (one,))
+
+    def element(cs):
+        payload = _reduce(generic, cs)
+        return FieldElement(field, payload if generic is field else field._index[payload])
+
     for e in range(3 * d):
         mono = (base._from_int(0),) * e + (two,)
-        assert field.parse(f"2*t^{e}") == FieldElement(field, _reduce(field, mono))
-        assert field.parse(f"1+-t^{e}") == field.one - FieldElement(
-            field, _reduce(field, mono[:-1] + (one,))
-        )
+        assert field.parse(f"2*t^{e}") == element(mono)
+        assert field.parse(f"1+-t^{e}") == field.one - element(mono[:-1] + (one,))
 
 
 def test_q_modulus_height_bound():
@@ -379,27 +408,56 @@ def test_q_modulus_height_bound():
             parse_field_spec(spec)
 
 
-@pytest.mark.parametrize("spec", [s for s in KERNEL_SPECS if not s.startswith("ext:Q:")])
+# every tabulated field: F_4, F_8, the three F_9 moduli, F_16, F_25, F_27, F_49
+TABULATED_SPECS = [
+    "ext:Fp:2:1,1,1",
+    "ext:Fp:2:1,1,0,1",
+    "ext:Fp:3:1,0,1",
+    "ext:Fp:3:2,1,1",
+    "ext:Fp:3:2,2,1",
+    "ext:Fp:2:1,1,0,0,1",
+    "ext:Fp:5:2,0,1",
+    "ext:Fp:3:1,2,0,1",
+    "ext:Fp:7:1,0,1",
+]
+
+
+@pytest.mark.parametrize("spec", TABULATED_SPECS)
 def test_tables_match_polynomial_route_exhaustively(spec):
     field = parse_field_spec(spec)
-    assert field.order <= TABLE_ORDER
-    base, p = field.base, field.base.p
-    copy = pickle.loads(pickle.dumps(field))
-    assert copy == field
-    zero, one = field._from_int(0), field._from_int(1)
-    elements = list(field._iter_payloads())
-    for a in elements:
-        for b in elements:
-            assert field._mul(a, b) == _reduce(field, _poly_mul(base, a, b))
-            assert field._add(a, b) == field._pad(_poly_add(base, a, b))
-            assert copy._mul(a, b) == field._mul(a, b)
-        assert field._add(a, field._neg(a)) == zero
-        if a != zero:
-            assert field._mul(a, field._inv(a)) == one
+    assert isinstance(field, TabulatedField) and field.order <= TABLE_ORDER
+    assert pickle.loads(pickle.dumps(field)) is field
+    generic, base, p = field.generic, field.base, field.base.p
+    # index <-> coefficient tuple, in itertools.product order
+    tuples = list(itertools.product(range(p), repeat=field.degree))
+    assert [field._tuples[i] for i in range(field.order)] == tuples
+    assert {c: field._index[c] for c in tuples} == {c: i for i, c in enumerate(tuples)}
+    assert [str(u) for u in field.units()] == [str(u) for u in generic.units()]
+    index = field._index.__getitem__
+    one = index(generic._from_int(1))
+    for i, a in enumerate(tuples):
+        for j, b in enumerate(tuples):
+            assert field._mul(i, j) == index(_reduce(generic, _poly_mul(base, a, b)))
+            assert field._add(i, j) == index(generic._pad(_poly_add(base, a, b)))
+        assert field._neg(i) == index(tuple(base._neg(c) for c in a))
+        if i:
+            inverse = field._tuples[field._inv(i)]
+            assert index(_reduce(generic, _poly_mul(base, a, inverse))) == one
     for n in range(-2 * p, 2 * p):
-        assert field._from_int(n) == field._pad((n % p,))
+        assert field._from_int(n) == index(generic._pad((n % p,)))
     with pytest.raises(DivisionByZero):
-        field._inv(zero)
+        field._inv(0)
+
+
+@pytest.mark.parametrize("spec", TABULATED_SPECS)
+def test_tabulated_payloads_are_indices(spec, rng):
+    # a coefficient tuple is no payload here: it fails at its first product
+    field = parse_field_spec(spec)
+    x = random_element(field, rng, nonzero=True)
+    assert x.value in range(1, field.order)
+    assert str(field.gen()) == "t" and field.parse(str(x)) == x
+    with pytest.raises(TypeError):
+        FieldElement(field, field._tuples[x.value]) * x
 
 
 @pytest.mark.parametrize("spec, square", [

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nichols.braided import GradedElement
 from nichols.errors import FieldMismatch
-from nichols.fields import FieldElement, parse_field_spec
+from nichols.fields import FieldElement, TabulatedField, parse_field_spec
 from conftest import element_from_json
 
 SPECS = ["Q", "Fp:7", "ext:Fp:3:1,0,1", "ext:Fp:2:1,1,0,0,1", "ext:Q:-2,0,0,0,1"]
@@ -22,7 +22,9 @@ def _base_payloads(field):
 
 
 def _elements(field):
-    if hasattr(field, "base"):
+    if isinstance(field, TabulatedField):
+        payload = st.integers(0, field.order - 1)
+    elif hasattr(field, "base"):
         payload = st.tuples(*[_base_payloads(field.base)] * field.degree)
     else:
         payload = _base_payloads(field)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nichols.errors import DivisionByZero
-from nichols.fields import parse_field_spec
+from nichols.fields import TabulatedField, parse_field_spec
 from nichols.linalg import nullspace, rank, rref, solve
 from word_oracles import mat_vec
 
@@ -84,10 +84,12 @@ FIELDS = {spec: parse_field_spec(spec) for spec in SPECS}
 
 def _payloads(field):
     """Payloads of field, about a third of them zero so that ranks drop."""
-    if hasattr(field, "base"):
+    if isinstance(field, TabulatedField):
+        nonzero = st.integers(1, field.order - 1)
+    elif hasattr(field, "base"):
         coeff = _payloads(field.base)
         return st.tuples(*[coeff] * field.degree)
-    if field.order is None:
+    elif field.order is None:
         nonzero = st.builds(fractions.Fraction, st.integers(-9, 9), st.integers(1, 9))
     else:
         nonzero = st.integers(1, field.p - 1)

@@ -816,3 +816,32 @@ def test_dim_m2_matches_J_at_random_points(spec, data):
     q, r, s = (data.draw(_unit_strategy(field)) for _ in range(3))
     top = data.draw(st.integers(0, 6 if spec.startswith("ext:Q:") else 8))
     _hold_dim_m2_to_J(BraidingParams.from_qrs(q, r, s), top)
+
+
+# F_4, F_9, F_25, F_27: x -> x^p is a field automorphism, so every verdict at
+# (q, r, s) holds at (q^p, r^p, s^p); a wrong table entry breaks the symmetry
+FROBENIUS_FIELDS = {spec: parse_field_spec(spec) for spec in
+                    ("ext:Fp:2:1,1,1", "ext:Fp:3:1,0,1", "ext:Fp:5:2,0,1", "ext:Fp:3:1,2,0,1")}
+
+
+@pytest.mark.parametrize("spec", list(FROBENIUS_FIELDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_frobenius_images_keep_every_verdict(spec, data):
+    field = FROBENIUS_FIELDS[spec]
+    units = list(field.units())
+    q, r = (data.draw(st.sampled_from(units)) for _ in range(2))
+    ss = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=4, unique=True))
+    max_m = data.draw(st.integers(0, 6))
+    frobenius = lambda x: x ** field.characteristic  # noqa: E731
+    image = [frobenius(x) for x in (q, r, *ss)]
+    for s, s_image in zip(ss, image[2:]):
+        params = BraidingParams.from_qrs(q, r, s)
+        mirror = BraidingParams.from_qrs(image[0], image[1], s_image)
+        assert compute_J(max_m, mirror).to_json() == compute_J(max_m, params).to_json()
+        levels = range(max_m + 1)
+        reports = [rep and rep.to_json() for rep in verify_levels(levels, params)]
+        assert [rep and rep.to_json() for rep in verify_levels(levels, mirror)] == reports
+    # found[j] lists the disagreements at ss[j], so the lists map onto the images
+    assert (oracle.compare_routes(image[0], image[1], image[2:], max_m)
+            == oracle.compare_routes(q, r, ss, max_m))
