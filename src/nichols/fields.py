@@ -566,9 +566,10 @@ class TabulatedField(Field):
     kind = "extension"
 
     def __init__(self, generic: ExtensionField) -> None:
-        self.generic, self.base, self.modulus = generic, generic.base, generic.modulus
-        self.degree, self.characteristic, self.spec = generic.degree, generic.characteristic, generic.spec
-        n = self.order = generic.order
+        self.generic = generic
+        for name in ("base", "modulus", "degree", "characteristic", "order", "spec"):
+            setattr(self, name, getattr(generic, name))
+        n = self.order
         self._tuples = tuples = tuple(generic._iter_payloads())
         self._index = index = {c: i for i, c in enumerate(tuples)}
         self._sums = tuple(tuple(index[generic._add(a, b)] for b in tuples) for a in tuples)
