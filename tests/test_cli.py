@@ -729,6 +729,35 @@ def test_scan_oracles_golden_in_characteristic_2(capsys, field, max_m, fmt, dige
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+F4, F16 = "ext:Fp:2:1,1,1", "ext:Fp:2:1,1,0,0,1"
+
+
+@pytest.mark.parametrize("argv, text_digest, json_digest", [
+    (["--field", F4, "--max", "12", "--check", "main"],
+     "6dd7e5d77d66c095224139cc4278cdb13b0e8dccfca5e6813e840f0cd37820da",
+     "da598cd568208abccfab29f94e4526c0c84e845c236b7850aa1171876866f7f9"),
+    (["--field", F4, "--max", "10", "--check", "oracles"],
+     "6d234694cd549093d514009c0292a1be400a96d0413efb19067b389ac18b7155",
+     "77bd26ae640a69afef21e3056499637348541cd722a2f7edc8a3a96de0acc6aa"),
+    (["--field", F4, "--max", "12", "--check", "table1"],
+     "cf082ec87ed2edcb208248c963dc77d060c68b4f5135804258e73eef1432ec98",
+     "3ee2745451baf5a72e1e46505e99f1c27ab0182bbd0dd3f80b8a2c54718f70db"),
+    (["--field", "ext:Fp:5:2,0,1", "--max", "7", "--check", "main"],
+     "b2dc6405cabd0fdec128eaf6b559c32c5646d45e1bb0678ccfc22d37fecd8ba8",
+     "9002d1af9b6ced379f7745b82c03d3fc3cae6b588925f573a80daa359c3416d8"),
+    (["--field", F16, "--max", "8", "--check", "oracles"],
+     "0a20e51b5382e9480e70014944166a5eaa914d2c2eb6e9cebb6b33c746f80e88",
+     "ba270c8cc79cb5c0a4ead121b11557c7af8f3089159b7b88ec797e1b20ea3e85"),
+], ids=["F4-main", "F4-oracles", "F4-table1", "F25-main", "F16-oracles"])
+def test_scan_golden_over_extension_fields(capsys, argv, text_digest, json_digest):
+    # digests taken while every (q, r) pair of the field was its own scan task
+    for fmt, digest in (("text", text_digest), ("json", json_digest)):
+        rc = run_command(["scan", *argv, "--format", fmt])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("field, max_m, count", [("ext:Fp:3:2,1,1", "2", 227),
                                                  ("Fp:5", "6", 59)], ids=["F9", "Fp:5"])
 def test_scan_oracles_kernel_count(capsys, monkeypatch, field, max_m, count):
