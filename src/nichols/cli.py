@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import shlex
@@ -235,8 +236,8 @@ def _cmd_table1(args, params: BraidingParams) -> tuple:
 
 def _scan_pair(task: tuple) -> tuple:
     """Sweep worker: run the points (q, r, s) of one (q, r), s in unit order;
-    returns (checks, skipped, details), with one detail per point that has
-    violations."""
+    returns (checks, skipped, per_point), per_point[j] listing the
+    violations at the j-th unit s."""
     q, r, units, max_m, check = task
     if check == "oracles":
         checks, skipped, found = compare_routes(q, r, units, max_m)
@@ -269,15 +270,40 @@ def _scan_pair(task: tuple) -> tuple:
                     mult = multiplicity(m, params, classification)
                     if (mult == 0) != nonroot:
                         violations.append({"m": m, "multiplicity": mult, "table": nonroot})
-    details = [{"q": str(q), "r": str(r), "s": str(s), "violations": violations}
-               for s, violations in zip(units, per_point) if violations]
-    return checks, skipped, details
+    return checks, skipped, per_point
+
+
+def _pair_orbits(units: list, p: int) -> tuple:
+    """The orbits of the Frobenius x -> x^p on the (q, r) pairs of units, by
+    unit index: (representatives, orbit).  Each representative is its orbit's
+    first pair in unit order; orbit[(i, j)] is (the index of the pair's
+    representative, sigma), sigma a power of the Frobenius as a permutation
+    of unit indices that carries the representative to (i, j)."""
+    position = {u: i for i, u in enumerate(units)}
+    frobenius = [position[u**p] for u in units]
+    powers = [list(range(len(units)))]
+    while (image := [frobenius[i] for i in powers[-1]]) != powers[0]:
+        powers.append(image)
+    representatives: list = []
+    orbit: dict = {}
+    for i, j in itertools.product(range(len(units)), repeat=2):
+        if (i, j) not in orbit:
+            for sigma in powers:
+                orbit.setdefault((sigma[i], sigma[j]), (len(representatives), sigma))
+            representatives.append((i, j))
+    return representatives, orbit
 
 
 def _cmd_scan(args) -> int:
-    """Sweep every (q, r, s) unit triple.  A task is one (q, r) pair, whose
-    worker runs its s in unit order, so the details, joined, come in the
-    order q, r, s with s innermost, serially and under ``--jobs N`` alike."""
+    """Sweep every (q, r, s) unit triple.  A task is one (q, r) pair, the
+    first in unit order of its orbit under the Frobenius sigma: x -> x^p;
+    its worker runs every s in unit order.  Every route uses field
+    operations only, so the results at (sigma q, sigma r, sigma s) are those
+    at (q, r, s).  After the pool, each pair sigma^i of a representative
+    copies its checks and skips, and lists at s the violations the
+    representative found at sigma^-i s.  Over a prime field every orbit is
+    one pair.  The details come in the order q, r, s with s innermost,
+    serially and under ``--jobs N`` alike."""
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise UsageError(f"--jobs must be between 1 and {cpus} (the CPU count)")
@@ -296,17 +322,24 @@ def _cmd_scan(args) -> int:
             f"above the budget of {SCAN_POINT_BUDGET}"
         )
     units = list(field.units())
-    tasks = [(q, r, units, args.max, args.check) for q in units for r in units]
+    representatives, orbit = _pair_orbits(units, field.characteristic)
+    tasks = [(units[i], units[j], units, args.max, args.check) for i, j in representatives]
     if args.jobs > 1:
         from multiprocessing import get_context
 
         with get_context("fork").Pool(args.jobs) as pool:
-            per_pair = pool.map(_scan_pair, tasks)
+            results = pool.map(_scan_pair, tasks)
     else:
-        per_pair = map(_scan_pair, tasks)
-    checks, skipped, pair_details = zip(*per_pair)
-    total_checks, total_skipped = sum(checks), sum(skipped)
-    details = [d for pair in pair_details for d in pair]
+        results = list(map(_scan_pair, tasks))
+    total_checks = total_skipped = 0
+    details = []
+    for (i, j), (task, sigma) in sorted(orbit.items()):
+        checks, skipped, per_point = results[task]
+        total_checks += checks
+        total_skipped += skipped
+        moved = {sigma[k]: found for k, found in enumerate(per_point) if found}
+        details += [{"q": str(units[i]), "r": str(units[j]), "s": str(units[k]),
+                     "violations": moved[k]} for k in sorted(moved)]
     violations = sum(len(d["violations"]) for d in details)
     data = {
         "schema": _schema("scan"),

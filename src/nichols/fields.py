@@ -518,6 +518,7 @@ class ExtensionField(Field):
 
     def _parse(self, text):
         acc = self._from_int(0)
+        powers: dict = {}  # t^e by square-and-multiply, once per exponent
         for term in text.replace(" ", "").split("+"):
             if not term:
                 raise MalformedSpec(f"bad extension literal: {text!r}")
@@ -538,9 +539,9 @@ class ExtensionField(Field):
                 if m.group("coeff")
                 else self.base._from_int(1)
             )
-            mono = self._pad((coeff,))
-            for _ in range(exp):
-                mono = self._mul(mono, self._t)
+            if exp not in powers:
+                powers[exp] = (self.gen() ** exp).value
+            mono = self._mul(self._pad((coeff,)), powers[exp])
             acc = self._add(acc, self._neg(mono) if neg else mono)
         return acc
 

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -505,9 +506,9 @@ def test_scan_point_budget_admits_shipped_sweeps(capsys, monkeypatch, spec, poin
                                  "--check", "table1", "--format", "json"])
     assert rc == 0
     assert data["points"] == points
-    # one task per (q, r) pair: (order - 1)^2 of them
-    units = round(points ** (1 / 3))
-    assert len(tasks) == units * units
+    # one task per Frobenius orbit of (q, r) pairs: all 16^2 pairs of Fp:17,
+    # 59 of the 15^2 pairs of F_16
+    assert len(tasks) == {"Fp:17": 16 * 16, "ext:Fp:2:1,1,0,0,1": 59}[spec]
 
 
 @pytest.mark.parametrize("argv, flag, ceiling", [
@@ -764,11 +765,16 @@ def test_scan_oracles_kernel_count(capsys, monkeypatch, field, max_m, count):
     # the scan prints no verdicts, so two routes that agreed while both were
     # wrong would keep every digest.  count is the number of (point, element)
     # checks in ker(pi) by in_kernel, called at every point before the pair routes.
+    # The scan runs one (q, r) pair per Frobenius orbit, so each pair's verdicts
+    # count once for every pair of its orbit.
     totals = {}
     for route in ("_kernel_points", "_kernel_points_by_derivations"):
         def counted(elements, points, route=route, original=getattr(oracle, route)):
             verdicts = original(elements, points)
-            totals[route] = totals.get(route, 0) + sum(map(len, verdicts))
+            q, r, p = points[0].q, points[0].r, points[0].field.characteristic
+            # sigma^k for k < 4 covers every power of sigma: degrees are at most 4
+            orbit = {(q ** p ** k, r ** p ** k) for k in range(4)}
+            totals[route] = totals.get(route, 0) + len(orbit) * sum(map(len, verdicts))
             return verdicts
 
         monkeypatch.setattr(oracle, route, counted)
@@ -845,6 +851,128 @@ def test_scan_oracles_lists_forced_disagreements(capsys, monkeypatch, route):
         rc = run_command(argv + ["--jobs", jobs])
         assert rc == 1
         assert capsys.readouterr().out.splitlines()[1:] == lines
+
+
+F8 = "ext:Fp:2:1,1,0,1"
+F9_MODULI = ["ext:Fp:3:1,0,1", "ext:Fp:3:2,1,1", "ext:Fp:3:2,2,1"]
+
+
+def _per_pair_scan(spec, max_m, check):
+    """The scan's JSON body and text lines, with _scan_pair run at every (q, r)
+    pair of units and the pairs joined in unit order."""
+    units = list(fields.parse_field_spec(spec).units())
+    checks = skipped = 0
+    details = []
+    for q, r in itertools.product(units, repeat=2):
+        pair_checks, pair_skipped, per_point = cli._scan_pair((q, r, units, max_m, check))
+        checks += pair_checks
+        skipped += pair_skipped
+        details += [{"q": str(q), "r": str(r), "s": str(s), "violations": found}
+                    for s, found in zip(units, per_point) if found]
+    violations = sum(len(d["violations"]) for d in details)
+    points = len(units) ** 3
+    data = {"schema": "nichols/scan/v1", "field": spec, "check": check, "max_m": max_m,
+            "points": points, "checks": checks, "skipped": skipped,
+            "violations": violations, "details": details}
+    lines = [f"scan {spec} check={check} max_m={max_m}: points={points} checks={checks} "
+             f"skipped={skipped} violations={violations}"]
+    lines += [f"  violation at q={d['q']} r={d['r']} s={d['s']}: {d['violations']}"
+              for d in details]
+    return data, lines
+
+
+@pytest.mark.parametrize("check, max_m", [("main", 8), ("oracles", 4), ("table1", 6)])
+@pytest.mark.parametrize("spec", [F4, F8, *F9_MODULI, F16],
+                         ids=["F4", "F8", "F9-1,0,1", "F9-2,1,1", "F9-2,2,1", "F16"])
+def test_orbit_scan_equals_the_per_pair_scan(capsys, spec, check, max_m):
+    # the scan runs one pair per Frobenius orbit; joining every pair's own run
+    # must give the same bytes
+    data, lines = _per_pair_scan(spec, max_m, check)
+    argv = ["scan", "--field", spec, "--max", str(max_m), "--check", check]
+    assert run_command(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(data) + "\n"
+    assert run_command(argv) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+@pytest.mark.parametrize("route", ["kernel_points", "kernel_points_by_derivations"])
+def test_scan_lists_an_invariant_fault_at_every_frobenius_image(capsys, monkeypatch, route):
+    # flip one route's verdict at (s, m, element) of the pair q = r = t^2 over
+    # F_8 and at the images under sigma: x -> x^2, which carries (t^2, t^2) to
+    # (t+t^2, t+t^2) and then to (t, t).  Only (t^2, t^2), first of its orbit
+    # in unit order, is computed; each image is listed at its own q, r, s.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    field = fields.parse_field_spec(F8)
+    flips = {}
+    for s, m, idx in [("t^2", 1, 2), ("t", 2, 0), ("t", 3, 4)]:
+        q = r = field.parse("t^2")
+        s = field.parse(s)
+        for _ in range(3):
+            flips.setdefault(qcalc.BraidingParams.from_qrs(q, r, s), []).append((m, idx))
+            q, r, s = q**2, r**2, s**2
+    original = getattr(oracle, "_" + route)
+
+    def flipped(elements, points):
+        verdicts = original(elements, points)
+        for point in points:
+            for m, idx in flips.get(point, ()):
+                target = rootvec.level_elements(m, points[0])[idx]
+                (found,) = [v for x, v in zip(elements, verdicts) if x == target]
+                found ^= {point}
+        return verdicts
+
+    monkeypatch.setattr(oracle, "_" + route, flipped)
+    first = [{"m": 1, "element": 2}]
+    second = [{"m": 2, "element": 0}, {"m": 3, "element": 4}]
+    expected = [
+        {"q": "t^2", "r": "t^2", "s": "t^2", "violations": first},
+        {"q": "t^2", "r": "t^2", "s": "t", "violations": second},
+        {"q": "t", "r": "t", "s": "t", "violations": first},
+        {"q": "t", "r": "t", "s": "t+t^2", "violations": second},
+        {"q": "t+t^2", "r": "t+t^2", "s": "t^2", "violations": second},
+        {"q": "t+t^2", "r": "t+t^2", "s": "t+t^2", "violations": first},
+    ]
+    data, lines = _per_pair_scan(F8, 3, "oracles")
+    assert data["details"] == expected
+    argv = ["scan", "--field", F8, "--max", "3", "--check", "oracles"]
+    for jobs in ("1", "2"):
+        assert run_command(argv + ["--jobs", jobs, "--format", "json"]) == 1
+        assert capsys.readouterr().out == json.dumps(data) + "\n"
+        assert run_command(argv + ["--jobs", jobs]) == 1
+        assert capsys.readouterr().out.splitlines() == lines
+
+
+@pytest.mark.parametrize("spec, count", [
+    ("Fp:5", 16), ("Fp:7", 36), *[(spec, 34) for spec in F9_MODULI], (F16, 59),
+    ("ext:Fp:5:2,0,1", 296),
+], ids=["Fp:5", "Fp:7", "F9-1,0,1", "F9-2,1,1", "F9-2,2,1", "F16", "F25"])
+def test_scan_runs_one_task_per_frobenius_orbit(capsys, monkeypatch, spec, count):
+    # each task is the first pair in unit order of its orbit under x -> x^p,
+    # and the orbits cover every pair once; over a prime field every pair is
+    # its own orbit, so all (p - 1)^2 pairs run
+    pairs = []
+
+    def stub(task):
+        q, r, units, _, _ = task
+        pairs.append((q, r))
+        return 0, 0, [[]] * len(units)
+
+    monkeypatch.setattr(cli, "_scan_pair", stub)
+    rc = run_command(["scan", "--field", spec, "--max", "1", "--check", "table1"])
+    capsys.readouterr()
+    assert rc == 0
+    assert len(pairs) == count
+    field = fields.parse_field_spec(spec)
+    position = {u: i for i, u in enumerate(field.units())}
+    p = field.characteristic
+    covered = set()
+    for q, r in pairs:
+        # sigma^k for k < 4 covers every power of sigma: degrees are at most 4
+        orbit = {(q ** p ** k, r ** p ** k) for k in range(4)}
+        assert min(orbit, key=lambda pair: (position[pair[0]], position[pair[1]])) == (q, r)
+        assert not orbit & covered
+        covered |= orbit
+    assert len(covered) == len(position) ** 2
 
 
 def test_scan_oracles_fieldelement_budget(capsys, monkeypatch):

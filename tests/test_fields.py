@@ -17,6 +17,7 @@ from nichols.errors import (
     ReduciblePolynomial,
 )
 from nichols.fields import (
+    EXPONENT_BOUND,
     PRIME_BOUND,
     TABLE_ORDER,
     ExtensionField,
@@ -398,6 +399,24 @@ def test_reduction_rows_and_literals_match_polynomial_route(spec):
         mono = (base._from_int(0),) * e + (two,)
         assert field.parse(f"2*t^{e}") == element(mono)
         assert field.parse(f"1+-t^{e}") == field.one - element(mono[:-1] + (one,))
+
+
+@pytest.mark.parametrize("spec", ["ext:Q:-2,0,0,0,1", "ext:Fp:3:1,0,1"])
+def test_long_sums_of_large_powers_parse_quickly(spec):
+    # t^e is squared and multiplied up, once per exponent of a literal: with
+    # e products per term this literal took 7.1 s over Q and 0.70 s over F_9
+    field = parse_field_spec(spec)
+    generic = _generic(field)
+    literal = "+".join(["t^1000"] * 200)
+    start = time.perf_counter()
+    value = field.parse(literal)
+    assert time.perf_counter() - start < 0.1
+    assert value == 200 * field.parse("t^1000")
+    for e in (0, 1, 2, 5, 64, 333, EXPONENT_BOUND):
+        power = generic._from_int(1)
+        for _ in range(e):
+            power = generic._mul(power, generic._t)
+        assert generic.parse(f"t^{e}").value == power
 
 
 def test_q_modulus_height_bound():

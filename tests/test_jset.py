@@ -1,6 +1,7 @@
 """Classification of the defect set J and the multiplicity corollaries."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nichols.errors import HypothesisViolated, OutOfRange, UnsupportedM
 from nichols.jset import (
@@ -279,3 +280,24 @@ def test_q2_vanishing_matches_membership(F5, F7, F9):
                 else:
                     nonmember_hits += 1
     assert member_hits >= 1 and nonmember_hits >= 30
+
+
+# Inversion (q, r, s) -> (q^-1, r^-1, s^-1) keeps J, its J1/J2 split and the
+# witnesses at every point of F_7 and F_11 up to m = 10, F_9 up to 12 and F_25
+# up to 8.
+# Only J is probed: on the kernel side the symmetry would follow from the
+# theorem under test, so the scan never skips a point by it.
+INVERSION_FIELDS = {spec: parse_field_spec(spec)
+                    for spec in ("Fp:7", "Fp:11", "ext:Fp:3:1,0,1", "ext:Fp:5:2,0,1")}
+
+
+@pytest.mark.parametrize("spec", list(INVERSION_FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_inversion_keeps_the_classification(spec, data):
+    units = list(INVERSION_FIELDS[spec].units())
+    q, r, s = (data.draw(st.sampled_from(units)) for _ in range(3))
+    max_m = data.draw(st.integers(0, 12))
+    point = BraidingParams.from_qrs(q, r, s)
+    inverse = BraidingParams.from_qrs(q.inv(), r.inv(), s.inv())
+    assert compute_J(max_m, inverse).to_json() == compute_J(max_m, point).to_json()
