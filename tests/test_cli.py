@@ -759,6 +759,30 @@ def test_scan_golden_over_extension_fields(capsys, argv, text_digest, json_diges
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, text_digest, json_digest", [
+    (["--field", "Fp:7", "--max", "6"],
+     "29433aafab8f18ac620fac7ba747cc273d916ee0d78b4920fce4c55d601c041f",
+     "54a6b2099207474fe3226e1014b6c2c70e97385341c3e251bd9de93c2a59bc49"),
+    (["--field", "Fp:11", "--max", "10"],
+     "a8a1b9b1be5982c5ec617ee9178b997dcbaccaaf4b9fe07a3603b730a0061196",
+     "dcdcecb5783db98bea0b2c4c1b8fb669587da402fa1d2170dd5ad306570b09ae"),
+    (["--field", "ext:Fp:2:1,1,0,1", "--max", "12"],
+     "8bdcb5416d3c0c644bbbaa6daee06bd66b84f2051a41cf4f04abc11f0bc2b6b7",
+     "807e70067e67feb9e9f2b13db725fe64b9fea9b44340494792256c22f6b4109c"),
+    (["--field", F16, "--max", "12"],
+     "b790b9e31722cc4fd61b8fa9d41218c1c2cd9d5fff231baa2632960bc55c1bbd",
+     "61212ce6ef4d5d94a18cfc2d2f2aee36c333be4f1d7aed8cc2e2e4db6266daba"),
+], ids=["Fp:7", "Fp:11", "F8", "F16"])
+def test_scan_main_golden_over_prime_and_characteristic_2_fields(
+        capsys, argv, text_digest, json_digest):
+    # digests taken while the main check still walked the levels at every s
+    for fmt, digest in (("text", text_digest), ("json", json_digest)):
+        rc = run_command(["scan", *argv, "--check", "main", "--format", fmt])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("field, max_m, count", [("ext:Fp:3:2,1,1", "2", 227),
                                                  ("Fp:5", "6", 59)], ids=["F9", "Fp:5"])
 def test_scan_oracles_kernel_count(capsys, monkeypatch, field, max_m, count):
