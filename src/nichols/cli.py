@@ -21,7 +21,8 @@ import sys
 from .errors import HypothesisViolated, NicholsError, UsageError
 from .fields import LITERAL_LENGTH, Field, parse_field_spec
 from .jset import TABLE_ROWS, compute_J, m_prime, multiplicity, non_root_table_check
-from .oracle import DEGREE_CEILING, LEVEL_CEILING, compare_routes, nichols_dim, verify_levels
+from .oracle import (DEGREE_CEILING, LEVEL_CEILING, compare_routes, nichols_dim,
+                     verify_levels, verify_pair)
 from .qcalc import BraidingParams, ScalarTable
 
 SCHEMA_PREFIX = "nichols"
@@ -235,41 +236,37 @@ def _cmd_table1(args, params: BraidingParams) -> tuple:
 
 
 def _scan_pair(task: tuple) -> tuple:
-    """Sweep worker: run the points (q, r, s) of one (q, r), s in unit order;
-    returns (checks, skipped, per_point), per_point[j] listing the
-    violations at the j-th unit s."""
+    """Sweep worker: check the points (q, r, s) of one (q, r), s in unit
+    order; returns (checks, skipped, per_point), per_point[j] listing the
+    violations at the j-th unit s.  The oracle and main checks are one
+    library call per pair, ``compare_routes`` and ``verify_pair``; table1
+    runs each point."""
     q, r, units, max_m, check = task
     if check == "oracles":
         checks, skipped, found = compare_routes(q, r, units, max_m)
         per_point = [[{"m": m, "element": idx} for m, idx in tags] for tags in found]
-    else:
+    elif check == "main":
+        checks, skipped, found = verify_pair(q, r, units, max_m)
+        per_point = [[{"m": m, "report": rep.to_json()} for m, rep in reports]
+                     for reports in found]
+    else:  # table1
         checks = skipped = 0
         per_point = []
         for s in units:
             params = BraidingParams.from_qrs(q, r, s)
             violations = []
             per_point.append(violations)
-            if check == "main":
-                levels = range(max_m + 1)
-                for m, rep in zip(levels, verify_levels(levels, params)):
-                    if rep is None:
-                        skipped += 1
-                        continue
-                    checks += 1
-                    if not rep.matches_theorem:
-                        violations.append({"m": m, "report": rep.to_json()})
-            else:  # table1
-                targets = [m for m in TABLE_ROWS if m <= max_m]
-                classification = compute_J(targets[-1], params) if targets else None
-                for m in targets:
-                    if not params.scalars.hypothesis(m):
-                        skipped += 1
-                        continue
-                    checks += 1
-                    nonroot = non_root_table_check(m, params)
-                    mult = multiplicity(m, params, classification)
-                    if (mult == 0) != nonroot:
-                        violations.append({"m": m, "multiplicity": mult, "table": nonroot})
+            targets = [m for m in TABLE_ROWS if m <= max_m]
+            classification = compute_J(targets[-1], params) if targets else None
+            for m in targets:
+                if not params.scalars.hypothesis(m):
+                    skipped += 1
+                    continue
+                checks += 1
+                nonroot = non_root_table_check(m, params)
+                mult = multiplicity(m, params, classification)
+                if (mult == 0) != nonroot:
+                    violations.append({"m": m, "multiplicity": mult, "table": nonroot})
     return checks, skipped, per_point
 
 
@@ -297,7 +294,8 @@ def _pair_orbits(units: list, p: int) -> tuple:
 def _cmd_scan(args) -> int:
     """Sweep every (q, r, s) unit triple.  A task is one (q, r) pair, the
     first in unit order of its orbit under the Frobenius sigma: x -> x^p;
-    its worker runs every s in unit order.  Every route uses field
+    its worker checks every s in unit order, a main task walking the levels
+    only at the s where an s-equation holds.  Every route uses field
     operations only, so the results at (sigma q, sigma r, sigma s) are those
     at (q, r, s).  After the pool, each pair sigma^i of a representative
     copies its checks and skips, and lists at s the violations the

@@ -40,7 +40,8 @@ candidate as payload rows, and reads a candidate's kernel membership as
 lying in span K_m and the kernel dimension as |K_m|; ``verify_main`` is
 its one-level case.  Both walks take their steps from ``rootvec``: the
 d_1 preimage and the row of P_m for K_m, and P_j and ad x1 for the
-candidates.
+candidates.  ``verify_pair`` checks one (q, r) pair, walking only the s
+where a sign equation or the cut of some P_m vanishes.
 Words are capped at total degree DEGREE_CEILING; the CLI caps the level
 routes at LEVEL_CEILING.
 """
@@ -343,6 +344,12 @@ def _derivations_vanish(terms: dict, points: tuple, memo: dict) -> int:
     return mask
 
 
+def _cut(field: Field, lam: list, m: int, rs):
+    """z_m(lambda) = lambda_0 + rs lambda_m, rs = (-r)^m s: the cut of the
+    ``_kernels`` walk at level m, affine in s."""
+    return field._add(lam[0], field._mul(rs, lam[m]))
+
+
 def _kernels(params: BraidingParams) -> Iterator[list]:
     """K_0, K_1, ...: a basis of ker(pi) ∩ U_m as payload rows of coordinates.
 
@@ -367,7 +374,7 @@ def _kernels(params: BraidingParams) -> Iterator[list]:
         span = [_d1_preimage(kappa, params) for kappa in basis]
         span.append(_p_row(m, params))
         rs = mul(rs, minus_r)
-        z = [add(lam[0], mul(rs, lam[m])) for lam in span]
+        z = [_cut(field, lam, m, rs) for lam in span]
         pivot = next((i for i, c in enumerate(z) if not is_zero(c)), None)
         if pivot is not None:
             head = span.pop(pivot)
@@ -512,3 +519,64 @@ def verify_main(m: int, params: BraidingParams) -> KernelReport:
     if report is None:  # exactly where (m)_q^! b_m = 0
         params.scalars.require(m, "; theorem hypothesis fails")
     return report
+
+
+def verify_pair(q, r, units: list, max_m: int) -> tuple:
+    """The main check at the points (q, r, s), s in ``units``, of one (q, r)
+    pair, at levels 0..max_m: (checks, skipped, found), found[j] listing the
+    (m, report) of each level at units[j] that does not match the theorem.
+    Every point checks the levels below ``top`` and skips the rest (see
+    ``_s_equation_roots``).  ``verify_levels`` walks only the s where an
+    s-equation holds; at every other s each level below ``top`` matches:
+
+    - ``compute_J`` admits no j unless sign[j] = -1, and without a prior
+      member its lemma side is that same test, so J ∩ [0, top) is empty;
+    - the walk starts from K_0 = [] (s != -1), so its span at level m is
+      {P_m}, and a nonzero cut of P_m leaves K_m = [] for each m < top;
+    - so ``verify_levels`` would report dim 0, no candidates, and
+      ``independent`` and ``matches_theorem`` true.
+
+    The argument rests on neither the theorem nor a symmetry of the pair.
+    """
+    first = BraidingParams.from_qrs(q, r, units[0])
+    top, j_side, kernel_side = _s_equation_roots(first, units, max_m)
+    found: list = [[] for _ in units]
+    for k in sorted(j_side | kernel_side):
+        params = first if k == 0 else BraidingParams.from_qrs(q, r, units[k])
+        reports = enumerate(verify_levels(range(max_m + 1), params))
+        found[k] = [(m, rep) for m, rep in reports if rep and not rep.matches_theorem]
+    return top * len(units), (max_m + 1 - top) * len(units), found
+
+
+def _s_equation_roots(first: BraidingParams, units: list, max_m: int) -> tuple:
+    """(top, J side, kernel side) for the pair of ``first``, its point at
+    units[0].  top is the first level where (m)_q^! b_m = 0, or max_m + 1;
+    that column reads no s.  A side is the set of the indices k of the
+    units[k] at which one of its s-equations holds below top, each affine
+    in s.  J side: sign[j] = -1, sign[j] being s times its value at
+    ``first`` over units[0].  Kernel side: 1 + s = 0 (K_0 != []) and, for
+    m >= 1, the cut of P_m, read off ``_cut`` at s = 0 and s = 1."""
+    field = first.field
+    add, mul, neg, inv, is_zero = field._add, field._mul, field._neg, field._inv, field._is_zero
+    table = first.scalars.upto(max_m)
+    top = next((m for m, b in enumerate(table.qfact_b[: max_m + 1]) if is_zero(b)), max_m + 1)
+    position = {s.value: k for k, s in enumerate(units)}
+
+    def roots(u, d) -> set:
+        """The indices of the units s with u + s d = 0."""
+        if is_zero(d):
+            return set(position.values()) if is_zero(u) else set()
+        s = neg(mul(u, inv(d)))
+        return {position[s]} if s in position else set()
+
+    one = table.one
+    to_s_free = inv(first.s.value)
+    j_side = set().union(*(roots(one, mul(sign, to_s_free)) for sign in table.sign[:top]))
+    kernel_side = roots(one, one)
+    r_m = one  # (-r)^m
+    for m in range(1, top):
+        r_m = mul(r_m, table.minus_r)
+        p_m = _p_row(m, first)
+        at_zero = _cut(field, p_m, m, field._from_int(0))
+        kernel_side |= roots(at_zero, add(_cut(field, p_m, m, r_m), neg(at_zero)))
+    return top, j_side, kernel_side

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nichols import oracle
 from nichols.braided import GradedElement
 from nichols.fields import ExtensionField, FieldElement, TabulatedField, parse_field_spec
 from nichols.qcalc import BraidingParams
@@ -30,6 +31,21 @@ def element_from_json(field, data: dict) -> GradedElement:
     """The inverse of ``GradedElement.to_json``."""
     terms = {tuple(t["word"]): field.parse(t["coeff"]) for t in data["terms"]}
     return GradedElement(field, terms)
+
+
+def verify_each_point(q, r, units, max_m):
+    """``oracle.verify_pair`` as the scan once ran it: ``verify_levels`` at
+    every s of the pair, (checks, skipped, found) with found[j] listing the
+    (m, report) of each level at units[j] that does not match the theorem."""
+    checks = skipped = 0
+    found = []
+    levels = range(max_m + 1)
+    for s in units:
+        reports = list(zip(levels, oracle.verify_levels(levels, BraidingParams.from_qrs(q, r, s))))
+        skipped += sum(rep is None for _, rep in reports)
+        checks += sum(rep is not None for _, rep in reports)
+        found.append([(m, rep) for m, rep in reports if rep and not rep.matches_theorem])
+    return checks, skipped, found
 
 
 @pytest.fixture

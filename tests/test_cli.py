@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from nichols import cli, fields, jset, oracle, qcalc, rootvec
 from nichols.cli import run_command
 from nichols.oracle import KernelReport
+from conftest import verify_each_point
 
 
 def run_json(capsys, argv):
@@ -576,12 +577,13 @@ def test_verify_classifies_J_once(capsys, monkeypatch):
 
 
 def test_scan_main_classifies_J_once_per_point(capsys, monkeypatch):
+    # only the 4 points where an s-equation holds are walked, and classified
     calls = _count_calls(monkeypatch, "compute_J", oracle)
     rc, data = run_json(capsys, ["scan", "--field", "Fp:3", "--max", "4",
                                  "--check", "main", "--format", "json"])
     assert rc == 0
     assert data["points"] == 8
-    assert calls == [4] * 8
+    assert calls == [4] * 4
 
 
 def test_multiplicity_classifies_J_once(capsys, monkeypatch):
@@ -881,14 +883,14 @@ F8 = "ext:Fp:2:1,1,0,1"
 F9_MODULI = ["ext:Fp:3:1,0,1", "ext:Fp:3:2,1,1", "ext:Fp:3:2,2,1"]
 
 
-def _per_pair_scan(spec, max_m, check):
-    """The scan's JSON body and text lines, with _scan_pair run at every (q, r)
-    pair of units and the pairs joined in unit order."""
+def _per_pair_scan(spec, max_m, check, scan_pair=cli._scan_pair):
+    """The scan's JSON body and text lines, with ``scan_pair`` run at every
+    (q, r) pair of units and the pairs joined in unit order."""
     units = list(fields.parse_field_spec(spec).units())
     checks = skipped = 0
     details = []
     for q, r in itertools.product(units, repeat=2):
-        pair_checks, pair_skipped, per_point = cli._scan_pair((q, r, units, max_m, check))
+        pair_checks, pair_skipped, per_point = scan_pair((q, r, units, max_m, check))
         checks += pair_checks
         skipped += pair_skipped
         details += [{"q": str(q), "r": str(r), "s": str(s), "violations": found}
@@ -964,6 +966,76 @@ def test_scan_lists_an_invariant_fault_at_every_frobenius_image(capsys, monkeypa
         assert capsys.readouterr().out == json.dumps(data) + "\n"
         assert run_command(argv + ["--jobs", jobs]) == 1
         assert capsys.readouterr().out.splitlines() == lines
+
+
+def _main_at_each_point(task):
+    """_scan_pair's main check as it ran before the pair route: the level
+    walk at every s of the pair."""
+    q, r, units, max_m, _ = task
+    checks, skipped, found = verify_each_point(q, r, units, max_m)
+    return checks, skipped, [[{"m": m, "report": rep.to_json()} for m, rep in reports]
+                             for reports in found]
+
+
+def _main_scan_lists_as_each_point(capsys, spec, max_m):
+    """The main scan's JSON body, after checking both formats under --jobs 1
+    and 2 against the walk at every point of every pair."""
+    data, lines = _per_pair_scan(spec, max_m, "main", scan_pair=_main_at_each_point)
+    argv = ["scan", "--field", spec, "--max", str(max_m), "--check", "main"]
+    for jobs in ("1", "2"):
+        assert run_command(argv + ["--jobs", jobs, "--format", "json"]) == 1
+        assert capsys.readouterr().out == json.dumps(data) + "\n"
+        assert run_command(argv + ["--jobs", jobs]) == 1
+        assert capsys.readouterr().out.splitlines() == lines
+    return data
+
+
+def test_scan_main_lists_a_sign_fault_at_its_point(capsys, monkeypatch):
+    # J = {0, 4} at (q, r, s) = (1, 2, 4) over F_5.  Setting sign[4] to 1 at
+    # that one point drops 4 from J there, so level 4 finds dim 2 against the
+    # one candidate adP(4,0)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    original = qcalc.ScalarTable.upto
+
+    def faulty(self, n):
+        original(self, max(n, 4))  # extended in full, so no later entry builds on the fault
+        if (self.q, self.r, self.sign[0]) == (1, 2, 4):
+            self.sign[4] = self.one
+        return self
+
+    monkeypatch.setattr(qcalc.ScalarTable, "upto", faulty)
+    data = _main_scan_lists_as_each_point(capsys, "Fp:5", 4)
+    assert [(d["q"], d["r"], d["s"]) for d in data["details"]] == [("1", "2", "4")]
+    assert [v["m"] for v in data["details"][0]["violations"]] == [4]
+
+
+def test_scan_main_lists_a_cut_fault_where_each_point_does(capsys, monkeypatch):
+    # shifting the cut at level 2 by lambda_2 moves the s at which it vanishes
+    # on P_2: each pair then breaks at the old root, where J has 2 and K_2 is
+    # empty, and at the new one, where K_2 = [P_2] and J lacks 2
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    original = oracle._cut
+
+    def faulty(field, lam, m, rs):
+        z = original(field, lam, m, rs)
+        return field._add(z, lam[m]) if m == 2 else z
+
+    monkeypatch.setattr(oracle, "_cut", faulty)
+    data = _main_scan_lists_as_each_point(capsys, "Fp:5", 3)
+    assert {v["m"] for d in data["details"] for v in d["violations"]} == {2, 3}
+
+
+@pytest.mark.parametrize("spec, max_m, walked", [
+    ("Fp:3", 4, 4), *[(spec, 2, 74) for spec in F9_MODULI], ("Fp:5", 6, 30),
+], ids=["Fp:3", "F9-1,0,1", "F9-2,1,1", "F9-2,2,1", "Fp:5"])
+def test_scan_main_walks_only_the_points_of_an_s_equation(capsys, monkeypatch, spec,
+                                                           max_m, walked):
+    # of the 8, 272 and 64 points of the scan tasks
+    calls = _count_calls(monkeypatch, "verify_levels", oracle)
+    rc = run_command(["scan", "--field", spec, "--max", str(max_m), "--check", "main"])
+    capsys.readouterr()
+    assert rc == 0
+    assert len(calls) == walked
 
 
 @pytest.mark.parametrize("spec, count", [

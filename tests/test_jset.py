@@ -107,6 +107,13 @@ def test_root_vector_criterion(QQ, make_params):
         root_vector_criterion(1, 2, p)
 
 
+def test_root_vector_criterion_counts_J_up_to_k_plus_l(f9_params):
+    # J = {0, 3} at q = r = t, s = -1 over F_9: |J ∩ [0, 3]| = 2 > 1, while
+    # |J ∩ [0, k - l]| = |J ∩ [0, 1]| = 1 would pass
+    assert compute_J(3, f9_params).j_set() == [0, 3]
+    assert not root_vector_criterion(2, 1, f9_params)
+
+
 def test_root_vector_criterion_equal_case_sign(QQ, make_params):
     # k = l additionally requires q^(k^2) r^k s = -1
     p = make_params(QQ, 1, 1, -1)

@@ -1,5 +1,6 @@
 """Quantum symmetrizer oracle and the kernel reports it produces."""
 
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -14,7 +15,7 @@ from nichols.errors import (
     NonHomogeneous,
     OutOfRange,
 )
-from nichols import linalg, oracle
+from nichols import linalg, oracle, rootvec
 from nichols.fields import FieldElement, parse_field_spec
 from nichols.jset import compute_J
 from nichols.oracle import (
@@ -31,7 +32,7 @@ from nichols.oracle import (
 )
 from nichols.qcalc import BraidingParams, qfact_b
 from nichols.rootvec import UhatBasisVector, ad_pow_coords, l_n, level_elements, p_k, u_k
-from conftest import random_element
+from conftest import random_element, verify_each_point
 from word_oracles import (
     _phi,
     _phis,
@@ -845,3 +846,46 @@ def test_frobenius_images_keep_every_verdict(spec, data):
     # found[j] lists the disagreements at ss[j], so the lists map onto the images
     assert (oracle.compare_routes(image[0], image[1], image[2:], max_m)
             == oracle.compare_routes(q, r, ss, max_m))
+
+
+# the main check's pair route against every point walked on its own
+MAIN_PAIR_FIELDS = {spec: parse_field_spec(spec) for spec in (
+    "Fp:2", "Fp:3", "Fp:5", "Fp:7", "ext:Fp:2:1,1,1", "ext:Fp:2:1,1,0,1", "ext:Fp:3:1,0,1",
+    "ext:Fp:3:2,1,1", "ext:Fp:3:2,2,1", "ext:Fp:2:1,1,0,0,1", "ext:Fp:5:2,0,1")}
+
+
+@pytest.mark.parametrize("max_m", [3, 8])
+@pytest.mark.parametrize("spec", list(MAIN_PAIR_FIELDS))
+def test_verify_pair_equals_the_walk_at_every_point(spec, max_m):
+    units = list(MAIN_PAIR_FIELDS[spec].units())
+    for q, r in itertools.product(units, repeat=2):
+        assert oracle.verify_pair(q, r, units, max_m) == verify_each_point(q, r, units, max_m)
+
+
+@pytest.mark.parametrize("max_m", [3, 8])
+@pytest.mark.parametrize("spec", list(MAIN_PAIR_FIELDS))
+def test_the_unwalked_points_have_no_defect_and_no_kernel(spec, max_m):
+    # each side of _s_equation_roots is exactly the set of s where one of its
+    # equations holds, read at each point; outside both, compute_J has no
+    # member below top and the kernel walk yields K_m = [] below top
+    field = MAIN_PAIR_FIELDS[spec]
+    units = list(field.units())
+    for q, r in itertools.product(units, repeat=2):
+        top, j_side, kernel_side = oracle._s_equation_roots(
+            BraidingParams.from_qrs(q, r, units[0]), units, max_m)
+        for k, s in enumerate(units):
+            params = BraidingParams.from_qrs(q, r, s)
+            table = params.scalars.upto(max_m)
+            levels = range(max_m + 1)
+            assert [table.hypothesis(m) for m in levels] == [m < top for m in levels]
+            assert (k in j_side) == (table.minus_one in table.sign[:top])
+            rs = [s.value]  # (-r)^m s
+            for _ in range(1, top):
+                rs.append(field._mul(rs[-1], table.minus_r))
+            cuts = [oracle._cut(field, rootvec._p_row(m, params), m, rs[m])
+                    for m in range(1, top)]
+            assert (k in kernel_side) == (s == -field.one or any(map(field._is_zero, cuts)))
+            if k in j_side | kernel_side:
+                continue
+            assert [e.j for e in compute_J(max_m, params).members if e.j < top] == []
+            assert list(itertools.islice(oracle._kernels(params), top)) == [[]] * top
