@@ -24,10 +24,12 @@ second, logically independent membership test, on payload terms through
 ``braided._derive``, with no element per node.
 
 ``compare_routes`` holds the two tests to each other at every point
-(q, r, s) of one (q, r) pair, on level elements it builds once.  Each test
-decides every s in one pass, keeping q22 = s formal once per pair.
-``in_kernel`` reads S(x) off the cached ``symmetrizer`` at its one point,
-for any b; ``in_kernel_by_derivations`` is the derivation route at one point.
+(q, r, s) of one (q, r) pair, carried as one params and the s payloads.
+Each test keeps q22 = s formal and gives a bitmask of the s per element;
+``_unit_roots`` solves u + s d = 0 over the units, for the symmetrizer
+route's rows and for ``verify_pair``.  ``in_kernel`` reads S(x) off the
+cached ``symmetrizer`` at its one point, for any b;
+``in_kernel_by_derivations`` is the derivation route at one point.
 
 On U_m no word is built: by the derivation criterion, applied through the
 coordinate formulas for d_1 and d_2, ker(pi) ∩ U_m is carried up from
@@ -241,65 +243,68 @@ def in_kernel(x: GradedElement, params: BraidingParams) -> bool:
 def in_kernel_by_derivations(x: GradedElement, params: BraidingParams) -> bool:
     """Derivation recursion: zero iff d_1 and d_2 images are both zero."""
     _member_degree(x, params)
-    return bool(_derivations_vanish(x.terms, (params,), {}))
+    return bool(_derivations_vanish(x.terms, params, (params.q22.value,), {}))
 
 
 def compare_routes(q, r, units: list, max_m: int) -> tuple:
     """The oracle check at the points (q, r, s), s in ``units``, of one
     (q, r) pair, at levels 0..max_m: (checks, skipped, found), found[j]
     listing the (m, index) of each level element on which the two
-    membership routes disagree at units[j].  No level element reads q22,
-    so each level's elements are built once, at the first point, and each
-    route decides every s of the pair at once."""
-    points = tuple(BraidingParams.from_qrs(q, r, s) for s in units)
-    levels = [level_elements(m, points[0]) for m in range(max_m + 1)]
+    membership routes disagree at units[j].  The pair is one params, at
+    units[0], and the s payloads: no level element reads q22, so each
+    level's elements are built once, and each route decides every s at
+    once, as one bitmask over the s per element."""
+    params = BraidingParams.from_qrs(q, r, units[0])
+    values = tuple(s.value for s in units)
+    levels = [level_elements(m, params) for m in range(max_m + 1)]
     tags = [(m, idx) for m, level in enumerate(levels) if level for idx in range(len(level))]
     shared = [levels[m][idx] for m, idx in tags]
-    found: dict = {params: [] for params in points}
-    verdicts = zip(_kernel_points(shared, points), _kernel_points_by_derivations(shared, points))
-    for tag, (by_symmetrizer, by_derivations) in zip(tags, verdicts):
-        for params in by_symmetrizer ^ by_derivations:
-            found[params].append(tag)
-    return len(tags) * len(units), levels.count(None) * len(units), list(found.values())
+    diffs = [a ^ b for a, b in zip(_kernel_points(shared, params, values),
+                                   _kernel_points_by_derivations(shared, params, values))]
+    found = [[tag for tag, diff in zip(tags, diffs) if diff >> k & 1] for k in range(len(units))]
+    return len(tags) * len(units), levels.count(None) * len(units), found
 
 
-def _kernel_points(elements: list, points: tuple) -> list:
-    """Symmetrizer route: for each element, the set of the points of one
-    (q, r) pair at which it lies in ker(pi).  Each element is homogeneous,
-    with b <= 2, as ``compare_routes`` builds them.  S_(a,b) is built once
-    per pair with q22 = s formal: an x2 passes at most one x2, so
-    S(s) = A + s B (B = 0 for b <= 1), and S(s)x = 0 iff u + s d = 0 at
-    every row, with u = (Ax)_i and d = (Bx)_i: u = 0 where d = 0, and
-    s = -u/d otherwise.  The rows are read until no point is left."""
-    field = points[0].field
-    mul, neg, inv, is_zero = field._mul, field._neg, field._inv, field._is_zero
+def _unit_roots(field: Field, position: dict, u, d) -> int:
+    """The units s with u + s d = 0, as a bitmask over ``position`` (payload -> bit)."""
+    if field._is_zero(d):
+        return (1 << len(position)) - 1 if field._is_zero(u) else 0
+    k = position.get(field._neg(field._mul(u, field._inv(d))))
+    return 0 if k is None else 1 << k
+
+
+def _kernel_points(elements: list, params: BraidingParams, values: tuple) -> list:
+    """Symmetrizer route: for each element, the bitmask of the s payloads
+    ``values`` at which it lies in ker(pi), at the other entries of params.
+    Each element is homogeneous, with b <= 2, as ``compare_routes`` builds
+    them.  S_(a,b) is built once per pair with q22 = s formal: an x2 passes
+    at most one x2, so S(s) = A + s B (B = 0 for b <= 1), and S(s)x = 0 iff
+    u + s d = 0 at every row, with u = (Ax)_i and d = (Bx)_i
+    (``_unit_roots``).  The rows are read until no point is left."""
+    field = params.field
+    position = {s: k for k, s in enumerate(values)}
     builds: dict = {}  # the formal builds of the pair, by multidegree
     verdicts = []
     for x in elements:
-        alive = points
+        alive = (1 << len(values)) - 1
         if x.terms:
             deg = multidegree(next(iter(x.terms)))
-            layers = _formal(deg, points[0], builds)
+            layers = _formal(deg, params, builds)
             index = _plan(*deg)[1]
             rows = [_products(field, index, layer, x) for layer in layers]
             for u, d in zip(rows[0], rows[1] if len(rows) > 1 else repeat(field._from_int(0))):
-                if is_zero(d):
-                    alive = alive if is_zero(u) else ()
-                else:
-                    root = neg(mul(u, inv(d)))
-                    alive = [p for p in alive if p.q22.value == root]
+                alive &= _unit_roots(field, position, u, d)
                 if not alive:
                     break
-        verdicts.append(set(alive))
+        verdicts.append(alive)
     return verdicts
 
 
-def _kernel_points_by_derivations(elements: list, points: tuple) -> list:
-    """Derivation route: for each element, the set of the points of one (q, r)
-    pair at which it lies in ker(pi); the elements share a memo of verdicts."""
+def _kernel_points_by_derivations(elements: list, params: BraidingParams, values: tuple) -> list:
+    """Derivation route: for each element, the bitmask of the s payloads
+    ``values`` at which it lies in ker(pi), sharing one memo of verdicts."""
     memo: dict = {}
-    masks = [_derivations_vanish(x.terms, points, memo) for x in elements]
-    return [{p for j, p in enumerate(points) if mask >> j & 1} for mask in masks]
+    return [_derivations_vanish(x.terms, params, values, memo) for x in elements]
 
 
 def _unit_key(field: Field, items) -> tuple:
@@ -309,9 +314,10 @@ def _unit_key(field: Field, items) -> tuple:
     return tuple([(w, mul(inv, c)) for w, c in terms])
 
 
-def _derivations_vanish(terms: dict, points: tuple, memo: dict) -> int:
-    """The points at which the element with these terms (word -> nonzero
-    payload) lies in ker(pi), as a bitmask: bit j stands for points[j].
+def _derivations_vanish(terms: dict, params: BraidingParams, values: tuple, memo: dict) -> int:
+    """The bitmask of the s payloads ``values`` (bit j for values[j]) at which
+    the element with these terms (word -> nonzero payload) lies in ker(pi),
+    a pair's one params giving every entry but q22 = s.
 
     ker(pi) is a subspace that holds no nonzero element of degree <= 1, so
     no terms lie in it everywhere and terms of degree <= 1 nowhere; any
@@ -319,26 +325,26 @@ def _derivations_vanish(terms: dict, points: tuple, memo: dict) -> int:
     pair ``memo`` keeps.  x lies in ker(pi) iff d_1 x and d_2 x do.  d_1
     reads no q22, so it is read once.  ``_derive`` keeps q22 formal in d_2:
     where it reads none (a key with at most one x2) d_2 is read once, and
-    otherwise at each point that d_1 leaves.
+    otherwise at each s that d_1 leaves.
     """
     if not terms:
-        return (1 << len(points)) - 1
+        return (1 << len(values)) - 1
     if len(next(iter(terms))) <= 1:
         return 0
-    field, first = points[0].field, points[0]
+    field = params.field
     key = _unit_key(field, terms.items())
     if key in memo:
         return memo[key]
-    (d1,) = _derive(1, key, first)
-    mask = _derivations_vanish(d1, points, memo)
+    (d1,) = _derive(1, key, params)
+    mask = _derivations_vanish(d1, params, values, memo)
     if mask:
-        d2 = _derive(2, key, first)
+        d2 = _derive(2, key, params)
         if not any(d2[1:]):
-            mask &= _derivations_vanish(d2[0], points, memo)
+            mask &= _derivations_vanish(d2[0], params, values, memo)
         else:
-            for j, p in enumerate(points):
+            for j, s in enumerate(values):
                 if mask >> j & 1 and not _derivations_vanish(
-                        _at_q22(field, d2, p.q22.value), points, memo) >> j & 1:
+                        _at_q22(field, d2, s), params, values, memo) >> j & 1:
                     mask ^= 1 << j
     memo[key] = mask
     return mask
@@ -354,9 +360,9 @@ def _kernels(params: BraidingParams) -> Iterator[list]:
     """K_0, K_1, ...: a basis of ker(pi) ∩ U_m as payload rows of coordinates.
 
     x is in ker(pi) iff d_1 x and d_2 x are, and d_2 x = z_m(lambda) u_hat_m
-    with u_hat_m outside ker(pi) under the hypothesis.  So K_0 = [[1]] if
-    1 + s = 0 and [] otherwise, and K_m spans the lambda with d1 lambda in
-    span K_{m-1} and z_m(lambda) = lambda_0 + (-r)^m s lambda_m = 0.  d1 is
+    with u_hat_m outside ker(pi) under the hypothesis.  So K_m spans the
+    lambda with d1 lambda in span K_{m-1} (K_{-1} = []) and z_m(lambda) =
+    lambda_0 + (-r)^m s lambda_m = 0 (at m = 0, (1 + s) lambda_0 = 0).  d1 is
     onto U_{m-1} with kernel P_m, so P_m and the d1 preimages of K_{m-1}
     (``rootvec._d1_preimage``, up to the unit -q21) span the first
     condition, and one pivot cuts them by z_m.  The walk is formal: it runs
@@ -365,15 +371,12 @@ def _kernels(params: BraidingParams) -> Iterator[list]:
     """
     field = params.field
     add, mul, neg, is_zero = field._add, field._mul, field._neg, field._is_zero
-    one = field._from_int(1)
     minus_r = params.scalars.minus_r
     rs = params.s.value  # (-r)^m s
-    basis = [[one]] if is_zero(add(one, rs)) else []
-    for m in count(1):
-        yield basis
+    basis: list = []
+    for m in count():
         span = [_d1_preimage(kappa, params) for kappa in basis]
         span.append(_p_row(m, params))
-        rs = mul(rs, minus_r)
         z = [_cut(field, lam, m, rs) for lam in span]
         pivot = next((i for i, c in enumerate(z) if not is_zero(c)), None)
         if pivot is not None:
@@ -384,6 +387,8 @@ def _kernels(params: BraidingParams) -> Iterator[list]:
                     factor = mul(c, scale)
                     span[i] = [add(a, mul(factor, b)) for a, b in zip(span[i], head)]
         basis = span
+        yield basis
+        rs = mul(rs, minus_r)
 
 
 def ker_cap_Um(m: int, params: BraidingParams) -> tuple:
@@ -541,42 +546,36 @@ def verify_pair(q, r, units: list, max_m: int) -> tuple:
     first = BraidingParams.from_qrs(q, r, units[0])
     top, j_side, kernel_side = _s_equation_roots(first, units, max_m)
     found: list = [[] for _ in units]
-    for k in sorted(j_side | kernel_side):
-        params = first if k == 0 else BraidingParams.from_qrs(q, r, units[k])
-        reports = enumerate(verify_levels(range(max_m + 1), params))
-        found[k] = [(m, rep) for m, rep in reports if rep and not rep.matches_theorem]
+    for k in range(len(units)):
+        if (j_side | kernel_side) >> k & 1:
+            params = first if k == 0 else BraidingParams.from_qrs(q, r, units[k])
+            reports = enumerate(verify_levels(range(max_m + 1), params))
+            found[k] = [(m, rep) for m, rep in reports if rep and not rep.matches_theorem]
     return top * len(units), (max_m + 1 - top) * len(units), found
 
 
 def _s_equation_roots(first: BraidingParams, units: list, max_m: int) -> tuple:
     """(top, J side, kernel side) for the pair of ``first``, its point at
     units[0].  top is the first level where (m)_q^! b_m = 0, or max_m + 1;
-    that column reads no s.  A side is the set of the indices k of the
-    units[k] at which one of its s-equations holds below top, each affine
-    in s.  J side: sign[j] = -1, sign[j] being s times its value at
-    ``first`` over units[0].  Kernel side: 1 + s = 0 (K_0 != []) and, for
-    m >= 1, the cut of P_m, read off ``_cut`` at s = 0 and s = 1."""
+    that column reads no s.  A side is the bitmask of the units at which
+    one of its s-equations holds below top, each affine in s and solved by
+    ``_unit_roots``.  J side: sign[j] = -1, sign[j] being s times its value
+    at ``first`` over units[0].  Kernel side: the cut of P_m, read off
+    ``_cut`` at s = 0 and s = 1; at m = 0 it is 1 + s, zero iff K_0 != []."""
     field = first.field
-    add, mul, neg, inv, is_zero = field._add, field._mul, field._neg, field._inv, field._is_zero
+    add, mul, neg, is_zero = field._add, field._mul, field._neg, field._is_zero
     table = first.scalars.upto(max_m)
     top = next((m for m, b in enumerate(table.qfact_b[: max_m + 1]) if is_zero(b)), max_m + 1)
     position = {s.value: k for k, s in enumerate(units)}
-
-    def roots(u, d) -> set:
-        """The indices of the units s with u + s d = 0."""
-        if is_zero(d):
-            return set(position.values()) if is_zero(u) else set()
-        s = neg(mul(u, inv(d)))
-        return {position[s]} if s in position else set()
-
     one = table.one
-    to_s_free = inv(first.s.value)
-    j_side = set().union(*(roots(one, mul(sign, to_s_free)) for sign in table.sign[:top]))
-    kernel_side = roots(one, one)
+    to_s_free = field._inv(first.s.value)
+    j_side = kernel_side = 0
     r_m = one  # (-r)^m
-    for m in range(1, top):
-        r_m = mul(r_m, table.minus_r)
+    for m in range(top):
+        j_side |= _unit_roots(field, position, one, mul(table.sign[m], to_s_free))
         p_m = _p_row(m, first)
         at_zero = _cut(field, p_m, m, field._from_int(0))
-        kernel_side |= roots(at_zero, add(_cut(field, p_m, m, r_m), neg(at_zero)))
+        kernel_side |= _unit_roots(field, position, at_zero,
+                                   add(_cut(field, p_m, m, r_m), neg(at_zero)))
+        r_m = mul(r_m, table.minus_r)
     return top, j_side, kernel_side

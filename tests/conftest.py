@@ -33,6 +33,12 @@ def element_from_json(field, data: dict) -> GradedElement:
     return GradedElement(field, terms)
 
 
+def mask_points(mask: int, points) -> set:
+    """The points[k] whose bit k is set in mask: a pair route's bitmask over
+    the s payloads of a (q, r) pair, read as a set."""
+    return {p for k, p in enumerate(points) if mask >> k & 1}
+
+
 def verify_each_point(q, r, units, max_m):
     """``oracle.verify_pair`` as the scan once ran it: ``verify_levels`` at
     every s of the pair, (checks, skipped, found) with found[j] listing the

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from nichols import cli, fields, jset, oracle, qcalc, rootvec
 from nichols.cli import run_command
 from nichols.oracle import KernelReport
-from conftest import verify_each_point
+from conftest import mask_points, verify_each_point
 
 
 def run_json(capsys, argv):
@@ -795,12 +795,13 @@ def test_scan_oracles_kernel_count(capsys, monkeypatch, field, max_m, count):
     # count once for every pair of its orbit.
     totals = {}
     for route in ("_kernel_points", "_kernel_points_by_derivations"):
-        def counted(elements, points, route=route, original=getattr(oracle, route)):
-            verdicts = original(elements, points)
-            q, r, p = points[0].q, points[0].r, points[0].field.characteristic
+        def counted(elements, params, values, route=route, original=getattr(oracle, route)):
+            verdicts = original(elements, params, values)
+            q, r, p = params.q, params.r, params.field.characteristic
             # sigma^k for k < 4 covers every power of sigma: degrees are at most 4
             orbit = {(q ** p ** k, r ** p ** k) for k in range(4)}
-            totals[route] = totals.get(route, 0) + len(orbit) * sum(map(len, verdicts))
+            counts = [len(mask_points(mask, values)) for mask in verdicts]
+            totals[route] = totals.get(route, 0) + len(orbit) * sum(counts)
             return verdicts
 
         monkeypatch.setattr(oracle, route, counted)
@@ -808,6 +809,41 @@ def test_scan_oracles_kernel_count(capsys, monkeypatch, field, max_m, count):
     capsys.readouterr()
     assert rc == 0
     assert totals == {"_kernel_points": count, "_kernel_points_by_derivations": count}
+
+
+@pytest.mark.parametrize("field, max_m, count", [("ext:Fp:3:1,0,1", "2", 34),
+                                                 ("Fp:5", "6", 16)], ids=["F9", "Fp:5"])
+def test_scan_oracles_builds_one_params_per_task(capsys, monkeypatch, field, max_m, count):
+    # a (q, r) pair is one BraidingParams, at its first s, and the s payloads:
+    # one per Frobenius task (34 of the 64 pairs over F_9), where a params per
+    # point once made 272 over F_9 and 64 over Fp:5
+    built = []
+    original = qcalc.BraidingParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(qcalc.BraidingParams, "__post_init__", counted)
+    rc = run_command(["scan", "--field", field, "--max", max_m, "--check", "oracles"])
+    capsys.readouterr()
+    assert rc == 0
+    assert len(built) == count
+
+
+def test_unit_roots_solves_u_plus_s_d():
+    # u + s d = 0 over the units of a position map: every unit where
+    # d = u = 0, none where d = 0 != u, and else -u/d alone, if it is a unit
+    # of the map; -u/d = 0 (u = 0 != d) is never a unit
+    field = fields.parse_field_spec("Fp:7")
+    position = {field.from_int(s).value: k for k, s in enumerate([1, 3, 4, 6])}
+    roots = lambda u, d: oracle._unit_roots(field, position, *map(field._from_int, (u, d)))  # noqa: E731
+    assert roots(0, 0) == 0b1111
+    assert roots(5, 0) == 0
+    assert roots(0, 2) == 0
+    assert roots(2, 4) == 0b0010  # s = -2/4 = 3
+    assert roots(1, 1) == 0b1000  # s = -1 = 6
+    assert roots(1, 3) == 0  # s = -1/3 = 2, a unit outside the map
 
 
 def test_scan_oracles_validates_no_element(capsys, monkeypatch):
@@ -851,14 +887,13 @@ def test_scan_oracles_lists_forced_disagreements(capsys, monkeypatch, route):
     flips = [(4, 2, 1), (3, 3, 0), (3, 1, 2)]
     original = getattr(oracle, "_" + route)
 
-    def flipped(elements, points):
-        verdicts = original(elements, points)
-        if (points[0].q, points[0].r) == (two, two):
+    def flipped(elements, params, values):
+        verdicts = original(elements, params, values)
+        if (params.q, params.r) == (two, two):
             for s, m, idx in flips:
-                target = rootvec.level_elements(m, points[0])[idx]
-                point = qcalc.BraidingParams.from_qrs(two, two, field.from_int(s))
-                (found,) = [v for x, v in zip(elements, verdicts) if x == target]
-                found ^= {point}
+                target = rootvec.level_elements(m, params)[idx]
+                (k,) = [k for k, x in enumerate(elements) if x == target]
+                verdicts[k] ^= 1 << values.index(field.from_int(s).value)
         return verdicts
 
     monkeypatch.setattr(oracle, "_" + route, flipped)
@@ -934,17 +969,17 @@ def test_scan_lists_an_invariant_fault_at_every_frobenius_image(capsys, monkeypa
         q = r = field.parse("t^2")
         s = field.parse(s)
         for _ in range(3):
-            flips.setdefault(qcalc.BraidingParams.from_qrs(q, r, s), []).append((m, idx))
+            flips.setdefault((q.value, r.value, s.value), []).append((m, idx))
             q, r, s = q**2, r**2, s**2
     original = getattr(oracle, "_" + route)
 
-    def flipped(elements, points):
-        verdicts = original(elements, points)
-        for point in points:
-            for m, idx in flips.get(point, ()):
-                target = rootvec.level_elements(m, points[0])[idx]
-                (found,) = [v for x, v in zip(elements, verdicts) if x == target]
-                found ^= {point}
+    def flipped(elements, params, values):
+        verdicts = original(elements, params, values)
+        for k, s in enumerate(values):
+            for m, idx in flips.get((params.q.value, params.r.value, s), ()):
+                target = rootvec.level_elements(m, params)[idx]
+                (j,) = [j for j, x in enumerate(elements) if x == target]
+                verdicts[j] ^= 1 << k
         return verdicts
 
     monkeypatch.setattr(oracle, "_" + route, flipped)

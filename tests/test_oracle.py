@@ -32,7 +32,7 @@ from nichols.oracle import (
 )
 from nichols.qcalc import BraidingParams, qfact_b
 from nichols.rootvec import UhatBasisVector, ad_pow_coords, l_n, level_elements, p_k, u_k
-from conftest import random_element, verify_each_point
+from conftest import mask_points, random_element, verify_each_point
 from word_oracles import (
     _phi,
     _phis,
@@ -178,6 +178,13 @@ def test_membership_rejects_mismatched_fields(generic_q_params, F5, F7, make_par
             member(long_word, point)
 
 
+def _verdicts(route, elements, points) -> list:
+    """A pair route at points of one (q, r) pair, the first point and the s
+    payloads of all, each bitmask read as the set of its points."""
+    masks = route(elements, points[0], tuple(p.s.value for p in points))
+    return [mask_points(mask, points) for mask in masks]
+
+
 def test_in_kernel_x2_squared(QQ, F5, make_params):
     # s = -1 kills x2^2 and a generic s does not.  Derivation verdicts are
     # shared across the points of a pair, so the two points, in either
@@ -189,8 +196,8 @@ def test_in_kernel_x2_squared(QQ, F5, make_params):
         generic = make_params(field, 2, 3, 2)
         for order in ((kernel_point, generic), (generic, kernel_point)):
             pair = [x22, x22.scale(3)]
-            assert _kernel_points(pair, order) == [{kernel_point}] * 2
-            assert _kernel_points_by_derivations(pair, order) == [{kernel_point}] * 2
+            assert _verdicts(_kernel_points, pair, order) == [{kernel_point}] * 2
+            assert _verdicts(_kernel_points_by_derivations, pair, order) == [{kernel_point}] * 2
             for p in order:
                 expected = p is kernel_point
                 for x in pair:
@@ -284,7 +291,7 @@ def test_derivation_verdicts_match_the_element_recursion(membership_points, rng)
         memo: dict = {}
         for x in _kernel_elements(field, p) + _random_homogeneous(field, rng, 12):
             expected = derivations_vanish_by_elements(x, p)
-            mask = oracle._derivations_vanish(x.terms, (p,), memo)
+            mask = oracle._derivations_vanish(x.terms, p, (p.s.value,), memo)
             assert mask == (1 if expected else 0)
             assert in_kernel_by_derivations(x, p) == expected
 
@@ -314,7 +321,8 @@ def test_pair_routes_match_the_per_point_routes(spec, data):
     elements.append(GradedElement(field, dict(zip(words, coeffs))))
     naive: dict = {}
     for x, by_symmetrizer, by_derivations in zip(
-        elements, _kernel_points(elements, points), _kernel_points_by_derivations(elements, points)
+        elements, _verdicts(_kernel_points, elements, points),
+        _verdicts(_kernel_points_by_derivations, elements, points)
     ):
         expected = {p for p in points if in_kernel(x, p)}
         assert by_symmetrizer == expected
@@ -385,7 +393,7 @@ def test_pair_routes_read_x2_cubed(F5, make_params):
     # and in_kernel serves any b.
     x = GradedElement.from_word(F5, (2, 2, 2))
     pair = (make_params(F5, 2, 3, 4), make_params(F5, 2, 3, 1))
-    assert _kernel_points_by_derivations([x], pair) == [{pair[0]}]
+    assert _verdicts(_kernel_points_by_derivations, [x], pair) == [{pair[0]}]
     assert in_kernel(x, pair[0]) and not in_kernel(x, pair[1])
 
 
@@ -405,7 +413,7 @@ def test_one_point_pairs_read_the_pencil(monkeypatch, make_params):
         raise AssertionError(f"symmetrizer built at a point for {md}")
 
     monkeypatch.setattr(oracle, "symmetrizer", refuse)
-    assert _kernel_points(elements, (point,)) == expected
+    assert _verdicts(_kernel_points, elements, (point,)) == expected
 
 
 def test_ker_cap_um_dimensions(f9_params, generic_q_params):
@@ -871,8 +879,10 @@ def test_the_unwalked_points_have_no_defect_and_no_kernel(spec, max_m):
     field = MAIN_PAIR_FIELDS[spec]
     units = list(field.units())
     for q, r in itertools.product(units, repeat=2):
-        top, j_side, kernel_side = oracle._s_equation_roots(
+        top, j_mask, kernel_mask = oracle._s_equation_roots(
             BraidingParams.from_qrs(q, r, units[0]), units, max_m)
+        j_side, kernel_side = (mask_points(mask, range(len(units)))
+                               for mask in (j_mask, kernel_mask))
         for k, s in enumerate(units):
             params = BraidingParams.from_qrs(q, r, s)
             table = params.scalars.upto(max_m)
